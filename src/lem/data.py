@@ -199,10 +199,8 @@ class LongDataset:
                 order[s] = len(order)
         subject_index = np.array([order[s] for s in subject_ids], dtype=np.intp)
         if time_index is None:
-            time_index = np.zeros(n, dtype=np.intp)
-            for start in np.flatnonzero(np.r_[True, np.diff(subject_index) != 0]):
-                block = subject_index == subject_index[start]
-                time_index[block] = np.arange(block.sum())
+            starts = np.flatnonzero(np.r_[True, np.diff(subject_index) != 0])
+            time_index = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
         else:
             time_index = np.asarray(time_index, dtype=np.intp)
 

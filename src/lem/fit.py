@@ -38,9 +38,8 @@ from .likelihood import (
     parameter_names,
     pooled_negloglik_and_score,
     score_rows,
-    _fsum,
 )
-from .numerics import solve_sym, std_normal_cdf, std_normal_log_pdf, log_std_normal_cdf
+from .numerics import cluster_sandwich, solve_sym, std_normal_cdf, std_normal_log_pdf, log_std_normal_cdf
 from .optim import OptimProblem, OptimResult, minimize_bfgs
 
 # finite-difference step scale for the score Jacobian (the sandwich bread)
@@ -300,13 +299,6 @@ def score_jacobian(theta, dataset):
     return fd_jacobian(neg_score, theta.to_array())
 
 
-def _cluster_score_sums(theta, dataset):
-    """Per-subject score totals (N, dim): within-subject rows summed first."""
-    rows = score_rows(theta, dataset)
-    starts = dataset.subject_starts
-    return np.add.reduceat(rows, starts[:-1], axis=0)
-
-
 def sandwich_cov(theta_hat, dataset):
     """Cluster-robust covariance: bread^-1 * meat * bread^-T.
 
@@ -322,15 +314,8 @@ def sandwich_cov(theta_hat, dataset):
             stacklevel=2,
         )
     bread = score_jacobian(theta_hat, dataset)
-    cluster_scores = _cluster_score_sums(theta_hat, dataset)
-    dim = bread.shape[0]
-    meat = np.empty((dim, dim))
-    for j in range(dim):
-        for k in range(j, dim):
-            meat[j, k] = meat[k, j] = _fsum(cluster_scores[:, j] * cluster_scores[:, k])
-    inv_meat = solve_sym(bread, meat)
-    cov = solve_sym(bread, inv_meat.T)
-    return 0.5 * (cov + cov.T)
+    return cluster_sandwich(bread, score_rows(theta_hat, dataset),
+                            dataset.subject_starts[:-1])
 
 
 def _fisher_cov_impl(theta_hat, dataset):

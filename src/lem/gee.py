@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import matrix_rank
+from .data import matrix_rank, subset_rows
 from .errors import AllRowsExcluded, SingularDesign
-from .likelihood import _fsum
-from .numerics import solve_sym
+from .numerics import cluster_sandwich, colwise_matvec, exact_gram, exact_sum, solve_sym
 
 VARIANTS = ("adjusted", "excluded")
 
@@ -37,63 +36,36 @@ class GeeFit:
         return np.sqrt(np.diag(self.cov_robust))
 
 
-def _exact_gram(design, y):
-    """X'X and X'y with compensated sums, invariant to row ordering."""
-    p = design.shape[1]
-    gram = np.empty((p, p))
-    rhs = np.empty(p)
-    for j in range(p):
-        for k in range(j, p):
-            gram[j, k] = gram[k, j] = _fsum(design[:, j] * design[:, k])
-        rhs[j] = _fsum(design[:, j] * y)
-    return gram, rhs
-
-
 def fit_gee_independence(dataset, variant="adjusted"):
     """Pooled least squares with Liang-Zeger cluster-robust covariance."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
 
+    names = [f"beta:{c}" for c in dataset.x_names]
     if variant == "adjusted":
         design = np.hstack([dataset.x, dataset.a[:, None]])
-        names = [f"beta:{c}" for c in dataset.x_names] + ["beta:treatment"]
-        y = dataset.y
-        cluster = dataset.subject_index
+        names.append("beta:treatment")
     else:
         keep = dataset.a == 0.0
         if not keep.any():
             raise AllRowsExcluded("every observation is treated; nothing left to fit")
-        design = dataset.x[keep]
-        names = [f"beta:{c}" for c in dataset.x_names]
-        y = dataset.y[keep]
-        cluster = dataset.subject_index[keep]
+        dataset = subset_rows(dataset, keep)
+        design = dataset.x
 
     if matrix_rank(design) < design.shape[1]:
         raise SingularDesign(f"{variant} GEE design matrix is rank deficient")
 
-    gram, rhs = _exact_gram(design, y)
-    coef = solve_sym(gram, rhs)
-    resid = y - design @ coef
-
-    # subject-level score totals X_i' r_i; clusters are contiguous blocks
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(cluster)) + 1))
-    per_row = design * resid[:, None]
-    cluster_scores = np.add.reduceat(per_row, starts, axis=0)
-
-    p = design.shape[1]
-    meat = np.empty((p, p))
-    for j in range(p):
-        for k in range(j, p):
-            meat[j, k] = meat[k, j] = _fsum(cluster_scores[:, j] * cluster_scores[:, k])
-    half = solve_sym(gram, meat)
-    cov = solve_sym(gram, half.T)
-    cov = 0.5 * (cov + cov.T)
+    # X'X and X'y as exact sums, invariant to row ordering
+    gram = exact_gram(design)
+    coef = solve_sym(gram, exact_sum(design * dataset.y[:, None]))
+    resid = dataset.y - colwise_matvec(design, coef)
+    cov = cluster_sandwich(gram, design * resid[:, None], dataset.subject_starts[:-1])
 
     return GeeFit(
         coef=coef,
         cov_robust=cov,
-        n_subjects=int(len(starts)),
-        n_rows=int(y.shape[0]),
+        n_subjects=dataset.n_subjects,
+        n_rows=dataset.n_rows,
         variant=variant,
         param_names=names,
     )

@@ -17,9 +17,9 @@ scale and rho through a bijective map of an unconstrained coordinate
 ("varrho").  The default map is the scaled logistic; the arctangent map is
 available for cross-checking.
 
-All functions are pure in (theta, data).  Pooled reductions use compensated
-summation (math.fsum) so results are independent of row partitioning: a
-dataset concatenated with itself yields exactly twice the pooled values.
+All functions are pure in (theta, data).  Pooled sums use the exact kernel
+:func:`lem.numerics.exact_sum` over row-pure per-row values, so they are
+bit-invariant under row permutation and double exactly under duplication.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteLikelihood
-from .numerics import LOG_SQRT_2PI, log_std_normal_cdf
+from .numerics import LOG_SQRT_2PI, colwise_matvec, exact_sum, log_std_normal_cdf
 
 RHO_MAPS = ("logistic", "arctan")
 
@@ -135,23 +135,6 @@ def parameter_names(dataset, prefix_sep=":"):
     return names
 
 
-def _fsum(values):
-    return math.fsum(values.tolist())
-
-
-def _colwise_matvec(m, v):
-    """m @ v accumulated column by column.
-
-    Unlike BLAS gemv (whose SIMD blocking makes a row's result depend on its
-    position), this gives each row a result that is a pure function of the
-    row, so pooled quantities are bit-invariant under row permutations.
-    """
-    out = np.zeros(m.shape[0])
-    for j in range(m.shape[1]):
-        out += m[:, j] * v[j]
-    return out
-
-
 def _eval_rows(theta, y, a, x, z, w, want_score):
     """Vectorized per-row loglik (n,) and, optionally, score rows (n, dim).
 
@@ -165,9 +148,9 @@ def _eval_rows(theta, y, a, x, z, w, want_score):
     # extreme trial points from the line search may overflow; the pooled
     # wrapper turns non-finite results into NonFiniteLikelihood
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        r = y - _colwise_matvec(x, theta.beta) - _colwise_matvec(w, theta.eta) * a
+        r = y - colwise_matvec(x, theta.beta) - colwise_matvec(w, theta.eta) * a
         u = r / sigma
-        c = _colwise_matvec(z, theta.alpha)
+        c = colwise_matvec(z, theta.alpha)
         sign = 2.0 * a - 1.0
         m = sign * (c + rho * u) / sq
         log_cdf = log_std_normal_cdf(m)
@@ -230,18 +213,15 @@ def pooled_negloglik_and_score(theta, dataset, want_score=True):
     """
     ll, score = _eval_rows(theta, dataset.y, dataset.a, dataset.x, dataset.z,
                            dataset.w, want_score)
-    if not np.isfinite(ll).all():
-        raise NonFiniteLikelihood("per-observation log-likelihood overflowed")
-    nll = -_fsum(ll)
+    # exact_sum turns any non-finite row into a non-finite total
+    nll = -float(exact_sum(ll))
     if not np.isfinite(nll):
         raise NonFiniteLikelihood(f"pooled negative log-likelihood is {nll!r}")
     if not want_score:
         return nll, None
-    if not np.isfinite(score).all():
-        raise NonFiniteLikelihood("per-observation score overflowed")
-    neg_score = np.array([-_fsum(col) for col in score.T])
+    neg_score = -exact_sum(score)
     if not np.isfinite(neg_score).all():
-        raise NonFiniteLikelihood("pooled score overflowed")
+        raise NonFiniteLikelihood("pooled score is not finite")
     return nll, neg_score
 
 

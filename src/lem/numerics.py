@@ -1,4 +1,4 @@
-"""Numerically stable normal special functions and small dense linear algebra.
+"""Stable normal special functions, exact reductions and small dense algebra.
 
 All matrices in this package are tiny (never beyond the parameter dimension,
 ~25), so plain dense O(n^3) routines are used throughout.  "Symmetric matrix"
@@ -24,6 +24,12 @@ _SQRT2 = math.sqrt(2.0)
 # Below this point the erfc kernel is abandoned for the asymptotic tail
 # expansion; keeps log Phi finite (no underflow) down to x = -300 and beyond.
 TAIL_CROSSOVER = -10.0
+
+# exact_sum grids leave room for 2**26 rows (9 GB at 17 columns), so every fold
+# sums exactly; three folds of 26 bits drop < n_rows * max|m| * 2**-77.
+_CAP_BITS = 26
+EXACT_SUM_MAX_ROWS = 2 ** _CAP_BITS
+EXACT_SUM_FOLDS = 3
 
 
 def std_normal_pdf(x):
@@ -126,3 +132,61 @@ def solve_sym(m, rhs):
         if not np.isfinite(resid) or resid > 1e-8:
             raise SingularMatrix(f"symmetric solve residual {resid:.3e} exceeds 1e-8; matrix is numerically singular")
     return x
+
+
+def colwise_matvec(m, v):
+    """m @ v accumulated column by column.
+
+    Unlike BLAS gemv (whose SIMD blocking makes a row's result depend on its
+    position), this gives each row a result that is a pure function of the
+    row, so pooled quantities are bit-invariant under row permutations.
+    """
+    out = np.zeros(m.shape[0])
+    for j in range(m.shape[1]):
+        out += m[:, j] * v[j]
+    return out
+
+
+def exact_sum(m):
+    """Column sums over axis 0, reproducible to the last bit.
+
+    Pre-rounded K-fold summation (Demmel & Nguyen, "Fast Reproducible
+    Floating-Point Summation", ARITH 2013): each fold rounds the entries onto
+    the grid ``(m + c) - c``, ``c = 1.5 * 2**e``, sums that part exactly with
+    ``np.sum`` and passes the exact remainder on.  ``e`` depends only on the
+    column's largest magnitude and the row cap, so the result ignores row
+    order and doubles exactly when the rows are duplicated.  Non-finite
+    entries, or magnitudes within 2**28 of overflow, give a non-finite sum.
+    """
+    if np.shape(m)[0] > EXACT_SUM_MAX_ROWS:
+        raise ValueError(f"exact_sum takes at most {EXACT_SUM_MAX_ROWS} rows, got {np.shape(m)[0]}")
+    a = np.array(np.transpose(m), dtype=float, order="C")  # a row per column
+    biggest = np.maximum(a.max(axis=-1, initial=0.0), -a.min(axis=-1, initial=0.0))
+    top = np.frexp(biggest)[1] + _CAP_BITS + 1  # 2**top >= 2**(_CAP_BITS + 1) * biggest
+    folds = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for fold in range(EXACT_SUM_FOLDS):
+            c = np.ldexp(1.5, top - fold * (52 - _CAP_BITS))[..., None]
+            q = (a + c) - c
+            folds.append(q.sum(axis=-1))
+            a -= q
+    # finest fold first, so only the last addition rounds at the total's scale
+    return sum(reversed(folds))
+
+
+def exact_gram(m):
+    """m' m with every upper-triangle entry an :func:`exact_sum`, mirrored."""
+    j, k = np.triu_indices(m.shape[1])
+    gram = np.empty((m.shape[1], m.shape[1]))
+    gram[j, k] = gram[k, j] = exact_sum(m[:, j] * m[:, k])
+    return gram
+
+
+def cluster_sandwich(bread, row_scores, starts):
+    """Cluster-robust covariance bread^-1 * meat * bread^-T, where the meat is
+    the exact Gram of the per-cluster totals of ``row_scores`` and ``starts``
+    holds the first row of each cluster of contiguous rows."""
+    cluster_scores = np.add.reduceat(row_scores, starts, axis=0)
+    half = solve_sym(bread, exact_gram(cluster_scores))
+    cov = solve_sym(bread, half.T)
+    return 0.5 * (cov + cov.T)

@@ -172,6 +172,10 @@ def test_subset_rows_drops_empty_subjects():
     kept = subset_rows(d, np.array([True, True, False, False, True, True]))
     assert kept.n_subjects == 2
     np.testing.assert_array_equal(kept.subject_index, [0, 0, 1, 1])
+    # the default time index counts rows within each (ragged) subject block
+    ragged = LongDataset.from_arrays(y=y, a=a, x=ones, z=ones, w=ones,
+                                     subject_ids=["u", "u", "u", "v", "w", "w"])
+    np.testing.assert_array_equal(ragged.time_index, [0, 1, 2, 0, 0, 1])
 
 
 def test_arrays_are_frozen():

@@ -95,10 +95,11 @@ def test_coefficients_invariant_to_subject_relabeling():
         y=d.y[order], a=d.a[order], x=d.x[order], z=d.z[order], w=d.w[order],
         subject_ids=d.subject_ids[order], time_index=d.time_index[order],
     )
-    np.testing.assert_array_equal(
-        fit_gee_independence(d, "adjusted").coef,
-        fit_gee_independence(shuffled, "adjusted").coef,
-    )
+    for variant in ("adjusted", "excluded"):
+        fit = fit_gee_independence(d, variant)
+        fit_shuffled = fit_gee_independence(shuffled, variant)
+        np.testing.assert_array_equal(fit.coef, fit_shuffled.coef)
+        np.testing.assert_array_equal(fit.cov_robust, fit_shuffled.cov_robust)
 
 
 def test_agrees_with_lem_when_treatment_is_noise():

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lem.errors import NotPositiveDefinite, SingularMatrix
 from lem.numerics import (
+    EXACT_SUM_MAX_ROWS,
     cholesky,
+    exact_sum,
     log_std_normal_cdf,
     solve_sym,
     std_normal_cdf,
@@ -134,3 +137,53 @@ def test_solve_singular_raises():
 def test_asymmetric_input_rejected():
     with pytest.raises(ValueError):
         cholesky(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# exact column sums
+# ---------------------------------------------------------------------------
+
+# finite entries from subnormal to 2**990, far enough below overflow that the
+# extraction grid of exact_sum stays finite
+matrices = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 60), st.integers(1, 4)),
+    elements=st.floats(-2.0 ** 990, 2.0 ** 990, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(matrices, st.data())
+def test_exact_sum_invariant_to_row_permutation(m, data):
+    perm = data.draw(st.permutations(range(m.shape[0])))
+    np.testing.assert_array_equal(exact_sum(m[perm]), exact_sum(m))
+
+
+@given(matrices)
+def test_exact_sum_doubles_exactly_under_row_duplication(m):
+    np.testing.assert_array_equal(exact_sum(np.vstack([m, m])), 2.0 * exact_sum(m))
+
+
+@given(matrices)
+def test_exact_sum_agrees_with_fsum_oracle(m):
+    # a final rounding at the result's scale, plus the remainder dropped
+    # after the last fold: below n_rows * max|column| * 2**-76
+    got = exact_sum(m)
+    for j, col in enumerate(m.T):
+        ref = math.fsum(col.tolist())
+        bound = 2.0 ** -51 * abs(ref) + col.size * np.abs(col).max() * 2.0 ** -74
+        assert abs(got[j] - ref) <= bound
+
+
+@given(matrices, st.data())
+def test_exact_sum_non_finite_input_gives_non_finite_output(m, data):
+    i = data.draw(st.integers(0, m.shape[0] - 1))
+    j = data.draw(st.integers(0, m.shape[1] - 1))
+    m[i, j] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    assert not np.isfinite(exact_sum(m)[j])
+
+
+def test_exact_sum_rejects_more_rows_than_the_cap():
+    # a zero-stride view: the shape is checked before anything is allocated
+    rows = np.broadcast_to(np.zeros(1), (EXACT_SUM_MAX_ROWS + 1, 1))
+    with pytest.raises(ValueError):
+        exact_sum(rows)
