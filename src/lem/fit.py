@@ -5,10 +5,12 @@ estimating equations, cluster-robust sandwich covariance (subjects are the
 clusters), optional model-based covariance, Wald inference and spline-basis
 trend prediction with pointwise bands.
 
-The sandwich bread is obtained by central finite differences of the analytic
-pooled score rather than a hand-derived Hessian: the score derivation is
-verified once against finite differences of the log-likelihood, and the
-second differentiation is then mechanical.
+The sandwich bread is the analytic observed information (the per-row
+Hessian in :mod:`lem.likelihood`, summed by the exact weighted Gram kernel
+of :mod:`lem.numerics`).  It is computed once per fit and shared by the
+robust and the model-based covariance.  Both refuse a bread that is
+numerically singular after scaling to unit diagonal: such a design does not
+identify its parameters, and any standard errors would be meaningless.
 """
 
 from __future__ import annotations
@@ -31,19 +33,29 @@ from .errors import (
     NonFiniteLikelihood,
     OneArmEmpty,
     SingularDesign,
+    SingularMatrix,
     UnsortedKnots,
 )
 from .likelihood import (
     Theta,
+    information_rows,
     parameter_names,
     pooled_negloglik_and_score,
     score_rows,
 )
-from .numerics import cluster_sandwich, solve_sym, std_normal_cdf, std_normal_log_pdf, log_std_normal_cdf
+from .numerics import (
+    cluster_sandwich,
+    exact_gram,
+    log_std_normal_cdf,
+    solve_sym,
+    std_normal_cdf,
+    std_normal_log_pdf,
+)
 from .optim import OptimProblem, OptimResult, minimize_bfgs
 
-# finite-difference step scale for the score Jacobian (the sandwich bread)
-BREAD_FD_STEP = 1e-5
+# covariances need the bread, scaled to unit diagonal, at least this well
+# conditioned: sqrt(machine epsilon)
+BREAD_MIN_RCOND = math.sqrt(np.finfo(float).eps)
 # a fit is accepted when the pooled score satisfies this relative criterion
 SCORE_ROOT_RTOL = 1e-6
 
@@ -249,10 +261,11 @@ def fit_lem(dataset, opts=None):
             "single cluster: the robust covariance estimate is unreliable"
         )
 
-    cov_robust = sandwich_cov(theta_hat, dataset)
+    bread = score_jacobian(theta_hat, dataset)
+    cov_robust = sandwich_cov(theta_hat, dataset, bread)
     cov_model = None
     if opts.compute_model_cov:
-        cov_model, model_warns = _fisher_cov_impl(theta_hat, dataset)
+        cov_model, model_warns = _fisher_cov_impl(bread, dataset)
         fit_warnings.extend(model_warns)
 
     return LemFit(
@@ -269,42 +282,43 @@ def fit_lem(dataset, opts=None):
     )
 
 
-def fd_jacobian(fun, x, step_scale=BREAD_FD_STEP):
-    """Central-difference Jacobian of a vector field, symmetrized.
-
-    Steps scale with the coordinate magnitude, ``step_scale * max(1, |x_k|)``.
-    Central differences are exact for fields that are linear in ``x`` (the
-    gradient of a quadratic), up to roundoff.
-    """
-    x = np.asarray(x, dtype=float)
-    dim = x.size
-    jac = np.empty((dim, dim))
-    for k in range(dim):
-        h = step_scale * max(1.0, abs(x[k]))
-        up, dn = x.copy(), x.copy()
-        up[k] += h
-        dn[k] -= h
-        jac[:, k] = (np.asarray(fun(up)) - np.asarray(fun(dn))) / (2.0 * h)
-    return 0.5 * (jac + jac.T)
-
-
 def score_jacobian(theta, dataset):
-    """Jacobian of the pooled negative score by central differences of the
-    analytic score; equals the observed information at a score root."""
-    dims = (theta.beta.size, theta.alpha.size, theta.eta.size)
+    """Observed information: the negative Hessian of the pooled log-likelihood,
+    which is the Jacobian of the pooled negative score.
 
-    def neg_score(vec):
-        return pooled_negloglik_and_score(Theta.from_array(vec, dims, theta.rho_map), dataset)[1]
+    Assembled analytically from :func:`lem.likelihood.information_rows` by the
+    exact weighted Gram kernel, so it is bit-invariant under row permutation
+    and doubles exactly when the rows are duplicated.
+    """
+    bread = exact_gram(*information_rows(theta, dataset))
+    if not np.isfinite(bread).all():
+        raise NonFiniteLikelihood("observed information is not finite")
+    return bread
 
-    return fd_jacobian(neg_score, theta.to_array())
+
+def _require_identified(bread):
+    """Raise SingularMatrix when the bread, scaled to unit diagonal, has
+    reciprocal condition (smallest over largest absolute eigenvalue) below
+    BREAD_MIN_RCOND: the parameters are then not identified by the data."""
+    scale = np.sqrt(np.abs(np.diag(bread)))
+    rcond = 0.0
+    if (scale > 0).all():
+        eig = np.abs(np.linalg.eigvalsh(bread / np.outer(scale, scale)))
+        rcond = eig.min() / eig.max()
+    if rcond < BREAD_MIN_RCOND:
+        raise SingularMatrix(
+            f"observed information has scaled reciprocal condition {rcond:.1e} "
+            f"(below {BREAD_MIN_RCOND:.1e}); the parameters are not identified"
+        )
 
 
-def sandwich_cov(theta_hat, dataset):
+def sandwich_cov(theta_hat, dataset, bread=None):
     """Cluster-robust covariance: bread^-1 * meat * bread^-T.
 
-    Bread is the Jacobian of the pooled score at theta_hat; meat sums the
-    outer products of subject-level scores.  Warns (without failing) when
-    theta_hat does not look like a score root.
+    The bread is the observed information at theta_hat (computed unless
+    given); the meat sums the outer products of subject-level scores.  Warns
+    (without failing) when theta_hat does not look like a score root, and
+    raises SingularMatrix when the bread is numerically singular.
     """
     _, neg_score = pooled_negloglik_and_score(theta_hat, dataset)
     gnorm = float(np.abs(neg_score).max())
@@ -313,19 +327,21 @@ def sandwich_cov(theta_hat, dataset):
             f"sandwich_cov called away from a score root (|score| = {gnorm:.3e})",
             stacklevel=2,
         )
-    bread = score_jacobian(theta_hat, dataset)
+    if bread is None:
+        bread = score_jacobian(theta_hat, dataset)
+    _require_identified(bread)
     return cluster_sandwich(bread, score_rows(theta_hat, dataset),
                             dataset.subject_starts[:-1])
 
 
-def _fisher_cov_impl(theta_hat, dataset):
+def _fisher_cov_impl(bread, dataset):
     warns = []
     if (dataset.cluster_sizes() > 1).any():
         warns.append(
             "model-based covariance treats rows as independent; with repeated "
             "measures it understates variability relative to the cluster sandwich"
         )
-    bread = score_jacobian(theta_hat, dataset)
+    _require_identified(bread)
     cov = solve_sym(bread, np.eye(bread.shape[0]))
     return 0.5 * (cov + cov.T), warns
 
@@ -335,7 +351,7 @@ def fisher_cov(theta_hat, dataset):
 
     Intended for one-row-per-subject data; emits a warning otherwise.
     """
-    cov, warns = _fisher_cov_impl(theta_hat, dataset)
+    cov, warns = _fisher_cov_impl(score_jacobian(theta_hat, dataset), dataset)
     for msg in warns:
         _warnings.warn(msg, stacklevel=2)
     return cov

@@ -17,9 +17,25 @@ scale and rho through a bijective map of an unconstrained coordinate
 ("varrho").  The default map is the scaled logistic; the arctangent map is
 available for cross-checking.
 
-All functions are pure in (theta, data).  Pooled sums use the exact kernel
-:func:`lem.numerics.exact_sum` over row-pure per-row values, so they are
-bit-invariant under row permutation and double exactly under duplication.
+The observed information (the sandwich bread) is analytic.  A row's loglik
+depends on theta only through four coordinates, each linear in theta:
+r (derivative rows -x for beta and -a*w for eta), c = z'alpha (row z),
+log sigma_y and varrho.  The Hessian is therefore sum_i D_i' F_i D_i, with
+D_i those derivative rows and F_i the 4 x 4 Hessian in the coordinates:
+
+    F = Hess(-u^2/2 - log sigma_y) + L2 * grad(m) grad(m)' + lambda * Hess(m),
+
+where u = r / sigma_y, m is the argument of log Phi above, lambda =
+phi(m)/Phi(m) is the inverse Mills ratio and L2 = dlambda/dm =
+-lambda (m + lambda) (below the log Phi tail crossover, the derivative of the
+series form of lambda; see :func:`lem.numerics.inverse_mills_slope`).  varrho
+enters through rho by the chain rule, with d2rho/dvarrho2 = -rho * rho' for
+the logistic map and -4 varrho / (pi (1 + varrho^2)^2) for the arctan map.
+
+All functions are pure in (theta, data).  Pooled sums use the exact kernels
+:func:`lem.numerics.exact_sum` and :func:`lem.numerics.exact_gram` over
+row-pure per-row values, so they are bit-invariant under row permutation and
+double exactly under duplication.
 """
 
 from __future__ import annotations
@@ -30,7 +46,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteLikelihood
-from .numerics import LOG_SQRT_2PI, colwise_matvec, exact_sum, log_std_normal_cdf
+from .numerics import (
+    LOG_SQRT_2PI,
+    colwise_matvec,
+    exact_sum,
+    inverse_mills_slope,
+    log_std_normal_cdf,
+)
 
 RHO_MAPS = ("logistic", "arctan")
 
@@ -56,11 +78,14 @@ def varrho_of_rho(rho, rho_map="logistic"):
     raise ValueError(f"unknown rho map {rho_map!r}")
 
 
-def _drho_dvarrho(varrho, rho, rho_map):
+def _rho_slopes(varrho, rho, rho_map):
+    """First and second derivatives of rho with respect to varrho."""
     if rho_map == "logistic":
-        return 0.5 * (1.0 - rho * rho)
+        d1 = 0.5 * (1.0 - rho * rho)
+        return d1, -rho * d1
     if rho_map == "arctan":
-        return 2.0 / (math.pi * (1.0 + varrho * varrho))
+        v2 = 1.0 + varrho * varrho
+        return 2.0 / (math.pi * v2), -4.0 * varrho / (math.pi * v2 * v2)
     raise ValueError(f"unknown rho map {rho_map!r}")
 
 
@@ -135,6 +160,17 @@ def parameter_names(dataset, prefix_sep=":"):
     return names
 
 
+def _row_index(theta, sq, y, a, x, z, w):
+    """Per row: u = r / sigma_y, c = z'alpha, the sign (-1)^(1-a) and the
+    probit argument m; ``sq`` is sqrt(1 - rho^2)."""
+    r = y - colwise_matvec(x, theta.beta) - colwise_matvec(w, theta.eta) * a
+    u = r / theta.sigma_y
+    c = colwise_matvec(z, theta.alpha)
+    sign = 2.0 * a - 1.0
+    m = sign * (c + theta.rho * u) / sq
+    return u, c, sign, m
+
+
 def _eval_rows(theta, y, a, x, z, w, want_score):
     """Vectorized per-row loglik (n,) and, optionally, score rows (n, dim).
 
@@ -148,11 +184,7 @@ def _eval_rows(theta, y, a, x, z, w, want_score):
     # extreme trial points from the line search may overflow; the pooled
     # wrapper turns non-finite results into NonFiniteLikelihood
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        r = y - colwise_matvec(x, theta.beta) - colwise_matvec(w, theta.eta) * a
-        u = r / sigma
-        c = colwise_matvec(z, theta.alpha)
-        sign = 2.0 * a - 1.0
-        m = sign * (c + rho * u) / sq
+        u, c, sign, m = _row_index(theta, sq, y, a, x, z, w)
         log_cdf = log_std_normal_cdf(m)
         ll = -0.5 * u * u - LOG_SQRT_2PI - theta.log_sigma_y + log_cdf
         if not want_score:
@@ -172,7 +204,7 @@ def _eval_rows(theta, y, a, x, z, w, want_score):
         score[:, jx + jw:-2] = (t / sq)[:, None] * z
         score[:, -2] = u * u - 1.0 - t * rho * u / sq
         dldrho = t * (u + rho * c) / sq ** 3
-        score[:, -1] = dldrho * _drho_dvarrho(theta.varrho, rho, theta.rho_map)
+        score[:, -1] = dldrho * _rho_slopes(theta.varrho, rho, theta.rho_map)[0]
     return ll, score
 
 
@@ -230,3 +262,57 @@ def score_rows(theta, dataset):
     _, score = _eval_rows(theta, dataset.y, dataset.a, dataset.x, dataset.z,
                           dataset.w, want_score=True)
     return score
+
+
+def information_rows(theta, dataset):
+    """Per-row factors of the observed information, the negative Hessian of
+    the pooled log-likelihood: ``exact_gram(coords, groups, weights)``.
+
+    A row's loglik depends on theta only through the coordinates
+    ``(r, c, log sigma_y, varrho)``, each linear in theta.  ``coords`` (n, dim)
+    holds each parameter's derivative of the one coordinate it enters
+    (-x for beta, -a*w for eta, z for alpha, 1 for log sigma_y and varrho),
+    ``groups`` (dim,) numbers that coordinate 0-3, and ``weights`` (n, 4, 4)
+    is minus the row's Hessian in the coordinates (module docstring).
+    """
+    sigma = theta.sigma_y
+    rho = theta.rho
+    sq = math.sqrt(max(1.0 - rho * rho, 0.0))
+    d1, d2 = _rho_slopes(theta.varrho, rho, theta.rho_map)
+    y, a, x, z, w = dataset.y, dataset.a, dataset.x, dataset.z, dataset.w
+    n = y.shape[0]
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        u, c, sign, m = _row_index(theta, sq, y, a, x, z, w)
+        lam = np.exp(-0.5 * m * m - LOG_SQRT_2PI - log_std_normal_cdf(m))
+        t = lam * sign
+        # sign * dm/d(r, c, log sigma_y, rho); the sign squares away in the outer product
+        dm = np.empty((n, 4))
+        dm[:, 0] = rho / (sq * sigma)
+        dm[:, 1] = 1.0 / sq
+        dm[:, 2] = -rho * u / sq
+        dm[:, 3] = (u + rho * c) / sq ** 3
+        hess = inverse_mills_slope(m, lam)[:, None, None] * (dm[:, :, None] * dm[:, None, :])
+        # the Gaussian terms, and lambda times the second derivatives of m
+        hess[:, 0, 0] -= 1.0 / sigma ** 2
+        upper = {
+            (0, 2): 2.0 * u / sigma - t * rho / (sq * sigma),
+            (0, 3): t / (sq ** 3 * sigma),
+            (1, 3): t * rho / sq ** 3,
+            (2, 2): t * rho * u / sq - 2.0 * u * u,
+            (2, 3): -t * u / sq ** 3,
+            (3, 3): t * (c / sq ** 3 + 3.0 * rho * (u + rho * c) / sq ** 5),
+        }
+        for (i, j), term in upper.items():
+            hess[:, i, j] += term
+            if i != j:
+                hess[:, j, i] += term
+        # rho -> varrho by the chain rule
+        hess[:, 3, :] *= d1
+        hess[:, :, 3] *= d1
+        hess[:, 3, 3] += t * dm[:, 3] * d2
+
+    jx, jw, jz = theta.beta.size, theta.eta.size, theta.alpha.size
+    coords = np.hstack([-x, -w * a[:, None], z, np.ones((n, 2))])
+    groups = np.repeat([0, 1, 2, 3], [jx + jw, jz, 1, 1])
+    return coords, groups, -hess

@@ -30,6 +30,10 @@ TAIL_CROSSOVER = -10.0
 _CAP_BITS = 26
 EXACT_SUM_MAX_ROWS = 2 ** _CAP_BITS
 EXACT_SUM_FOLDS = 3
+# exact sums work through their rows in blocks of about this many entries:
+# 64 KiB temporaries stay in cache, and below glibc's default 128 KiB mmap
+# threshold, so they are reused instead of mapped and faulted in afresh
+EXACT_BLOCK_ENTRIES = 2 ** 13
 
 
 def std_normal_pdf(x):
@@ -72,9 +76,7 @@ def log_std_normal_cdf(x):
     mid = ~(lo | hi)
     if lo.any():
         v = xa[lo]
-        inv2 = 1.0 / (v * v)
-        series = 1.0 - inv2 * (1.0 - inv2 * (3.0 - 15.0 * inv2))
-        out[lo] = -0.5 * v * v - np.log(-v) - LOG_SQRT_2PI + np.log(series)
+        out[lo] = -0.5 * v * v - np.log(-v) - LOG_SQRT_2PI + np.log(_tail_series(1.0 / (v * v)))
     if mid.any():
         out[mid] = np.log(0.5 * special.erfc(-xa[mid] / _SQRT2))
     if hi.any():
@@ -83,6 +85,29 @@ def log_std_normal_cdf(x):
     if isinstance(x, np.ndarray):
         return out.reshape(np.shape(x))
     return float(out[0])
+
+
+def _tail_series(inv2):
+    """The Mills-ratio series S = 1 - x^-2 + 3x^-4 - 15x^-6 at inv2 = x^-2."""
+    return 1.0 - inv2 * (1.0 - inv2 * (3.0 - 15.0 * inv2))
+
+
+def inverse_mills_slope(m, lam):
+    """d lambda / dm for the inverse Mills ratio lambda = phi(m) / Phi(m).
+
+    Takes ``lam`` as evaluated through :func:`log_std_normal_cdf`.  Above
+    TAIL_CROSSOVER the slope is ``-lambda (m + lambda)``.  Below it that form
+    cancels badly, and lambda is the series form ``-m / S(m)``, so the slope is
+    that form's derivative ``-1/S + m S'/S^2``, with ``m S' = 2 v (1 - 6v + 45v^2)``
+    at ``v = m^-2``.
+    """
+    slope = -lam * (m + lam)
+    lo = m < TAIL_CROSSOVER
+    if lo.any():
+        v = 1.0 / (m[lo] * m[lo])
+        s = _tail_series(v)
+        slope[lo] = (2.0 * v * (1.0 - v * (6.0 - 45.0 * v)) - s) / (s * s)
+    return slope
 
 
 def as_sym_matrix(m, tol=1e-12):
@@ -147,6 +172,56 @@ def colwise_matvec(m, v):
     return out
 
 
+def _biggest(a, axis=-1):
+    """Largest magnitude along ``axis`` (0 when empty, NaN if any entry is)."""
+    return np.maximum(a.max(axis=axis, initial=0.0), -a.min(axis=axis, initial=0.0))
+
+
+def _fold_sums(a, biggest):
+    """Exact sums of each pre-rounded fold of ``a`` (one row per column) on the
+    grid fixed by ``biggest``; consumes ``a``."""
+    top = np.frexp(biggest)[1] + _CAP_BITS + 1  # 2**top >= 2**(_CAP_BITS + 1) * biggest
+    q = np.empty_like(a)
+    sums = []
+    for fold in range(EXACT_SUM_FOLDS):
+        c = np.ldexp(1.5, top - fold * (52 - _CAP_BITS))[..., None]
+        np.add(a, c, out=q)
+        q -= c
+        sums.append(q.sum(axis=-1))
+        a -= q
+    return sums
+
+
+def _check_rows(n):
+    if n > EXACT_SUM_MAX_ROWS:
+        raise ValueError(f"exact sums take at most {EXACT_SUM_MAX_ROWS} rows, got {n}")
+
+
+def _blocked_exact_sums(n, width, block, biggest=None):
+    """Exact sums over ``n`` rows of ``width`` columns, a block of rows at a time.
+
+    ``block(start, stop)`` returns those rows as a fresh (width, rows) array;
+    blocks hold about EXACT_BLOCK_ENTRIES entries.  Each column's grid is
+    fixed by ``biggest``, its largest magnitude, which a first pass over the
+    blocks finds when it is not given.  Fold sums on a fixed grid are exact,
+    so adding them up block by block changes nothing.
+    """
+    step = max(1, EXACT_BLOCK_ENTRIES // max(width, 1))
+    starts = range(0, n, step)
+    # non-finite entries are allowed: they make their column's sum non-finite
+    with np.errstate(invalid="ignore", over="ignore"):
+        if biggest is None:
+            biggest = np.zeros(width)
+            for start in starts:
+                biggest = np.maximum(biggest, _biggest(block(start, start + step)))
+        folds = [np.zeros(width)] * EXACT_SUM_FOLDS
+        for start in starts:
+            parts = _fold_sums(block(start, start + step), biggest)
+            folds = [acc + part for acc, part in zip(folds, parts)]
+        # finest fold first, so only the last addition rounds at the total's scale
+        return sum(reversed(folds))
+
+
 def exact_sum(m):
     """Column sums over axis 0, reproducible to the last bit.
 
@@ -157,28 +232,46 @@ def exact_sum(m):
     column's largest magnitude and the row cap, so the result ignores row
     order and doubles exactly when the rows are duplicated.  Non-finite
     entries, or magnitudes within 2**28 of overflow, give a non-finite sum.
+    The rows are summed a block at a time, so the temporaries stay small.
     """
-    if np.shape(m)[0] > EXACT_SUM_MAX_ROWS:
-        raise ValueError(f"exact_sum takes at most {EXACT_SUM_MAX_ROWS} rows, got {np.shape(m)[0]}")
-    a = np.array(np.transpose(m), dtype=float, order="C")  # a row per column
-    biggest = np.maximum(a.max(axis=-1, initial=0.0), -a.min(axis=-1, initial=0.0))
-    top = np.frexp(biggest)[1] + _CAP_BITS + 1  # 2**top >= 2**(_CAP_BITS + 1) * biggest
-    folds = []
-    with np.errstate(invalid="ignore", over="ignore"):
-        for fold in range(EXACT_SUM_FOLDS):
-            c = np.ldexp(1.5, top - fold * (52 - _CAP_BITS))[..., None]
-            q = (a + c) - c
-            folds.append(q.sum(axis=-1))
-            a -= q
-    # finest fold first, so only the last addition rounds at the total's scale
-    return sum(reversed(folds))
+    n = np.shape(m)[0]
+    _check_rows(n)
+    a = np.asarray(m, dtype=float)
+    cols = a[:, None] if a.ndim == 1 else a
+    sums = _blocked_exact_sums(n, cols.shape[1],
+                               lambda start, stop: np.array(cols[start:stop].T, order="C"),
+                               _biggest(cols, axis=0))
+    return sums[0] if a.ndim == 1 else sums
 
 
-def exact_gram(m):
-    """m' m with every upper-triangle entry an :func:`exact_sum`, mirrored."""
-    j, k = np.triu_indices(m.shape[1])
-    gram = np.empty((m.shape[1], m.shape[1]))
-    gram[j, k] = gram[k, j] = exact_sum(m[:, j] * m[:, k])
+def exact_gram(m, groups=None, weights=None):
+    """Symmetric matrix whose (j, k) entry is the exact sum over rows of
+    ``m[:, j] * m[:, k]``, times ``weights[:, groups[j], groups[k]]`` when
+    weights (n, g, g) and column groups (p,) are given.
+
+    Each entry is bit-identical to :func:`exact_sum` of the materialised
+    product column, but the n x p(p+1)/2 products are never held at once:
+    they are formed a block of rows at a time, in two passes.  The first finds
+    each product column's largest magnitude, which fixes its grid; the second
+    sums the folds of every block on that grid.
+    """
+    n, p = m.shape
+    _check_rows(n)
+    j, k = np.triu_indices(p)
+    if weights is not None:
+        n_groups = weights.shape[-1]
+        groups = np.asarray(groups)
+        pair_group = groups[j] * n_groups + groups[k]
+
+    def products(start, stop):
+        cols = np.ascontiguousarray(m[start:stop].T)
+        out = cols[j] * cols[k]
+        if weights is not None:
+            out *= np.ascontiguousarray(weights[start:stop].reshape(-1, n_groups ** 2).T)[pair_group]
+        return out
+
+    gram = np.empty((p, p))
+    gram[j, k] = gram[k, j] = _blocked_exact_sums(n, j.size, products)
     return gram
 
 

@@ -9,6 +9,7 @@ from lem.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     SingularDesign,
+    SingularMatrix,
     UnsortedKnots,
 )
 from lem.fit import (
@@ -23,10 +24,12 @@ from lem.fit import (
     prediction_band,
     sandwich_cov,
     save_fit_json,
+    score_jacobian,
     wald,
 )
 from lem.likelihood import Theta, pooled_negloglik_and_score
 from lem.simulate import SimConfig, gen_covariates, gen_outcomes, substream
+from oracles import fd_jacobian
 
 
 def panel_dataset(seed=0, n_subjects=500, rho=0.5, eta=(0.0, 0.2, 0.2, 0.2, 0.2),
@@ -117,30 +120,48 @@ def test_fit_agrees_with_ols_when_treatment_is_noise():
     assert (np.abs(fit.theta_hat.beta - ols) <= 2.0 * se).all()
 
 
-def test_fit_single_subject_flags_covariance():
+def single_subject_dataset(z_covariate):
     rng = np.random.default_rng(4)
     n = 60
     ones = np.ones((n, 1))
     x = np.hstack([ones, rng.normal(size=(n, 1))])
     a = (rng.random(n) < 0.5).astype(float)
     y = x @ [0.5, 1.0] + a + rng.normal(size=n)
-    d = LongDataset.from_arrays(y=y, a=a, x=x, z=ones, w=ones,
-                                subject_ids=["solo"] * n, time_index=np.arange(n))
-    fit = fit_lem(d)
-    assert fit.n_subjects == 1
-    assert any("single cluster" in w for w in fit.warnings)
+    z = np.hstack([ones, rng.normal(size=(n, 1))]) if z_covariate else ones
+    return LongDataset.from_arrays(y=y, a=a, x=x, z=z, w=ones,
+                                   subject_ids=["solo"] * n, time_index=np.arange(n))
 
 
-def test_fit_overlap_failure_is_warning_not_error():
+def no_overlap_dataset(z_covariate):
     rng = np.random.default_rng(5)
     n = 120
     ones = np.ones((n, 1))
     a = np.repeat([0.0, 1.0], n // 2)
     # disjoint outcome ranges, generous gap
     y = np.where(a == 0, rng.normal(size=n), rng.normal(size=n) + 30.0)
-    d = LongDataset.from_arrays(y=y, a=a, x=ones, z=ones, w=ones)
+    z = np.hstack([ones, rng.normal(size=(n, 1))]) if z_covariate else ones
+    return LongDataset.from_arrays(y=y, a=a, x=ones, z=z, w=ones)
+
+
+def test_fit_single_subject_flags_covariance():
+    d = single_subject_dataset(z_covariate=True)
+    fit = fit_lem(d)
+    assert fit.n_subjects == 1
+    assert any("single cluster" in w for w in fit.warnings)
+
+
+def test_fit_overlap_failure_is_warning_not_error():
+    d = no_overlap_dataset(z_covariate=True)
     fit = fit_lem(d)
     assert any("overlap" in w for w in fit.warnings)
+
+
+@pytest.mark.parametrize("make", [single_subject_dataset, no_overlap_dataset])
+def test_fit_non_identified_design_raises_singular(make):
+    # z and w intercept-only: the OLS residuals sum to zero in each arm, so the
+    # varrho score vanishes identically at rho = 0 and the information is singular
+    with pytest.raises(SingularMatrix):
+        fit_lem(make(z_covariate=False))
 
 
 def test_refit_from_perturbed_start_reaches_same_solution(panel_fit):
@@ -253,12 +274,53 @@ def test_fd_jacobian_exact_for_quadratic():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(6, 6))
     hess = a @ a.T + 6 * np.eye(6)
-    from lem.fit import fd_jacobian
     from lem.numerics import solve_sym
 
     got = fd_jacobian(lambda v: hess @ v, rng.normal(size=6))
     np.testing.assert_allclose(got, hess, rtol=1e-9)
     np.testing.assert_allclose(solve_sym(got, np.eye(6)), np.linalg.inv(hess), rtol=1e-8)
+
+
+def test_bread_agrees_with_finite_difference_bread(panel_fit):
+    d, fit = panel_fit
+    theta = fit.theta_hat
+
+    def neg_score(vec):
+        return pooled_negloglik_and_score(Theta.from_array(vec, (5, 5, 5)), d)[1]
+
+    fd = fd_jacobian(neg_score, theta.to_array())
+    bread = score_jacobian(theta, d)
+    assert np.abs(bread - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def test_bread_bit_equal_under_subject_relabeling(panel_fit):
+    d, fit = panel_fit
+    rng = np.random.default_rng(12)
+    starts = d.subject_starts
+    order = np.concatenate([np.arange(starts[s], starts[s + 1])
+                            for s in rng.permutation(d.n_subjects)])
+    shuffled = LongDataset.from_arrays(
+        y=d.y[order], a=d.a[order], x=d.x[order], z=d.z[order], w=d.w[order],
+        subject_ids=d.subject_ids[order], time_index=d.time_index[order],
+    )
+    np.testing.assert_array_equal(score_jacobian(fit.theta_hat, shuffled),
+                                  score_jacobian(fit.theta_hat, d))
+
+
+def test_fit_computes_bread_once(monkeypatch):
+    import lem.fit
+
+    calls = []
+    original = lem.fit.score_jacobian
+
+    def counted(theta, dataset):
+        calls.append(1)
+        return original(theta, dataset)
+
+    monkeypatch.setattr(lem.fit, "score_jacobian", counted)
+    fit = fit_lem(panel_dataset(seed=36, n_subjects=200), FitOptions(compute_model_cov=True))
+    assert fit.cov_model is not None
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from scipy import stats
 
 from lem.data import LongDataset
 from lem.errors import NonFiniteLikelihood
+from lem.fit import score_jacobian
 from lem.likelihood import (
     Theta,
     obs_loglik,
@@ -15,6 +16,8 @@ from lem.likelihood import (
     rho_of_varrho,
     varrho_of_rho,
 )
+from lem.numerics import TAIL_CROSSOVER
+from oracles import fd_jacobian
 
 
 def make_dataset(rng, n=60, jx=3, jz=3, jw=2, subjects=None):
@@ -240,3 +243,64 @@ def test_logistic_and_arctan_maps_agree_on_rho():
     nll1, _ = pooled_negloglik_and_score(t_log, d, want_score=False)
     nll2, _ = pooled_negloglik_and_score(t_atan, d, want_score=False)
     assert nll1 == pytest.approx(nll2, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# observed information (the sandwich bread)
+# ---------------------------------------------------------------------------
+
+def tail_dataset(rng, theta, n=40):
+    """Ragged clusters; the first 6 rows put the probit argument m below -12."""
+    x = np.hstack([np.ones((n, 1)), rng.normal(size=(n, 2))])
+    z = np.hstack([np.ones((n, 1)), rng.normal(size=(n, 2))])
+    w = np.hstack([np.ones((n, 1)), rng.normal(size=(n, 1))])
+    z[:6, 1] = np.sign(theta.alpha[1]) * 40.0
+    a = (rng.random(n) < 0.5).astype(float)
+    a[:6] = 0.0  # untreated despite a large index: sign * z'alpha is very negative
+    subjects = np.repeat([f"s{i}" for i in range(12)], [1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 4])
+    return LongDataset.from_arrays(y=2.0 * rng.normal(size=n), a=a, x=x, z=z, w=w,
+                                   subject_ids=subjects)
+
+
+def probit_argument(theta, d):
+    u = (d.y - d.x @ theta.beta - (d.w @ theta.eta) * d.a) / theta.sigma_y
+    rho = theta.rho
+    return (2.0 * d.a - 1.0) * (d.z @ theta.alpha + rho * u) / math.sqrt(1.0 - rho * rho)
+
+
+@pytest.mark.parametrize("rho_map", ["logistic", "arctan"])
+def test_information_matches_finite_differences_of_score(rho_map):
+    rng = np.random.default_rng(21)
+    dims = (3, 3, 2)
+    for _ in range(6):
+        alpha = rng.uniform(-1.5, 1.5, size=3)
+        alpha[1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
+        theta = Theta(beta=rng.uniform(-1.5, 1.5, size=3), eta=rng.uniform(-1.5, 1.5, size=2),
+                      alpha=alpha, log_sigma_y=rng.uniform(-0.5, 0.5),
+                      varrho=varrho_of_rho(rng.uniform(-0.9, 0.9), rho_map), rho_map=rho_map)
+        d = tail_dataset(rng, theta)
+        m = probit_argument(theta, d)
+        assert (m[:6] < -12.0).all()
+        # central differences must not straddle the tail crossover of log Phi
+        assert np.abs(m - TAIL_CROSSOVER).min() > 0.5
+
+        def neg_score(vec):
+            return pooled_negloglik_and_score(Theta.from_array(vec, dims, rho_map), d)[1]
+
+        fd = fd_jacobian(neg_score, theta.to_array())
+        bread = score_jacobian(theta, d)
+        assert np.abs(bread - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def test_information_doubles_exactly_under_row_duplication():
+    rng = np.random.default_rng(22)
+    d = make_dataset(rng, n=37)
+    doubled = LongDataset.from_arrays(
+        y=np.concatenate([d.y, d.y]),
+        a=np.concatenate([d.a, d.a]),
+        x=np.vstack([d.x, d.x]),
+        z=np.vstack([d.z, d.z]),
+        w=np.vstack([d.w, d.w]),
+    )
+    theta = random_theta(rng)
+    np.testing.assert_array_equal(score_jacobian(theta, doubled), 2.0 * score_jacobian(theta, d))

@@ -8,11 +8,16 @@ from hypothesis.extra.numpy import arrays
 from lem.errors import NotPositiveDefinite, SingularMatrix
 from lem.numerics import (
     EXACT_SUM_MAX_ROWS,
+    EXACT_BLOCK_ENTRIES,
+    TAIL_CROSSOVER,
     cholesky,
+    exact_gram,
     exact_sum,
+    inverse_mills_slope,
     log_std_normal_cdf,
     solve_sym,
     std_normal_cdf,
+    std_normal_log_pdf,
     std_normal_pdf,
 )
 
@@ -80,6 +85,21 @@ def test_log_cdf_matches_cdf_on_grid():
     xs = np.linspace(-37.0, 8.0, 10_000)
     diff = np.abs(np.exp(log_std_normal_cdf(xs)) - std_normal_cdf(xs))
     assert diff.max() < 1e-12
+
+
+def inverse_mills(m):
+    return np.exp(std_normal_log_pdf(m) - log_std_normal_cdf(m))
+
+
+def test_inverse_mills_slope_matches_finite_differences():
+    # both sides of the tail crossover, and deep in the tail where
+    # -lambda (m + lambda) loses most of its digits
+    m = np.concatenate([np.linspace(-40.0, TAIL_CROSSOVER - 0.01, 60),
+                        np.linspace(TAIL_CROSSOVER + 0.01, 8.0, 60)])
+    h = 1e-5 * np.maximum(1.0, np.abs(m))
+    fd = (inverse_mills(m + h) - inverse_mills(m - h)) / (2.0 * h)
+    got = inverse_mills_slope(m, inverse_mills(m))
+    np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-9)
 
 
 def test_cholesky_identity():
@@ -187,3 +207,51 @@ def test_exact_sum_rejects_more_rows_than_the_cap():
     rows = np.broadcast_to(np.zeros(1), (EXACT_SUM_MAX_ROWS + 1, 1))
     with pytest.raises(ValueError):
         exact_sum(rows)
+
+
+# ---------------------------------------------------------------------------
+# exact weighted Gram
+# ---------------------------------------------------------------------------
+
+def materialised_gram(m, groups=None, weights=None):
+    j, k = np.triu_indices(m.shape[1])
+    products = m[:, j] * m[:, k]
+    if weights is not None:
+        products = products * weights[:, groups[j], groups[k]]
+    gram = np.empty((m.shape[1], m.shape[1]))
+    gram[j, k] = gram[k, j] = exact_sum(products)
+    return gram
+
+
+def test_exact_gram_bit_equals_exact_sum_of_products():
+    rng = np.random.default_rng(17)
+    p = 9
+    groups = np.array([0, 0, 0, 0, 1, 1, 1, 2, 3])
+    block = EXACT_BLOCK_ENTRIES // (p * (p + 1) // 2)
+    for n in (1, block - 1, block, block + 1, 7 * block + 3):
+        # columns of very different scales, so the grids differ per entry
+        m = rng.normal(size=(n, p)) * np.exp2(rng.integers(-30, 30, size=p))
+        weights = rng.normal(size=(n, 4, 4))
+        weights = weights + weights.transpose(0, 2, 1)
+        if n > 1:
+            # two huge first rows set every grid and cancel in half the
+            # entries, which then depend on how the grid rounds the other rows
+            m[0] *= 2.0 ** 40
+            m[1] = m[0] * (-1.0) ** np.arange(p)
+            weights[1] = weights[0]
+        np.testing.assert_array_equal(exact_gram(m), materialised_gram(m))
+        np.testing.assert_array_equal(exact_gram(m, groups, weights),
+                                      materialised_gram(m, groups, weights))
+
+
+def test_exact_gram_peak_memory_is_a_small_multiple_of_the_input():
+    import tracemalloc
+
+    m = np.random.default_rng(18).normal(size=(150_000, 17))
+    tracemalloc.start()
+    try:
+        exact_gram(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * m.nbytes
