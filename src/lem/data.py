@@ -9,6 +9,9 @@ construction.
 
 Datasets are immutable after load and safe for shared read access from
 parallel fits.
+
+The rank check uses numpy's SVD, not scipy's pivoted QR, so that a fit runs
+all its dense algebra on numpy's BLAS (see :mod:`lem.numerics`).
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import (
     DuplicateObservation,
@@ -31,7 +33,7 @@ from .errors import (
 
 INTERCEPT = "(intercept)"
 
-# rank tolerance for pivoted-QR checks, relative to the spectral norm
+# rank tolerance for singular values, relative to the largest one
 RANK_TOL = 1e-10
 
 
@@ -399,14 +401,11 @@ def check_overlap(dataset):
 
 
 def matrix_rank(mat):
-    """Numerical rank via column-pivoted QR, tolerance 1e-10 * spectral norm."""
-    m = np.asarray(mat, dtype=float)
-    if m.shape[1] == 0:
+    """Numerical rank: the singular values above 1e-10 times the largest."""
+    sv = np.linalg.svd(np.asarray(mat, dtype=float), compute_uv=False)
+    if sv.size == 0:
         return 0
-    _, r, _ = sla.qr(m, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = RANK_TOL * np.linalg.norm(m, 2)
-    return int((diag > tol).sum())
+    return int((sv > RANK_TOL * sv[0]).sum())
 
 
 def validate(dataset):

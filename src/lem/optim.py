@@ -1,10 +1,20 @@
-"""Unconstrained BFGS minimizer with a strong-Wolfe line search.
+"""Damped Newton minimizer with a strong-Wolfe line search.
 
-Written for smooth likelihood surfaces of modest dimension (<= ~25).  The
-inverse-Hessian approximation is kept positive definite by skipping updates
-whose curvature ``s.T @ y`` is not safely positive, and the first accepted
-step rescales H to ``(s.T y)/(y.T y) * I`` (Shanno scaling) so poorly scaled
-coordinates do not stall early iterations.
+Written for smooth likelihood surfaces of modest dimension (<= ~25) whose
+Hessian is available in closed form.  Each iteration solves H p = -g by a
+Cholesky factorization of H scaled to unit diagonal; when H is not positive
+definite, a Levenberg shift mu * I is added, growing geometrically until the
+factorization succeeds (modified Newton; Nocedal & Wright, *Numerical
+Optimization*, 2nd ed., section 3.4).  The step along p is found by the
+strong-Wolfe line search, starting from the full Newton step.
+
+Near the minimum the predicted decrease -g'p / 2 can fall below the rounding
+of the objective itself, where no line search can tell better from worse.
+There the full step is taken and kept only if it lowers the gradient's
+infinity norm; otherwise the solver stops unconverged at the best point.
+
+The entry point keeps the name ``minimize_bfgs`` from the quasi-Newton solver
+it replaced, because the benchmark traces it under that name.
 
 One optimizer invocation is stateless with respect to any other; instances
 may run concurrently (one per simulation replicate).
@@ -12,8 +22,8 @@ may run concurrently (one per simulation replicate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,17 +31,21 @@ from .errors import LineSearchFailure
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
-# Relative curvature threshold below which the BFGS update is skipped.
-CURVATURE_GUARD = 1e-10
+# first Levenberg shift of the unit-diagonal Hessian, and its growth factor
+SHIFT_START = 1e-3
+SHIFT_GROWTH = 10.0
+# a predicted decrease below this many ulps of the objective is rounding
+ROUNDING_ULPS = 64
 
 
 @dataclass
 class OptimProblem:
-    """Objective/gradient pair over R^dimension."""
+    """Objective, gradient and Hessian over R^dimension."""
 
     dimension: int
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
+    hessian: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -42,7 +56,6 @@ class OptimResult:
     iterations: int
     converged: bool
     n_evals: int = 0
-    hess_inv: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def _line_search(phi, dphi, f0, g0, max_widen=20, max_zoom=40):
@@ -96,13 +109,42 @@ def _line_search(phi, dphi, f0, g0, max_widen=20, max_zoom=40):
     raise LineSearchFailure("step widening exhausted without a Wolfe point")
 
 
+def _newton_direction(hess, grad):
+    """Solve (H + mu D) p = -g, D = diag|H|, for the smallest shift mu in
+    {0, SHIFT_START * SHIFT_GROWTH**k} that makes the matrix positive definite.
+
+    H is scaled to unit diagonal first (a zero diagonal entry keeps scale 1),
+    so mu does not depend on the parameters' units.  The loop ends because
+    the scaled H is finite (checked): once mu exceeds its largest absolute
+    row sum, the shifted matrix is diagonally dominant.
+    """
+    h = np.asarray(hess, dtype=float)
+    scale = np.sqrt(np.abs(np.diag(h)))
+    scale[scale == 0] = 1.0
+    scaled = h / np.outer(scale, scale)
+    if not np.isfinite(scaled).all():
+        raise ValueError("Hessian is not finite")
+    eye = np.eye(h.shape[0])
+    mu = 0.0
+    while True:
+        try:
+            low = np.linalg.cholesky(scaled + mu * eye)
+            break
+        except np.linalg.LinAlgError:
+            mu = SHIFT_GROWTH * mu if mu else SHIFT_START
+    half = np.linalg.solve(low, grad / scale)
+    return -np.linalg.solve(low.T, half) / scale
+
+
 def minimize_bfgs(problem, start, tol=1e-8, max_iter=500, callback=None):
-    """Minimize an OptimProblem from ``start``.
+    """Minimize an OptimProblem from ``start`` by damped Newton.
 
     Convergence is declared when the gradient infinity norm drops to ``tol``.
-    Hitting ``max_iter`` returns the best point with ``converged=False``.  A
-    failed line search raises :class:`LineSearchFailure` with the best point
-    so far attached as ``exc.result``.
+    Hitting ``max_iter``, or a full step near the minimum that does not lower
+    the gradient norm (module docstring), returns the best point with
+    ``converged=False``.  A failed line search raises
+    :class:`LineSearchFailure` with the best point so far attached as
+    ``exc.result``.
 
     ``callback``, if given, is invoked after each accepted step with a dict
     holding ``k, x, f, f_prev, alpha, dphi0, gnorm`` (used by tests to assert
@@ -121,59 +163,46 @@ def minimize_bfgs(problem, start, tol=1e-8, max_iter=500, callback=None):
         evals += 1
         return float(problem.objective(v))
 
+    def grad(v):
+        return np.asarray(problem.gradient(v), dtype=float)
+
     f = func(x)
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the initial point")
-    g = np.asarray(problem.gradient(x), dtype=float)
-    n = problem.dimension
-    ident = np.eye(n)
-    h_inv = ident.copy()
-    first_step = True
+    g = grad(x)
 
     for k in range(max_iter):
         gnorm = float(np.abs(g).max())
         if gnorm <= tol:
-            return OptimResult(x, f, gnorm, k, True, evals, h_inv)
+            return OptimResult(x, f, gnorm, k, True, evals)
 
-        p = -h_inv @ g
+        p = _newton_direction(problem.hessian(x), g)
         dphi0 = float(g @ p)
-        if dphi0 >= 0:
-            # H drifted away from positive definiteness; restart from identity
-            h_inv = ident.copy()
-            p = -g
-            dphi0 = float(g @ p)
 
-        g_trial = {}
+        if -0.5 * dphi0 <= ROUNDING_ULPS * np.finfo(float).eps * (1.0 + abs(f)):
+            # near the root: take the full step if it brings the gradient down
+            alpha, x_new = 1.0, x + p
+            f_new = func(x_new)
+            g_new = grad(x_new)
+            if not (np.isfinite(f_new) and float(np.abs(g_new).max()) < gnorm):
+                return OptimResult(x, f, gnorm, k, False, evals)
+        else:
+            g_trial = {}
 
-        def phi(a):
-            return func(x + a * p)
+            def phi(a):
+                return func(x + a * p)
 
-        def dphi(a):
-            ga = np.asarray(problem.gradient(x + a * p), dtype=float)
-            g_trial[a] = ga
-            return float(ga @ p)
+            def dphi(a):
+                g_trial[a] = grad(x + a * p)
+                return float(g_trial[a] @ p)
 
-        try:
-            alpha, f_new = _line_search(phi, dphi, f, dphi0)
-        except LineSearchFailure as exc:
-            exc.result = OptimResult(x, f, gnorm, k, gnorm <= tol, evals, h_inv)
-            raise
-
-        s = alpha * p
-        x_new = x + s
-        g_new = g_trial.get(alpha)
-        if g_new is None:
-            g_new = np.asarray(problem.gradient(x_new), dtype=float)
-        yv = g_new - g
-
-        sy = float(s @ yv)
-        if first_step and sy > 0:
-            h_inv = (sy / float(yv @ yv)) * ident
-            first_step = False
-        if sy > CURVATURE_GUARD * np.linalg.norm(s) * np.linalg.norm(yv):
-            rho = 1.0 / sy
-            left = ident - rho * np.outer(s, yv)
-            h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
+            try:
+                alpha, f_new = _line_search(phi, dphi, f, dphi0)
+            except LineSearchFailure as exc:
+                exc.result = OptimResult(x, f, gnorm, k, False, evals)
+                raise
+            # the line search evaluates the slope at every step it accepts
+            x_new, g_new = x + alpha * p, g_trial[alpha]
 
         if callback is not None:
             callback({"k": k, "x": x_new.copy(), "f": f_new, "f_prev": f, "alpha": alpha,
@@ -182,4 +211,4 @@ def minimize_bfgs(problem, start, tol=1e-8, max_iter=500, callback=None):
         x, f, g = x_new, f_new, g_new
 
     gnorm = float(np.abs(g).max())
-    return OptimResult(x, f, gnorm, max_iter, gnorm <= tol, evals, h_inv)
+    return OptimResult(x, f, gnorm, max_iter, gnorm <= tol, evals)

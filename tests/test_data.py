@@ -6,6 +6,7 @@ from lem.data import (
     LongDataset,
     check_overlap,
     load_csv,
+    matrix_rank,
     subset_rows,
     validate,
     write_csv,
@@ -153,6 +154,27 @@ def test_validate_flags_duplicated_column():
     assert not rep.full_rank_x
     assert rep.rank_x == 2
     assert rep.full_rank_z
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (0, 3), (4, 0), (0, 0)])
+def test_matrix_rank_zero_for_zero_and_empty_matrices(shape):
+    assert matrix_rank(np.zeros(shape)) == 0
+
+
+def test_matrix_rank_of_products_of_known_rank():
+    rng = np.random.default_rng(3)
+    for rank in range(7):
+        for _ in range(5):
+            m = rng.normal(size=(120, rank)) @ rng.normal(size=(rank, 6))
+            assert matrix_rank(m) == rank
+
+
+def test_matrix_rank_invariant_to_column_scaling():
+    rng = np.random.default_rng(4)
+    for rank in range(1, 7):
+        m = rng.normal(size=(120, rank)) @ rng.normal(size=(rank, 6))
+        for _ in range(5):
+            assert matrix_rank(m * 10.0 ** rng.uniform(0.0, 8.0, size=6)) == rank
 
 
 def test_validate_cluster_sizes_degenerate():

@@ -8,6 +8,7 @@ from lem.data import LongDataset
 from lem.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    NonFiniteLikelihood,
     SingularDesign,
     SingularMatrix,
     UnsortedKnots,
@@ -28,7 +29,14 @@ from lem.fit import (
     wald,
 )
 from lem.likelihood import Theta, pooled_negloglik_and_score
-from lem.simulate import SimConfig, gen_covariates, gen_outcomes, substream
+from lem.simulate import (
+    SimConfig,
+    apply_missingness,
+    gen_covariates,
+    gen_outcomes,
+    preset,
+    substream,
+)
 from oracles import fd_jacobian
 
 
@@ -164,6 +172,45 @@ def test_fit_non_identified_design_raises_singular(make):
         fit_lem(make(z_covariate=False))
 
 
+def test_fit_newton_converges_in_few_iterations(panel_fit):
+    _, fit = panel_fit
+    assert fit.optim.converged
+    assert fit.optim.iterations <= 8
+
+
+@pytest.mark.parametrize("name,seed", [("sim1", 15), ("sim1", 18), ("sim2", 2), ("sim2", 4),
+                                       ("sim2", 15), ("sim2", 16), ("sim3", 11), ("sim3", 13),
+                                       ("sim4", 21)])
+def test_fit_converges_where_the_line_search_meets_rounding(name, seed):
+    # designs whose last Newton step predicts a decrease below the objective's
+    # rounding; without the near-root full step the line search stalls there
+    cfg = preset(name, seed=seed)
+    rng = substream(cfg.seed, 0)
+    d = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
+    if cfg.missingness != "none":
+        d = apply_missingness(d, cfg, rng)
+    fit = fit_lem(d)
+    assert fit.optim.converged
+    assert fit.warnings == []
+    assert fit.optim.n_evals <= 10
+
+
+def test_fit_non_finite_hessian_raises(monkeypatch):
+    import lem.fit
+
+    original = lem.fit.information_rows
+
+    def poisoned(theta, dataset):
+        coords, groups, weights = original(theta, dataset)
+        weights = weights.copy()
+        weights[0, 0, 0] = np.nan
+        return coords, groups, weights
+
+    monkeypatch.setattr(lem.fit, "information_rows", poisoned)
+    with pytest.raises(NonFiniteLikelihood):
+        fit_lem(panel_dataset(seed=37, n_subjects=200))
+
+
 def test_refit_from_perturbed_start_reaches_same_solution(panel_fit):
     d, fit = panel_fit
     rng = np.random.default_rng(6)
@@ -173,7 +220,7 @@ def test_refit_from_perturbed_start_reaches_same_solution(panel_fit):
 
     dims = (5, 5, 5)
     cache = _CachedObjective(d, dims, "logistic")
-    res = minimize_bfgs(OptimProblem(17, cache.objective, cache.gradient),
+    res = minimize_bfgs(OptimProblem(17, cache.objective, cache.gradient, cache.hessian),
                         start, tol=1e-8, max_iter=500)
     np.testing.assert_allclose(res.argmin, fit.theta_hat.to_array(), atol=1e-5)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import special
 
 from lem.errors import NotPositiveDefinite, SingularMatrix
 from lem.numerics import (
@@ -87,14 +88,31 @@ def test_log_cdf_matches_cdf_on_grid():
     assert diff.max() < 1e-12
 
 
+def test_log_cdf_continuous_across_tail_crossover():
+    below = log_std_normal_cdf(np.nextafter(TAIL_CROSSOVER, -np.inf))
+    at = log_std_normal_cdf(TAIL_CROSSOVER)
+    assert abs(below - at) <= 1e-12 * abs(at)
+    # the series slope below the crossover meets -lambda (m + lambda) above it
+    m = np.array([np.nextafter(TAIL_CROSSOVER, -np.inf), TAIL_CROSSOVER])
+    slope = inverse_mills_slope(m, inverse_mills(m))
+    assert abs(slope[0] - slope[1]) <= 1e-10 * abs(slope[1])
+
+
+def test_log_cdf_agrees_with_scipy_log_ndtr():
+    xs = np.linspace(-40.0, 8.0, 20_001)
+    ref = special.log_ndtr(xs)
+    np.testing.assert_allclose(log_std_normal_cdf(xs), ref, rtol=1e-13, atol=0)
+
+
 def inverse_mills(m):
     return np.exp(std_normal_log_pdf(m) - log_std_normal_cdf(m))
 
 
 def test_inverse_mills_slope_matches_finite_differences():
-    # both sides of the tail crossover, and deep in the tail where
-    # -lambda (m + lambda) loses most of its digits
+    # both sides of the tail crossover, stencils that straddle it, and deep in
+    # the tail where -lambda (m + lambda) loses most of its digits
     m = np.concatenate([np.linspace(-40.0, TAIL_CROSSOVER - 0.01, 60),
+                        TAIL_CROSSOVER + np.array([-1e-4, -1e-6, 0.0, 1e-6, 1e-4]),
                         np.linspace(TAIL_CROSSOVER + 0.01, 8.0, 60)])
     h = 1e-5 * np.maximum(1.0, np.abs(m))
     fd = (inverse_mills(m + h) - inverse_mills(m - h)) / (2.0 * h)

@@ -14,7 +14,10 @@ def quadratic_problem(center):
     def g(x):
         return x - center
 
-    return OptimProblem(dimension=center.size, objective=f, gradient=g)
+    def h(x):
+        return np.eye(center.size)
+
+    return OptimProblem(dimension=center.size, objective=f, gradient=g, hessian=h)
 
 
 def rosenbrock_problem():
@@ -29,7 +32,14 @@ def rosenbrock_problem():
             200 * (y - x * x),
         ])
 
-    return OptimProblem(dimension=2, objective=f, gradient=g)
+    def h(v):
+        x, y = v
+        return np.array([
+            [2 - 400 * (y - 3 * x * x), -400 * x],
+            [-400 * x, 200.0],
+        ])
+
+    return OptimProblem(dimension=2, objective=f, gradient=g, hessian=h)
 
 
 def test_quadratic_converges_fast():
@@ -77,10 +87,64 @@ def test_armijo_holds_on_every_accepted_step():
     assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
 
 
-def test_inverse_hessian_stays_positive_definite():
-    res = minimize_bfgs(rosenbrock_problem(), np.array([-1.2, 1.0]), tol=1e-8)
-    eigvals = np.linalg.eigvalsh(0.5 * (res.hess_inv + res.hess_inv.T))
-    assert (eigvals > 0).all()
+def test_callback_fires_on_near_root_full_step():
+    # from 1e-3 off the minimum of 1e8 + |x - c|^2 / 2 the predicted decrease,
+    # 5e-7, is below the objective's rounding: the full step is taken untested
+    center = np.array([3.0, -1.0])
+    base = quadratic_problem(center)
+    prob = OptimProblem(2, lambda x: 1e8 + base.objective(x), base.gradient, base.hessian)
+    records = []
+    res = minimize_bfgs(prob, center + 1e-3, tol=1e-10, callback=records.append)
+    assert res.converged
+    assert res.iterations == len(records) == 1
+    assert records[0]["alpha"] == 1.0
+    np.testing.assert_allclose(res.argmin, center, atol=1e-12)
+
+
+def test_near_root_step_that_raises_the_gradient_stops_unconverged():
+    # a Hessian ten times too small makes the full step overshoot ninefold
+    center = np.array([3.0, -1.0])
+    base = quadratic_problem(center)
+    prob = OptimProblem(2, lambda x: 1e8 + base.objective(x), base.gradient,
+                        lambda x: 0.1 * np.eye(2))
+    start = center + 1e-4
+    res = minimize_bfgs(prob, start, tol=1e-10)
+    assert not res.converged
+    assert res.iterations == 0
+    np.testing.assert_array_equal(res.argmin, start)
+
+
+def test_levenberg_shift_descends_where_hessian_is_indefinite():
+    prob = rosenbrock_problem()
+    start = np.array([0.0, 1.0])
+    np.testing.assert_array_equal(prob.hessian(start), np.diag([-398.0, 200.0]))
+    records = []
+    res = minimize_bfgs(prob, start, tol=1e-8, callback=records.append)
+    assert records[0]["dphi0"] < 0
+    assert records[0]["f"] < records[0]["f_prev"]
+    assert res.converged
+    np.testing.assert_allclose(res.argmin, [1.0, 1.0], atol=1e-6)
+
+
+def test_levenberg_shift_turns_an_ascent_direction_into_descent():
+    # f = x^2/2 - y^2/2 + y^4/4 near its saddle: the unshifted Newton step
+    # points uphill, toward the saddle at the origin
+    def f(v):
+        return 0.5 * v[0] ** 2 - 0.5 * v[1] ** 2 + 0.25 * v[1] ** 4
+
+    def g(v):
+        return np.array([v[0], v[1] ** 3 - v[1]])
+
+    def h(v):
+        return np.diag([1.0, 3 * v[1] ** 2 - 1])
+
+    start = np.array([0.01, 0.1])
+    assert g(start) @ np.linalg.solve(h(start), g(start)) < 0
+    records = []
+    res = minimize_bfgs(OptimProblem(2, f, g, h), start, tol=1e-10, callback=records.append)
+    assert records[0]["dphi0"] < 0
+    assert res.converged
+    np.testing.assert_allclose(res.argmin, [0.0, 1.0], atol=1e-9)
 
 
 def test_max_iter_returns_best_point_unconverged():
@@ -99,8 +163,11 @@ def test_line_search_failure_carries_best_point():
     def g(v):
         return np.array([1.0])
 
+    def h(v):
+        return np.zeros((1, 1))
+
     with pytest.raises(LineSearchFailure) as excinfo:
-        minimize_bfgs(OptimProblem(1, f, g), np.array([0.0]), tol=1e-12)
+        minimize_bfgs(OptimProblem(1, f, g, h), np.array([0.0]), tol=1e-12)
     best = excinfo.value.result
     assert best is not None
     assert best.objective_value == 0.0
@@ -114,8 +181,11 @@ def test_nonfinite_start_rejected():
     def g(v):
         return np.zeros(1)
 
+    def h(v):
+        return np.zeros((1, 1))
+
     with pytest.raises(ValueError):
-        minimize_bfgs(OptimProblem(1, f, g), np.array([0.0]), tol=1e-8)
+        minimize_bfgs(OptimProblem(1, f, g, h), np.array([0.0]), tol=1e-8)
 
 
 def test_dimension_mismatch_rejected():
