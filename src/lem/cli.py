@@ -36,6 +36,7 @@ from .fit import (
     load_fit_json,
     ncs_basis,
     prediction_band,
+    z_quantile,
 )
 from .gee import fit_gee_independence, gee_fit_to_dict
 from .simulate import SimConfig, preset, run_study
@@ -80,9 +81,7 @@ def _now():
 
 
 def _print_coef_table(fit_dict, level=0.95):
-    from scipy.special import ndtri
-
-    zq = float(ndtri(0.5 + 0.5 * level))
+    zq = z_quantile(level)
     names = fit_dict["param_names"]
     est = fit_dict["estimates"]
     se = fit_dict["se_robust"]

@@ -280,8 +280,8 @@ def load_csv(path, spec):
                 raise MissingColumn(f"column '{name}' not found in header of {path}")
             col_of[name] = header.index(name)
 
-        subjects = []       # first-appearance order
-        per_subject = {}    # subject label -> list of (time, y, a, covariates)
+        # subject label (in first-appearance order) -> {time: (y, a, covariates)}
+        per_subject = {}
         for lineno, cells in enumerate(reader, start=2):
             if not cells or all(c.strip() == "" for c in cells):
                 continue
@@ -310,22 +310,20 @@ def load_csv(path, spec):
                 if not np.isfinite(v):
                     raise ParseError(f"row {lineno}, column '{name}': non-finite value")
                 cov.append(v)
-            if subj not in per_subject:
-                per_subject[subj] = []
-                subjects.append(subj)
-            if any(t == prev[0] for prev in per_subject[subj]):
+            visits = per_subject.setdefault(subj, {})
+            if t in visits:
                 raise DuplicateObservation(
                     f"row {lineno}: duplicate observation for subject {subj!r} at time {t}"
                 )
-            per_subject[subj].append((t, yv, av, cov))
+            visits[t] = (yv, av, cov)
 
-    if not subjects:
+    if not per_subject:
         raise ParseError(f"{path}: no data rows")
 
     rows = []
-    for subj in subjects:
-        for entry in sorted(per_subject[subj], key=lambda e: e[0]):
-            rows.append((subj, *entry))
+    for subj, visits in per_subject.items():
+        for t in sorted(visits):
+            rows.append((subj, t, *visits[t]))
 
     subject_ids = np.array([r[0] for r in rows])
     time_index = np.array([r[1] for r in rows], dtype=np.intp)
@@ -341,7 +339,7 @@ def load_csv(path, spec):
             cols.append(cov_matrix[:, covariate_names.index(name)])
         return np.column_stack(cols)
 
-    order = {s: i for i, s in enumerate(subjects)}
+    order = {s: i for i, s in enumerate(per_subject)}
     return LongDataset(
         subject_ids=subject_ids,
         time_index=time_index,

@@ -26,7 +26,7 @@ class SingularMatrix(LemError):
 # ---------------------------------------------------------------------------
 
 class LineSearchFailure(LemError):
-    """The Wolfe line search could not find an acceptable step.
+    """The backtracking line search found no step with sufficient decrease.
 
     Carries the best point reached so far in ``result`` (an
     :class:`~lem.optim.OptimResult` with ``converged=False``) so callers can

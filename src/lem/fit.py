@@ -52,6 +52,7 @@ from .likelihood import (
 from .numerics import (
     cluster_sandwich,
     exact_gram,
+    exact_sum,
     log_std_normal_cdf,
     solve_sym,
     std_normal_cdf,
@@ -182,8 +183,8 @@ class _CachedObjective:
     """Joint value/gradient evaluation memoized on the parameter vector, and
     the Hessian of the negative log-likelihood for the Newton direction.
 
-    Non-finite likelihood at a trial point is reported as +inf so the Wolfe
-    line search backs off instead of aborting.
+    Non-finite likelihood at a trial point is reported as +inf so the
+    backtracking line search shortens the step instead of aborting.
     """
 
     def __init__(self, dataset, dims, rho_map):
@@ -265,8 +266,8 @@ def fit_lem(dataset, opts=None):
         fit_warnings.append(f"line search stalled: {exc}")
 
     theta_hat = Theta.from_array(result.argmin, dims, opts.rho_map)
-    nll, neg_score = pooled_negloglik_and_score(theta_hat, dataset)
-    score_norm = float(np.abs(neg_score).max())
+    # the solver's value and gradient are the pooled ones at theta_hat
+    nll, score_norm = result.objective_value, result.gradient_inf_norm
     criterion = SCORE_ROOT_RTOL * (1.0 + abs(nll))
     if not result.converged:
         if score_norm > criterion:
@@ -341,11 +342,13 @@ def sandwich_cov(theta_hat, dataset, bread=None):
 
     The bread is the observed information at theta_hat (computed unless
     given); the meat sums the outer products of subject-level scores.  Warns
-    (without failing) when theta_hat does not look like a score root, and
-    raises SingularMatrix when the bread is numerically singular.
+    (without failing) away from a score root; raises NonFiniteLikelihood on a
+    non-finite score and SingularMatrix on a numerically singular bread.
     """
-    _, neg_score = pooled_negloglik_and_score(theta_hat, dataset)
-    gnorm = float(np.abs(neg_score).max())
+    rows = score_rows(theta_hat, dataset)
+    gnorm = float(np.abs(exact_sum(rows)).max())  # bit-identical to the pooled score
+    if not np.isfinite(gnorm):
+        raise NonFiniteLikelihood("pooled score is not finite")
     if gnorm > 1e-4:
         _warnings.warn(
             f"sandwich_cov called away from a score root (|score| = {gnorm:.3e})",
@@ -354,8 +357,7 @@ def sandwich_cov(theta_hat, dataset, bread=None):
     if bread is None:
         bread = score_jacobian(theta_hat, dataset)
     _require_identified(bread)
-    return cluster_sandwich(bread, score_rows(theta_hat, dataset),
-                            dataset.subject_starts[:-1])
+    return cluster_sandwich(bread, rows, dataset.subject_starts[:-1])
 
 
 def _fisher_cov_impl(bread, dataset):
@@ -381,10 +383,16 @@ def fisher_cov(theta_hat, dataset):
     return cov
 
 
+def z_quantile(level):
+    """Two-sided normal quantile for a confidence ``level`` in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+    return float(ndtri(0.5 + 0.5 * level))
+
+
 def wald(fit, index, level=0.95):
     """Point estimate, robust SE, symmetric CI and two-sided p-value."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+    zq = z_quantile(level)
     names = fit.param_names
     if isinstance(index, str):
         if index not in names:
@@ -397,7 +405,6 @@ def wald(fit, index, level=0.95):
         idx = idx % len(names)
     est = float(fit.theta_hat.to_array()[idx])
     se = float(math.sqrt(max(fit.cov_robust[idx, idx], 0.0)))
-    zq = float(ndtri(0.5 + 0.5 * level))
     if se > 0:
         p = 2.0 * std_normal_cdf(-abs(est) / se)
     else:
@@ -461,11 +468,11 @@ def predict_mean(fit, xrow):
 
 def prediction_band(fit, xrows, grid=None, level=0.95):
     """Pointwise Wald band for x'beta over a grid of design rows."""
+    zq = z_quantile(level)
     xrows = np.asarray(xrows, dtype=float)
     if grid is None:
         grid = np.arange(xrows.shape[0], dtype=float)
     grid = np.asarray(grid, dtype=float)
-    zq = float(ndtri(0.5 + 0.5 * level))
     est = np.empty(xrows.shape[0])
     se = np.empty(xrows.shape[0])
     for i, row in enumerate(xrows):

@@ -1,12 +1,13 @@
-"""Damped Newton minimizer with a strong-Wolfe line search.
+"""Damped Newton minimizer with Armijo backtracking.
 
 Written for smooth likelihood surfaces of modest dimension (<= ~25) whose
 Hessian is available in closed form.  Each iteration solves H p = -g by a
 Cholesky factorization of H scaled to unit diagonal; when H is not positive
 definite, a Levenberg shift mu * I is added, growing geometrically until the
 factorization succeeds (modified Newton; Nocedal & Wright, *Numerical
-Optimization*, 2nd ed., section 3.4).  The step along p is found by the
-strong-Wolfe line search, starting from the full Newton step.
+Optimization*, 2nd ed., section 3.4).  The step along p backtracks from the
+full Newton step to the first with sufficient (Armijo) decrease: a Newton
+direction needs no curvature condition, which serves quasi-Newton updates.
 
 Near the minimum the predicted decrease -g'p / 2 can fall below the rounding
 of the objective itself, where no line search can tell better from worse.
@@ -29,8 +30,7 @@ import numpy as np
 
 from .errors import LineSearchFailure
 
-WOLFE_C1 = 1e-4
-WOLFE_C2 = 0.9
+ARMIJO_C1 = 1e-4
 # first Levenberg shift of the unit-diagonal Hessian, and its growth factor
 SHIFT_START = 1e-3
 SHIFT_GROWTH = 10.0
@@ -58,55 +58,27 @@ class OptimResult:
     n_evals: int = 0
 
 
-def _line_search(phi, dphi, f0, g0, max_widen=20, max_zoom=40):
-    """Strong-Wolfe step along a descent direction.
+def _backtrack(phi, f0, d0, max_trials=40):
+    """Armijo backtracking from the full step (Nocedal & Wright, Algorithm 3.1).
 
-    ``phi(a)`` returns the objective at step ``a`` (may be +inf past the
-    domain of finiteness), ``dphi(a)`` its directional derivative.  Returns
-    the accepted step.  Raises LineSearchFailure when no acceptable step is
-    found within the iteration caps.
+    ``phi(a)`` is the objective at step ``a`` (+inf past its domain) and
+    ``d0 < 0`` its slope at 0.  A rejected step ``a`` is replaced by the
+    minimizer of the quadratic through f0, d0 and phi(a), clipped to
+    [a/10, a/2] (section 3.5), or by a/2 when that quadratic has no minimum.
+    Returns the accepted step and its value; raises LineSearchFailure after
+    ``max_trials`` rejected steps.
     """
-
-    def zoom(lo, f_lo, d_lo, hi, f_hi):
-        for _ in range(max_zoom):
-            # quadratic interpolation on (lo, hi), safeguarded toward bisection
-            denom = f_hi - f_lo - d_lo * (hi - lo)
-            if denom > 0:
-                a = lo - 0.5 * d_lo * (hi - lo) ** 2 / denom
-            else:
-                a = 0.5 * (lo + hi)
-            span = abs(hi - lo)
-            low, high = min(lo, hi), max(lo, hi)
-            if not (low + 0.1 * span <= a <= high - 0.1 * span):
-                a = 0.5 * (lo + hi)
-            fa = phi(a)
-            if not np.isfinite(fa) or fa > f0 + WOLFE_C1 * a * g0 or fa >= f_lo:
-                hi, f_hi = a, fa
-            else:
-                da = dphi(a)
-                if abs(da) <= -WOLFE_C2 * g0:
-                    return a, fa
-                if da * (hi - lo) >= 0:
-                    hi, f_hi = lo, f_lo
-                lo, f_lo, d_lo = a, fa, da
-            if abs(hi - lo) < 1e-16 * max(1.0, abs(lo)):
-                break
-        raise LineSearchFailure("zoom phase exhausted without a Wolfe point")
-
-    a_prev, f_prev, d_prev = 0.0, f0, g0
     a = 1.0
-    for it in range(max_widen):
+    for _ in range(max_trials):
         fa = phi(a)
-        if not np.isfinite(fa) or fa > f0 + WOLFE_C1 * a * g0 or (it > 0 and fa >= f_prev):
-            return zoom(a_prev, f_prev, d_prev, a, fa)
-        da = dphi(a)
-        if abs(da) <= -WOLFE_C2 * g0:
+        if np.isfinite(fa) and fa <= f0 + ARMIJO_C1 * a * d0:
             return a, fa
-        if da >= 0:
-            return zoom(a, fa, da, a_prev, f_prev)
-        a_prev, f_prev, d_prev = a, fa, da
-        a *= 2.0
-    raise LineSearchFailure("step widening exhausted without a Wolfe point")
+        curvature = fa - f0 - d0 * a
+        if 0 < curvature < np.inf:
+            a = min(max(-0.5 * d0 * a * a / curvature, 0.1 * a), 0.5 * a)
+        else:
+            a *= 0.5
+    raise LineSearchFailure(f"no sufficient decrease after {max_trials} step reductions")
 
 
 def _newton_direction(hess, grad):
@@ -137,7 +109,8 @@ def _newton_direction(hess, grad):
 
 
 def minimize_bfgs(problem, start, tol=1e-8, max_iter=500, callback=None):
-    """Minimize an OptimProblem from ``start`` by damped Newton.
+    """Minimize an OptimProblem from ``start`` by damped Newton with Armijo
+    backtracking (the name is kept from the BFGS solver this replaced).
 
     Convergence is declared when the gradient infinity norm drops to ``tol``.
     Hitting ``max_iter``, or a full step near the minimum that does not lower
@@ -170,45 +143,35 @@ def minimize_bfgs(problem, start, tol=1e-8, max_iter=500, callback=None):
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the initial point")
     g = grad(x)
+    gnorm = float(np.abs(g).max())
 
     for k in range(max_iter):
-        gnorm = float(np.abs(g).max())
         if gnorm <= tol:
             return OptimResult(x, f, gnorm, k, True, evals)
 
         p = _newton_direction(problem.hessian(x), g)
         dphi0 = float(g @ p)
-
-        if -0.5 * dphi0 <= ROUNDING_ULPS * np.finfo(float).eps * (1.0 + abs(f)):
-            # near the root: take the full step if it brings the gradient down
-            alpha, x_new = 1.0, x + p
-            f_new = func(x_new)
-            g_new = grad(x_new)
-            if not (np.isfinite(f_new) and float(np.abs(g_new).max()) < gnorm):
-                return OptimResult(x, f, gnorm, k, False, evals)
+        near_root = -0.5 * dphi0 <= ROUNDING_ULPS * np.finfo(float).eps * (1.0 + abs(f))
+        if near_root:
+            alpha, f_new = 1.0, func(x + p)
         else:
-            g_trial = {}
-
-            def phi(a):
-                return func(x + a * p)
-
-            def dphi(a):
-                g_trial[a] = grad(x + a * p)
-                return float(g_trial[a] @ p)
-
             try:
-                alpha, f_new = _line_search(phi, dphi, f, dphi0)
+                alpha, f_new = _backtrack(lambda a: func(x + a * p), f, dphi0)
             except LineSearchFailure as exc:
                 exc.result = OptimResult(x, f, gnorm, k, False, evals)
                 raise
-            # the line search evaluates the slope at every step it accepts
-            x_new, g_new = x + alpha * p, g_trial[alpha]
+        # the last trial was x_new, so a caching problem returns its gradient free
+        x_new = x + alpha * p
+        g_new = grad(x_new)
+        gnorm_new = float(np.abs(g_new).max())
+        if near_root and not (np.isfinite(f_new) and gnorm_new < gnorm):
+            # near the root the full step is kept only if it lowers the gradient
+            return OptimResult(x, f, gnorm, k, False, evals)
 
         if callback is not None:
             callback({"k": k, "x": x_new.copy(), "f": f_new, "f_prev": f, "alpha": alpha,
-                      "dphi0": dphi0, "gnorm": float(np.abs(g_new).max())})
+                      "dphi0": dphi0, "gnorm": gnorm_new})
 
-        x, f, g = x_new, f_new, g_new
+        x, f, g, gnorm = x_new, f_new, g_new, gnorm_new
 
-    gnorm = float(np.abs(g).max())
     return OptimResult(x, f, gnorm, max_iter, gnorm <= tol, evals)

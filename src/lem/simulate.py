@@ -350,8 +350,10 @@ def run_study(cfg, n_reps, methods=METHODS, threads=1):
 
     jobs = [(cfg, rep, tuple(methods)) for rep in range(n_reps)]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, n_reps // (8 * threads))
+        # the pool starts all of its workers at once: no more than there are jobs
+        workers = min(threads, n_reps)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, n_reps // (8 * workers))
             results = list(pool.map(_run_replicate, jobs, chunksize=chunk))
     else:
         results = [_run_replicate(job) for job in jobs]

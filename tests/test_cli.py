@@ -172,6 +172,14 @@ def test_predict_unsorted_knots_exit_1(lem_fit_json, tmp_path):
                      "--knots", "3,2,1,0,-1", "--out", str(tmp_path / "b.csv")]) == 1
 
 
+@pytest.mark.parametrize("level", ["1.5", "1"])
+def test_predict_level_outside_the_unit_interval_exit_1(lem_fit_json, tmp_path, level):
+    out = tmp_path / "band.csv"
+    assert cli.main(["predict", "--fit", lem_fit_json, "--grid=-2:2:9",
+                     "--knots=-1,-0.5,0,0.5,1", "--level", level, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_predict_dimension_mismatch_exit_1(lem_fit_json, tmp_path):
     assert cli.main(["predict", "--fit", lem_fit_json, "--grid", "0:1:5",
                      "--out", str(tmp_path / "b.csv")]) == 1

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,37 @@ def test_duplicate_observation_rejected(tmp_path):
     bad = WELLFORMED + "7,1,9.9,0,60.0,0.3\n"
     with pytest.raises(DuplicateObservation, match="subject '7' at time 1"):
         load_csv(write_file(tmp_path, bad), SPEC)
+
+
+def visits_csv(tmp_path, n_subjects, n_visits, name="data.csv", extra=""):
+    lines = ["id,visit,ldl,statin,age,risk"]
+    for i in range(n_subjects):
+        for t in range(n_visits):
+            lines.append(f"s{i},{t},{0.5 * (t % 7)},{t % 2},{60 + t % 5},{0.1 * (t % 3)}")
+    return write_file(tmp_path, "\n".join(lines) + "\n" + extra, name)
+
+
+def test_duplicate_time_at_the_end_of_a_long_subject_rejected(tmp_path):
+    # 5000 visits occupy rows 2-5001; the repeated visit 17 is row 5002
+    path = visits_csv(tmp_path, 1, 5000, extra="s0,17,9.9,0,60.0,0.3\n")
+    with pytest.raises(DuplicateObservation, match="row 5002: .*subject 's0' at time 17"):
+        load_csv(path, SPEC)
+
+
+def test_load_time_is_linear_in_visits_per_subject(tmp_path):
+    # the same 20k rows as one subject and as 3-visit subjects; a duplicate
+    # check that scans a subject's earlier rows made the first ~50x slower
+    def best_load_time(path):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            load_csv(path, SPEC)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    one_subject = best_load_time(visits_csv(tmp_path, 1, 20_000, "long.csv"))
+    short_subjects = best_load_time(visits_csv(tmp_path, 6_667, 3, "short.csv"))
+    assert one_subject < 5 * short_subjects
 
 
 def test_missing_column(tmp_path):

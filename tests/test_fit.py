@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -370,6 +374,69 @@ def test_fit_computes_bread_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_fit_evaluates_the_likelihood_only_inside_the_solver(monkeypatch):
+    # the solver's final value and gradient are the pooled ones at theta_hat
+    import lem.fit
+
+    calls = []
+    original = lem.fit.pooled_negloglik_and_score
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lem.fit, "pooled_negloglik_and_score", counted)
+    fit = fit_lem(panel_dataset(seed=36, n_subjects=200))
+    assert fit.optim.n_evals > 0
+    assert len(calls) == fit.optim.n_evals
+
+
+def test_sandwich_warns_only_away_from_a_score_root(panel_fit):
+    d, fit = panel_fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sandwich_cov(fit.theta_hat, d)
+    with pytest.warns(UserWarning, match="away from a score root"):
+        sandwich_cov(initialize(d), d)
+
+
+@pytest.mark.parametrize("given_bread", [False, True])
+def test_sandwich_non_finite_score_raises(panel_fit, given_bread):
+    d, fit = panel_fit
+    t = fit.theta_hat
+    bad = Theta(beta=t.beta, eta=t.eta, alpha=t.alpha, log_sigma_y=-800.0, varrho=t.varrho)
+    bread = score_jacobian(t, d) if given_bread else None
+    with pytest.raises(NonFiniteLikelihood):
+        sandwich_cov(bad, d, bread)
+
+
+def test_fits_load_neither_scipy_linalg_nor_scipy_optimize():
+    # numpy and scipy link separate OpenBLAS builds, and switching between
+    # their thread pools cost about 8 ms per call on a 2-core host: dense
+    # algebra in a fit stays on numpy's
+    import lem
+
+    script = textwrap.dedent("""
+        import sys
+        from lem.fit import fit_lem
+        from lem.gee import VARIANTS, fit_gee_independence
+        from lem.simulate import (apply_missingness, gen_covariates, gen_outcomes,
+                                  preset, substream)
+        cfg = preset("sim3", seed=0, n_subjects=200)
+        rng = substream(cfg.seed, 0)
+        d = apply_missingness(gen_outcomes(gen_covariates(cfg, rng), cfg, rng), cfg, rng)
+        fit_lem(d)
+        for variant in VARIANTS:
+            fit_gee_independence(d, variant)
+        print(sorted(m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lem.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # Wald inference
 # ---------------------------------------------------------------------------
@@ -473,6 +540,15 @@ def test_prediction_band_orders_bounds(panel_fit):
     band = prediction_band(fit, rows, grid=np.arange(8.0))
     assert (band.lower <= band.estimate).all()
     assert (band.estimate <= band.upper).all()
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, float("nan")])
+def test_level_outside_the_unit_interval_rejected(panel_fit, level):
+    _, fit = panel_fit
+    with pytest.raises(ValueError, match="level"):
+        prediction_band(fit, np.ones((2, fit.beta.size)), level=level)
+    with pytest.raises(ValueError, match="level"):
+        wald(fit, 0, level=level)
 
 
 # ---------------------------------------------------------------------------

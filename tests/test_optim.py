@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lem.errors import LineSearchFailure
-from lem.optim import WOLFE_C1, OptimProblem, minimize_bfgs
+from lem.optim import ARMIJO_C1, OptimProblem, minimize_bfgs
 
 
 def quadratic_problem(center):
@@ -81,7 +81,7 @@ def test_armijo_holds_on_every_accepted_step():
     assert res.converged
     assert records
     for rec in records:
-        assert rec["f"] <= rec["f_prev"] + WOLFE_C1 * rec["alpha"] * rec["dphi0"] + 1e-12
+        assert rec["f"] <= rec["f_prev"] + ARMIJO_C1 * rec["alpha"] * rec["dphi0"] + 1e-12
     # monotone nonincreasing objective across accepted iterates
     objectives = [records[0]["f_prev"]] + [r["f"] for r in records]
     assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
@@ -154,17 +154,42 @@ def test_max_iter_returns_best_point_unconverged():
     assert np.isfinite(res.objective_value)
 
 
+def test_backtracking_backs_off_where_the_objective_is_infinite():
+    # a Hessian ten times too small sends the full step to x = 2, past the
+    # wall at 0.3 where the objective is +inf; the search halves back inside
+    def f(v):
+        return 0.5 * (v[0] - 0.2) ** 2 if v[0] < 0.3 else float("inf")
+
+    def g(v):
+        return np.array([v[0] - 0.2])
+
+    def h(v):
+        return np.array([[0.1]])
+
+    records = []
+    res = minimize_bfgs(OptimProblem(1, f, g, h), np.array([0.0]), tol=1e-10,
+                        callback=records.append)
+    first = records[0]
+    assert first["alpha"] < 1.0
+    assert first["x"][0] < 0.3
+    assert np.isfinite(first["f"])
+    assert first["f"] <= first["f_prev"] + ARMIJO_C1 * first["alpha"] * first["dphi0"]
+    assert res.converged
+    np.testing.assert_allclose(res.argmin, [0.2], atol=1e-10)
+
+
 def test_line_search_failure_carries_best_point():
-    # a linear objective is unbounded below: the curvature condition never
-    # holds, widening exhausts, and the failure carries the best point
+    # the gradient disagrees in sign with the objective, so every step along
+    # the "descent" direction goes uphill: sufficient decrease never holds,
+    # the trials run out, and the failure carries the best point
     def f(v):
         return float(v[0])
 
     def g(v):
-        return np.array([1.0])
+        return np.array([-1.0])
 
     def h(v):
-        return np.zeros((1, 1))
+        return np.eye(1)
 
     with pytest.raises(LineSearchFailure) as excinfo:
         minimize_bfgs(OptimProblem(1, f, g, h), np.array([0.0]), tol=1e-12)

@@ -194,6 +194,34 @@ def test_study_parallel_matches_serial():
     assert serial.to_csv() == parallel.to_csv()
 
 
+def test_study_starts_no_more_workers_than_replicates(monkeypatch):
+    import lem.simulate
+
+    requested = []
+
+    class SerialPool:
+        """Records the worker count and maps in this process: starts nothing."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(lem.simulate, "ProcessPoolExecutor", SerialPool)
+    pooled = run_study(small_cfg(), 2, threads=64)
+    assert requested == [2]
+    serial = run_study(small_cfg(), 2)
+    assert pooled.to_csv() == serial.to_csv()
+    assert pooled.to_table() == serial.to_table()
+
+
 def test_study_single_replicate_has_no_ese():
     s = run_study(small_cfg(), 1)
     assert s.methods["lem"].empirical_se is None
