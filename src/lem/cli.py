@@ -145,17 +145,26 @@ def cmd_simulate(args):
     return 0
 
 
+def _finite(values, what):
+    """``values`` as a float array; ValueError if any is NaN or infinite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite numbers")
+    return values
+
+
 def _parse_grid(spec_text):
     """Grid values: either 'start:stop:count' or a CSV of design rows."""
     if os.path.exists(spec_text):
         rows = np.loadtxt(spec_text, delimiter=",", skiprows=1, ndmin=2)
-        return None, rows
+        return None, _finite(rows, "grid CSV cells")
     parts = spec_text.split(":")
     if len(parts) != 3:
         raise ValueError(
             f"grid {spec_text!r} is neither an existing CSV file nor a start:stop:count range"
         )
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    start, stop = _finite([float(parts[0]), float(parts[1])], "grid start and stop")
+    count = int(parts[2])
     if count < 1:
         raise ValueError("grid count must be positive")
     return np.linspace(start, stop, count), None
@@ -171,7 +180,7 @@ def cmd_predict(args):
         grid_values = np.arange(rows.shape[0], dtype=float)
     else:
         if args.knots:
-            knots = [float(v) for v in args.knots.split(",")]
+            knots = _finite([float(v) for v in args.knots.split(",")], "knots")
             basis = ncs_basis(grid, knots)
         else:
             basis = grid[:, None]

@@ -10,6 +10,11 @@ construction.
 Datasets are immutable after load and safe for shared read access from
 parallel fits.
 
+CSV input is read column-wise, CHUNK_ROWS records at a time, with one
+``float`` map per needed column and every check on the assembled arrays.
+The per-cell parse, which names the row and column of a fault, runs only
+when those checks fail.  ``write_csv`` likewise converts whole columns.
+
 The rank check uses numpy's SVD, not scipy's pivoted QR, so that a fit runs
 all its dense algebra on numpy's BLAS (see :mod:`lem.numerics`).
 """
@@ -17,6 +22,7 @@ all its dense algebra on numpy's BLAS (see :mod:`lem.numerics`).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,6 +41,12 @@ INTERCEPT = "(intercept)"
 
 # rank tolerance for singular values, relative to the largest one
 RANK_TOL = 1e-10
+
+# records converted per column pass of load_csv; bounds its transient lists
+CHUNK_ROWS = 4096
+
+# times must convert to np.intp, so they lie below 2**63
+TIME_LIMIT = 2.0 ** 63
 
 
 @dataclass(frozen=True)
@@ -255,11 +267,97 @@ def _parse_cell(raw, row_number, column):
         ) from None
 
 
+def _convert(records, width, subject_col, numeric_cols):
+    """Stripped subject labels and one float array per numeric column.
+
+    Raises ValueError at a record shorter than ``width`` or a cell that does
+    not parse; blank records are not skipped here.
+    """
+    if min(map(len, records), default=width) < width:
+        raise ValueError("short record")
+    fields = list(zip(*records)) or [()] * width
+    return (list(map(str.strip, fields[subject_col])),
+            [np.fromiter(map(float, fields[j]), dtype=float, count=len(records))
+             for j in numeric_cols])
+
+
+def _read_columns(reader, width, subject_col, numeric_cols):
+    """All records, CHUNK_ROWS at a time: subject labels and float columns.
+
+    A chunk that fails to convert is converted again without its blank
+    records, which the file format skips; a second failure raises ValueError.
+    """
+    subjects = []
+    parts = [[np.empty(0)] for _ in numeric_cols]
+    while records := list(itertools.islice(reader, CHUNK_ROWS)):
+        try:
+            labels, values = _convert(records, width, subject_col, numeric_cols)
+        except ValueError:
+            records = [r for r in records if any(c.strip() for c in r)]
+            labels, values = _convert(records, width, subject_col, numeric_cols)
+        subjects += labels
+        for part, column in zip(parts, values):
+            part.append(column)
+    return subjects, [np.concatenate(part) for part in parts]
+
+
+def _raise_first_fault(path, spec, width, col_of, covariate_names):
+    """Re-scan ``path`` row by row and raise the first fault in file order.
+
+    Called only after the column-wise pass of :func:`load_csv` found a fault;
+    ``width`` is the header length and ``col_of`` maps names to positions.
+    Each row is checked in the order the format defines (length, time,
+    outcome and treatment parse, treatment value, outcome, covariates, then
+    the (subject, time) pair), so the exception type, row number and column
+    name are those of the first faulty row.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        seen = set()
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells or all(c.strip() == "" for c in cells):
+                continue
+            if len(cells) < width:
+                raise ParseError(
+                    f"row {lineno}: {len(cells)} cells but header has {width} columns"
+                )
+            subj = cells[col_of[spec.subject]].strip()
+            t_raw = _parse_cell(cells[col_of[spec.time]], lineno, spec.time)
+            if not (t_raw.is_integer() and 0 <= t_raw < TIME_LIMIT):
+                raise ParseError(
+                    f"row {lineno}, column '{spec.time}': time must be a nonnegative integer, got {t_raw!r}"
+                )
+            yv = _parse_cell(cells[col_of[spec.outcome]], lineno, spec.outcome)
+            av = _parse_cell(cells[col_of[spec.treatment]], lineno, spec.treatment)
+            if av not in (0.0, 1.0):
+                raise NonBinaryTreatment(
+                    f"row {lineno}: treatment value {av!r} is not 0 or 1"
+                )
+            if not np.isfinite(yv):
+                raise ParseError(f"row {lineno}, column '{spec.outcome}': non-finite outcome")
+            for name in covariate_names:
+                if not np.isfinite(_parse_cell(cells[col_of[name]], lineno, name)):
+                    raise ParseError(f"row {lineno}, column '{name}': non-finite value")
+            if (subj, int(t_raw)) in seen:
+                raise DuplicateObservation(
+                    f"row {lineno}: duplicate observation for subject {subj!r} at time {int(t_raw)}"
+                )
+            seen.add((subj, int(t_raw)))
+    raise RuntimeError(f"{path}: the column-wise checks found a fault the row scan did not")
+
+
 def load_csv(path, spec):
     """Parse a UTF-8 CSV with a header row into a LongDataset.
 
     Rows are grouped by subject (first-appearance order) and sorted by time
     within subject.  An intercept column is prepended to X, Z and W.
+
+    The file is read column-wise: records are taken CHUNK_ROWS at a time and
+    each needed column is converted with one ``float`` map, then every check
+    runs on the assembled arrays.  Only when a check fails is the file
+    scanned again row by row, to raise the first fault in file order with
+    its row number and column.
     """
     needed = [spec.subject, spec.time, spec.outcome, spec.treatment]
     covariate_names = []
@@ -279,76 +377,50 @@ def load_csv(path, spec):
             if name not in header:
                 raise MissingColumn(f"column '{name}' not found in header of {path}")
             col_of[name] = header.index(name)
+        try:
+            subjects, (t, y, a, *covariates) = _read_columns(
+                reader, len(header), col_of[spec.subject],
+                [col_of[name] for name in needed[1:] + covariate_names])
+        except (ValueError, csv.Error):   # UnicodeDecodeError is a ValueError
+            _raise_first_fault(path, spec, len(header), col_of, covariate_names)
 
-        # subject label (in first-appearance order) -> {time: (y, a, covariates)}
-        per_subject = {}
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells or all(c.strip() == "" for c in cells):
-                continue
-            if len(cells) < len(header):
-                raise ParseError(
-                    f"row {lineno}: {len(cells)} cells but header has {len(header)} columns"
-                )
-            subj = cells[col_of[spec.subject]].strip()
-            t_raw = _parse_cell(cells[col_of[spec.time]], lineno, spec.time)
-            if t_raw != int(t_raw) or t_raw < 0:
-                raise ParseError(
-                    f"row {lineno}, column '{spec.time}': time must be a nonnegative integer, got {t_raw!r}"
-                )
-            t = int(t_raw)
-            yv = _parse_cell(cells[col_of[spec.outcome]], lineno, spec.outcome)
-            av = _parse_cell(cells[col_of[spec.treatment]], lineno, spec.treatment)
-            if av not in (0.0, 1.0):
-                raise NonBinaryTreatment(
-                    f"row {lineno}: treatment value {av!r} is not 0 or 1"
-                )
-            if not np.isfinite(yv):
-                raise ParseError(f"row {lineno}, column '{spec.outcome}': non-finite outcome")
-            cov = []
-            for name in covariate_names:
-                v = _parse_cell(cells[col_of[name]], lineno, name)
-                if not np.isfinite(v):
-                    raise ParseError(f"row {lineno}, column '{name}': non-finite value")
-                cov.append(v)
-            visits = per_subject.setdefault(subj, {})
-            if t in visits:
-                raise DuplicateObservation(
-                    f"row {lineno}: duplicate observation for subject {subj!r} at time {t}"
-                )
-            visits[t] = (yv, av, cov)
-
-    if not per_subject:
+    n = len(subjects)
+    if n == 0:
         raise ParseError(f"{path}: no data rows")
+    valid = ((t == np.floor(t)) & (t >= 0) & (t < TIME_LIMIT)
+             & ((a == 0.0) | (a == 1.0)) & np.isfinite(y))
+    for column in covariates:
+        valid &= np.isfinite(column)
+    if not valid.all():
+        _raise_first_fault(path, spec, len(header), col_of, covariate_names)
 
-    rows = []
-    for subj, visits in per_subject.items():
-        for t in sorted(visits):
-            rows.append((subj, t, *visits[t]))
+    code = {s: i for i, s in enumerate(dict.fromkeys(subjects))}
+    ordinal = np.fromiter(map(code.__getitem__, subjects), dtype=np.intp, count=n)
+    t = t.astype(np.intp)
+    order = np.lexsort((t, ordinal))
+    t, ordinal = t[order], ordinal[order]
+    if ((t[1:] == t[:-1]) & (ordinal[1:] == ordinal[:-1])).any():
+        _raise_first_fault(path, spec, len(header), col_of, covariate_names)
 
-    subject_ids = np.array([r[0] for r in rows])
-    time_index = np.array([r[1] for r in rows], dtype=np.intp)
-    y = np.array([r[2] for r in rows], dtype=float)
-    a = np.array([r[3] for r in rows], dtype=float)
-    cov_matrix = np.array([r[4] for r in rows], dtype=float)
-    if cov_matrix.size == 0:
-        cov_matrix = np.empty((len(rows), 0))
+    cov_matrix = np.empty((n, len(covariates)))
+    for j, column in enumerate(covariates):
+        cov_matrix[:, j] = column[order]
 
     def block(names):
-        cols = [np.ones(len(rows))]
+        cols = [np.ones(n)]
         for name in names:
             cols.append(cov_matrix[:, covariate_names.index(name)])
         return np.column_stack(cols)
 
-    order = {s: i for i, s in enumerate(per_subject)}
     return LongDataset(
-        subject_ids=subject_ids,
-        time_index=time_index,
-        y=y,
-        a=a,
+        subject_ids=np.array(subjects)[order],
+        time_index=t,
+        y=y[order],
+        a=a[order],
         x=block(spec.x),
         z=block(spec.z),
         w=block(spec.w),
-        subject_index=np.array([order[s] for s in subject_ids], dtype=np.intp),
+        subject_index=ordinal,
         x_names=(INTERCEPT, *spec.x),
         z_names=(INTERCEPT, *spec.z),
         w_names=(INTERCEPT, *spec.w),
@@ -361,23 +433,24 @@ def write_csv(dataset, path, spec):
     """Write a dataset back to CSV with the columns named in ``spec``.
 
     Floats are written with ``repr`` so a load/write/load cycle is exact.
-    Requires the dataset to carry raw covariate columns (as after load_csv
-    or simulation).
+    The columns are converted whole (``tolist`` and one ``repr`` map each)
+    and written with one ``writerows``.  Requires the dataset to carry raw
+    covariate columns (as after load_csv or simulation).
     """
     if dataset.column_values is None:
         raise ValueError("dataset does not carry raw covariate columns for write-back")
     names = [spec.subject, spec.time, spec.outcome, spec.treatment, *dataset.column_names]
+    columns = [
+        dataset.subject_ids.tolist(),
+        dataset.time_index.tolist(),
+        map(repr, dataset.y.tolist()),
+        map(int, dataset.a.tolist()),
+        *[map(repr, column) for column in dataset.column_values.T.tolist()],
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for i in range(dataset.n_rows):
-            writer.writerow([
-                dataset.subject_ids[i],
-                int(dataset.time_index[i]),
-                repr(float(dataset.y[i])),
-                int(dataset.a[i]),
-                *[repr(float(v)) for v in dataset.column_values[i]],
-            ])
+        writer.writerows(zip(*columns))
 
 
 def check_overlap(dataset):

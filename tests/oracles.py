@@ -1,6 +1,15 @@
-"""Finite-difference oracles shared by the test modules."""
+"""Reference implementations shared by the test modules.
+
+Finite-difference derivatives, and the row-by-row CSV reader and writer that
+the column-wise ``lem.data.load_csv`` and ``write_csv`` must match exactly.
+"""
+
+import csv
 
 import numpy as np
+
+from lem.data import INTERCEPT, LongDataset
+from lem.errors import DuplicateObservation, MissingColumn, NonBinaryTreatment, ParseError
 
 
 def fd_jacobian(fun, x, step_scale=1e-5):
@@ -20,3 +29,131 @@ def fd_jacobian(fun, x, step_scale=1e-5):
         dn[k] -= h
         jac[:, k] = (np.asarray(fun(up)) - np.asarray(fun(dn))) / (2.0 * h)
     return 0.5 * (jac + jac.T)
+
+
+def _parse_cell(raw, row_number, column):
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ParseError(
+            f"row {row_number}, column '{column}': cannot parse {raw!r} as a number"
+        ) from None
+
+
+def load_csv_rowwise(path, spec):
+    """Row-by-row reference for ``lem.data.load_csv``.
+
+    Each record is parsed cell by cell and checked in file order; visits are
+    kept per subject in a dict keyed by time.  A time must be a finite
+    integer in [0, 2**63).
+    """
+    needed = [spec.subject, spec.time, spec.outcome, spec.treatment]
+    covariate_names = []
+    for name in (*spec.x, *spec.z, *spec.w):
+        if name not in covariate_names:
+            covariate_names.append(name)
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        col_of = {}
+        for name in needed + covariate_names:
+            if name not in header:
+                raise MissingColumn(f"column '{name}' not found in header of {path}")
+            col_of[name] = header.index(name)
+
+        # subject label (in first-appearance order) -> {time: (y, a, covariates)}
+        per_subject = {}
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells or all(c.strip() == "" for c in cells):
+                continue
+            if len(cells) < len(header):
+                raise ParseError(
+                    f"row {lineno}: {len(cells)} cells but header has {len(header)} columns"
+                )
+            subj = cells[col_of[spec.subject]].strip()
+            t_raw = _parse_cell(cells[col_of[spec.time]], lineno, spec.time)
+            if not np.isfinite(t_raw) or t_raw != int(t_raw) or not 0 <= t_raw < 2.0 ** 63:
+                raise ParseError(
+                    f"row {lineno}, column '{spec.time}': time must be a nonnegative integer, got {t_raw!r}"
+                )
+            t = int(t_raw)
+            yv = _parse_cell(cells[col_of[spec.outcome]], lineno, spec.outcome)
+            av = _parse_cell(cells[col_of[spec.treatment]], lineno, spec.treatment)
+            if av not in (0.0, 1.0):
+                raise NonBinaryTreatment(
+                    f"row {lineno}: treatment value {av!r} is not 0 or 1"
+                )
+            if not np.isfinite(yv):
+                raise ParseError(f"row {lineno}, column '{spec.outcome}': non-finite outcome")
+            cov = []
+            for name in covariate_names:
+                v = _parse_cell(cells[col_of[name]], lineno, name)
+                if not np.isfinite(v):
+                    raise ParseError(f"row {lineno}, column '{name}': non-finite value")
+                cov.append(v)
+            visits = per_subject.setdefault(subj, {})
+            if t in visits:
+                raise DuplicateObservation(
+                    f"row {lineno}: duplicate observation for subject {subj!r} at time {t}"
+                )
+            visits[t] = (yv, av, cov)
+
+    if not per_subject:
+        raise ParseError(f"{path}: no data rows")
+
+    rows = []
+    for subj, visits in per_subject.items():
+        for t in sorted(visits):
+            rows.append((subj, t, *visits[t]))
+
+    subject_ids = np.array([r[0] for r in rows])
+    time_index = np.array([r[1] for r in rows], dtype=np.intp)
+    y = np.array([r[2] for r in rows], dtype=float)
+    a = np.array([r[3] for r in rows], dtype=float)
+    cov_matrix = np.array([r[4] for r in rows], dtype=float)
+    if cov_matrix.size == 0:
+        cov_matrix = np.empty((len(rows), 0))
+
+    def block(names):
+        cols = [np.ones(len(rows))]
+        for name in names:
+            cols.append(cov_matrix[:, covariate_names.index(name)])
+        return np.column_stack(cols)
+
+    order = {s: i for i, s in enumerate(per_subject)}
+    return LongDataset(
+        subject_ids=subject_ids,
+        time_index=time_index,
+        y=y,
+        a=a,
+        x=block(spec.x),
+        z=block(spec.z),
+        w=block(spec.w),
+        subject_index=np.array([order[s] for s in subject_ids], dtype=np.intp),
+        x_names=(INTERCEPT, *spec.x),
+        z_names=(INTERCEPT, *spec.z),
+        w_names=(INTERCEPT, *spec.w),
+        column_names=tuple(covariate_names),
+        column_values=cov_matrix,
+    )
+
+
+def write_csv_rowwise(dataset, path, spec):
+    """Row-by-row reference for ``lem.data.write_csv``: one ``writerow`` per row."""
+    names = [spec.subject, spec.time, spec.outcome, spec.treatment, *dataset.column_names]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for i in range(dataset.n_rows):
+            writer.writerow([
+                dataset.subject_ids[i],
+                int(dataset.time_index[i]),
+                repr(float(dataset.y[i])),
+                int(dataset.a[i]),
+                *[repr(float(v)) for v in dataset.column_values[i]],
+            ])

@@ -191,3 +191,22 @@ def test_commands_do_not_mutate_inputs(sim_csv, tmp_path):
     cli.main(["fit", "--data", data, "--spec", spec, "--method", "lem",
               "--out", str(tmp_path / "o")])
     assert open(data, "rb").read() == before
+
+
+@pytest.mark.parametrize("grid, knots", [
+    ("0:nan:3", "-1,-0.5,0,0.5,1"),
+    ("0:inf:3", "-1,-0.5,0,0.5,1"),
+    ("rows.csv", None),
+    ("0:1:3", "-1,-0.5,0,0.5,inf"),
+])
+def test_predict_non_finite_grid_or_knot_exit_1(lem_fit_json, tmp_path, capsys, grid, knots):
+    (tmp_path / "rows.csv").write_text("c0,c1,c2,c3,c4\n1,0,0,0,0\n1,nan,0,0,0\n")
+    if grid == "rows.csv":
+        grid = str(tmp_path / grid)
+    out = tmp_path / "band.csv"
+    argv = ["predict", "--fit", lem_fit_json, f"--grid={grid}", "--out", str(out)]
+    if knots:
+        argv.append(f"--knots={knots}")
+    assert cli.main(argv) == 1
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
