@@ -73,6 +73,10 @@ class DesignSpec:
 
     @classmethod
     def from_dict(cls, raw):
+        for key in ("subject", "time", "outcome", "treatment", "x", "z", "w"):
+            names = raw.get(key, []) if key in ("x", "z", "w") else [raw[key]]
+            if not (isinstance(names, (list, tuple)) and all(isinstance(v, str) for v in names)):
+                raise ValueError(f"spec key {key!r} must be a column name, or for x, z and w a list of them")
         return cls(
             subject=raw["subject"],
             time=raw["time"],
@@ -130,6 +134,9 @@ class LongDataset:
         n = self.y.shape[0]
         if n == 0:
             raise ValueError("dataset has no rows")
+        for name in ("subject_ids", "time_index", "a", "subject_index", "column_values"):
+            if getattr(self, name) is not None and np.shape(getattr(self, name))[:1] != (n,):
+                raise ValueError(f"{name} must have one entry per row ({n})")
         for name in ("y", "x", "z", "w"):
             arr = getattr(self, name)
             if not np.isfinite(arr).all():

@@ -5,18 +5,15 @@ pooled estimating equations, cluster-robust sandwich covariance (subjects are
 the clusters), optional model-based covariance, Wald inference and
 spline-basis trend prediction with pointwise bands.
 
-The solver (:func:`lem.optim.minimize_bfgs`, a Newton method that keeps its
-older name because the benchmark traces it by that name) steps with the same
-analytic information as the bread, summed by BLAS products: a search
-direction needs no exact sum.  The reported bread always comes from the
-exact kernel.
-
-The sandwich bread is the analytic observed information (the per-row
-Hessian in :mod:`lem.likelihood`, summed by the exact weighted Gram kernel
-of :mod:`lem.numerics`).  It is computed once per fit and shared by the
-robust and the model-based covariance.  Both refuse a bread that is
+The sandwich bread is the analytic observed information: the per-row
+Hessian factors of :mod:`lem.likelihood`, summed exactly by BLAS products of
+pre-rounded slices (:func:`lem.numerics.exact_gram`) once per fit and shared
+by the robust and the model-based covariance.  Both refuse a bread that is
 numerically singular after scaling to unit diagonal: such a design does not
-identify its parameters, and any standard errors would be meaningless.
+identify its parameters.  The solver (:func:`lem.optim.minimize_bfgs`, a
+Newton method that keeps its older name because the benchmark traces it by
+that name) steps with the same information summed by plain BLAS products: a
+search direction needs no exact sum.
 """
 
 from __future__ import annotations
@@ -312,8 +309,8 @@ def score_jacobian(theta, dataset):
     which is the Jacobian of the pooled negative score.
 
     Assembled analytically from :func:`lem.likelihood.information_rows` by the
-    exact weighted Gram kernel, so it is bit-invariant under row permutation
-    and doubles exactly when the rows are duplicated.
+    exact weighted Gram kernel (BLAS products of error-free slices), so it is
+    bit-invariant under row permutation and doubles exactly under duplication.
     """
     bread = exact_gram(*information_rows(theta, dataset))
     if not np.isfinite(bread).all():

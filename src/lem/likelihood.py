@@ -32,10 +32,10 @@ series form of lambda; see :func:`lem.numerics.inverse_mills_slope`).  varrho
 enters through rho by the chain rule, with d2rho/dvarrho2 = -rho * rho' for
 the logistic map and -4 varrho / (pi (1 + varrho^2)^2) for the arctan map.
 
-All functions are pure in (theta, data).  Pooled sums use the exact kernels
-:func:`lem.numerics.exact_sum` and :func:`lem.numerics.exact_gram` over
-row-pure per-row values, so they are bit-invariant under row permutation and
-double exactly under duplication.
+All functions are pure in (theta, data).  Pooled sums add row-pure per-row
+values by :func:`lem.numerics.exact_sum` and :func:`lem.numerics.exact_gram`,
+whose pre-rounded slices numpy and BLAS sum exactly in any order, so they are
+bit-invariant under row permutation and double exactly under duplication.
 """
 
 from __future__ import annotations

@@ -35,14 +35,14 @@ TAIL_CROSSOVER = -20.0
 # the first one left out is 2027025 v^8, below 4e-15 for x <= -20
 _MILLS_SERIES = (1.0, -1.0, 3.0, -15.0, 105.0, -945.0, 10395.0, -135135.0)
 
-# exact_sum grids leave room for 2**26 rows (9 GB at 17 columns), so every fold
-# sums exactly; three folds of 26 bits drop < n_rows * max|m| * 2**-77.
-_CAP_BITS = 26
-EXACT_SUM_MAX_ROWS = 2 ** _CAP_BITS
-EXACT_SUM_FOLDS = 3
-# exact sums work through their rows in blocks of about this many entries:
-# 64 KiB temporaries stay in cache, and below glibc's default 128 KiB mmap
-# threshold, so they are reused instead of mapped and faulted in afresh
+# Ozaki splitting (Numer. Algorithms 59 (2012) 95-118): exact sums cut columns
+# into slices of a few bits on grids fixed by their largest magnitude and a cap
+# of 2**26 rows (9 GB at 17 columns), so that slices sum exactly in any order
+EXACT_SUM_MAX_ROWS = 2 ** 26
+_SUM_BITS, _SUM_SLICES = 26, 3
+_GRAM_BITS, _GRAM_SLICES = 13, 4
+# rows are split in blocks of about this many entries: 64 KiB temporaries stay in
+# cache and below glibc's 128 KiB mmap threshold, so they are not faulted afresh
 EXACT_BLOCK_ENTRIES = 2 ** 13
 
 
@@ -193,102 +193,97 @@ def _biggest(a, axis=-1):
     return np.maximum(a.max(axis=axis, initial=0.0), -a.min(axis=axis, initial=0.0))
 
 
-def _fold_sums(a, biggest):
-    """Exact sums of each pre-rounded fold of ``a`` (one row per column) on the
-    grid fixed by ``biggest``; consumes ``a``."""
-    top = np.frexp(biggest)[1] + _CAP_BITS + 1  # 2**top >= 2**(_CAP_BITS + 1) * biggest
-    q = np.empty_like(a)
-    sums = []
-    for fold in range(EXACT_SUM_FOLDS):
-        c = np.ldexp(1.5, top - fold * (52 - _CAP_BITS))[..., None]
-        np.add(a, c, out=q)
+def _split(a, top, bits, count):
+    """``count`` slices of ``a`` (one row per column): slice s of row j is the rest
+    of it pre-rounded by ``(a + c) - c`` onto the multiples of ``2**(top[j] -
+    bits * (s + 1))``, at most 2**(bits - 1) of them if |a[j]| < 2**(top[j] - 1)."""
+    slices = []
+    for s in range(1, count + 1):
+        c = np.ldexp(1.5, top + 52 - bits * s)[:, None]
+        q = a + c
         q -= c
-        sums.append(q.sum(axis=-1))
-        a -= q
-    return sums
-
-
-def _check_rows(n):
-    if n > EXACT_SUM_MAX_ROWS:
-        raise ValueError(f"exact sums take at most {EXACT_SUM_MAX_ROWS} rows, got {n}")
-
-
-def _blocked_exact_sums(n, width, block, biggest=None):
-    """Exact sums over ``n`` rows of ``width`` columns, a block of rows at a time.
-
-    ``block(start, stop)`` returns those rows as a fresh (width, rows) array;
-    blocks hold about EXACT_BLOCK_ENTRIES entries.  Each column's grid is
-    fixed by ``biggest``, its largest magnitude, which a first pass over the
-    blocks finds when it is not given.  Fold sums on a fixed grid are exact,
-    so adding them up block by block changes nothing.
-    """
-    step = max(1, EXACT_BLOCK_ENTRIES // max(width, 1))
-    starts = range(0, n, step)
-    # non-finite entries are allowed: they make their column's sum non-finite
-    with np.errstate(invalid="ignore", over="ignore"):
-        if biggest is None:
-            biggest = np.zeros(width)
-            for start in starts:
-                biggest = np.maximum(biggest, _biggest(block(start, start + step)))
-        folds = [np.zeros(width)] * EXACT_SUM_FOLDS
-        for start in starts:
-            parts = _fold_sums(block(start, start + step), biggest)
-            folds = [acc + part for acc, part in zip(folds, parts)]
-        # finest fold first, so only the last addition rounds at the total's scale
-        return sum(reversed(folds))
+        slices.append(q)
+        a = a - q
+    return slices
 
 
 def exact_sum(m):
     """Column sums over axis 0, reproducible to the last bit.
 
-    Pre-rounded K-fold summation (Demmel & Nguyen, "Fast Reproducible
-    Floating-Point Summation", ARITH 2013): each fold rounds the entries onto
-    the grid ``(m + c) - c``, ``c = 1.5 * 2**e``, sums that part exactly with
-    ``np.sum`` and passes the exact remainder on.  ``e`` depends only on the
-    column's largest magnitude and the row cap, so the result ignores row
-    order and doubles exactly when the rows are duplicated.  Non-finite
-    entries, or magnitudes within 2**28 of overflow, give a non-finite sum.
-    The rows are summed a block at a time, so the temporaries stay small.
+    Pre-rounded 3-fold summation (Demmel & Nguyen, ARITH 2013): three 26-bit
+    slices on grids ``frexp(max|column|) + 1``, each summed exactly by numpy,
+    added finest first; the rest is below ``n_rows * max|column| * 2**-77``.
+    Non-finite entries, or magnitudes within 2**28 of overflow, give NaN/inf.
     """
     n = np.shape(m)[0]
-    _check_rows(n)
+    if n > EXACT_SUM_MAX_ROWS:
+        raise ValueError(f"exact sums take at most {EXACT_SUM_MAX_ROWS} rows, got {n}")
     a = np.asarray(m, dtype=float)
     cols = a[:, None] if a.ndim == 1 else a
-    sums = _blocked_exact_sums(n, cols.shape[1],
-                               lambda start, stop: np.array(cols[start:stop].T, order="C"),
-                               _biggest(cols, axis=0))
-    return sums[0] if a.ndim == 1 else sums
+    top = np.frexp(_biggest(cols, axis=0))[1] + 1
+    step = max(1, EXACT_BLOCK_ENTRIES // max(cols.shape[1], 1))
+    sums = [np.zeros(cols.shape[1])] * _SUM_SLICES
+    # non-finite entries are allowed: they make their column's sum non-finite
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, n, step):
+            parts = _split(np.array(cols[start:start + step].T, order="C"), top, _SUM_BITS, _SUM_SLICES)
+            sums = [acc + part.sum(axis=-1) for acc, part in zip(sums, parts)]
+        total = sum(reversed(sums))
+    return total[0] if a.ndim == 1 else total
 
 
 def exact_gram(m, groups=None, weights=None):
-    """Symmetric matrix whose (j, k) entry is the exact sum over rows of
+    """Symmetric matrix whose (j, k) entry is the sum over rows of
     ``m[:, j] * m[:, k]``, times ``weights[:, groups[j], groups[k]]`` when
-    weights (n, g, g) and column groups (p,) are given.
+    weights (n, g, g) and column groups (p,) are given, reproducible to the
+    last bit.
 
-    Each entry is bit-identical to :func:`exact_sum` of the materialised
-    product column, but the n x p(p+1)/2 products are never held at once:
-    they are formed a block of rows at a time, in two passes.  The first finds
-    each product column's largest magnitude, which fixes its grid; the second
-    sums the folds of every block on that grid.
+    ``m`` and a right factor (``m``, or column k times ``weights[:, g,
+    groups[k]]`` for each g <= groups[k], formed a block of rows at a time) are
+    cut into four 13-bit slices on grids ``frexp(L_j) + 1`` and ``frexp(R_k) +
+    1``, where ``L_j = max|m[:, j]|`` and ``R_k = L_k * max|weights[:, g,
+    groups[k]]|``.  BLAS sums the slice products with s + t < 4, and the
+    levels s + t are added finest first.  Exactness rule: 2 x 13 slice bits +
+    26 row-cap bits <= 53, so the <= 4 pairs of a level sum exactly in any
+    order, blocking or thread count, with or without FMA (unless ``L_j * R_k
+    < 2**-970`` underflows).  Oracle bound: the slices left out are below
+    ``1.25 * 2**-48 * L_j * R_k`` a row, so an entry is within ``2**-47 * n *
+    L_j * R_k + 2**-51 * |ref|`` of ``ref``, the ``math.fsum`` of ``m[:, j] *
+    right[:, k]``.  Non-finite ``m[i, j]`` make row and column j non-finite.
     """
     n, p = m.shape
-    _check_rows(n)
-    j, k = np.triu_indices(p)
-    if weights is not None:
-        n_groups = weights.shape[-1]
-        groups = np.asarray(groups)
-        pair_group = groups[j] * n_groups + groups[k]
-
-    def products(start, stop):
-        cols = np.ascontiguousarray(m[start:stop].T)
-        out = cols[j] * cols[k]
+    if n > EXACT_SUM_MAX_ROWS:
+        raise ValueError(f"exact sums take at most {EXACT_SUM_MAX_ROWS} rows, got {n}")
+    biggest = _biggest(m, axis=0)
+    top = np.frexp(biggest)[1] + 1
+    groups = np.zeros(p, dtype=int) if weights is None else np.asarray(groups)
+    n_groups = groups.max(initial=0) + 1
+    # right column i is m[:, col[i]] times weights[:, group[i], groups[col[i]]]
+    group, col = np.nonzero(np.arange(n_groups)[:, None] <= groups)
+    step = max(1, EXACT_BLOCK_ENTRIES // max(col.size, 1))
+    levels = np.zeros((_GRAM_SLICES, p, col.size))
+    # non-finite entries are allowed: they make their rows and columns non-finite
+    with np.errstate(invalid="ignore", over="ignore"):
         if weights is not None:
-            out *= np.ascontiguousarray(weights[start:stop].reshape(-1, n_groups ** 2).T)[pair_group]
-        return out
-
-    gram = np.empty((p, p))
-    gram[j, k] = gram[k, j] = _blocked_exact_sums(n, j.size, products)
-    return gram
+            bound = biggest[col] * _biggest(weights, axis=0)[group, groups[col]]
+            right_top = np.frexp(np.minimum(bound, np.finfo(float).max))[1] + 1  # overflow: c = inf
+        for start in range(0, n, step):
+            block = np.array(m[start:start + step].T, order="C")
+            left = right = _split(block, top, _GRAM_BITS, _GRAM_SLICES)
+            if weights is not None:
+                factor = block[col] * weights[start:start + step, group, groups[col]].T
+                right = _split(factor, right_top, _GRAM_BITS, _GRAM_SLICES)
+            for s in range(_GRAM_SLICES):
+                for t in range(_GRAM_SLICES - s):
+                    levels[s + t] += left[s] @ right[t].T
+        full = sum(reversed(levels))  # finest level first
+    # entry (j, k) is left j against right (groups[j], k), which exists when
+    # groups[j] <= groups[k]: keep the (j, k) or (k, j) ordered by (group, column)
+    pos = np.zeros((n_groups, p), dtype=int)
+    pos[group, col] = np.arange(col.size)
+    gram = np.take_along_axis(full, pos[groups], axis=1)
+    key = groups * p + np.arange(p)
+    return np.where(key[:, None] <= key, gram, gram.T)
 
 
 def cluster_sandwich(bread, row_scores, starts):

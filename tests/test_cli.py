@@ -63,6 +63,16 @@ def test_fit_missing_column_exit_1(sim_csv, tmp_path, capsys):
     assert "ldl" in capsys.readouterr().err
 
 
+def test_fit_spec_with_a_string_for_a_list_exit_1(sim_csv, tmp_path, capsys):
+    data, _ = sim_csv
+    bad_spec = tmp_path / "bad.json"
+    bad_spec.write_text(json.dumps({**SPEC_DICT, "x": "O1"}))
+    code = cli.main(["fit", "--data", data, "--spec", str(bad_spec),
+                     "--method", "lem", "--out", str(tmp_path)])
+    assert code == 1
+    assert "spec key 'x'" in capsys.readouterr().err
+
+
 def test_fit_no_overlap_warns_but_succeeds(tmp_path, capsys):
     rng = np.random.default_rng(1)
     rows = ["id,visit,y,a,O1,O2,O3,O4,O5,O6,O7"]

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -237,3 +238,35 @@ def test_arrays_are_frozen():
     d = simple_dataset([1.0, 2.0], [0, 1])
     with pytest.raises(ValueError):
         d.y[0] = 99.0
+
+
+def sixty_rows(**overrides):
+    rng = np.random.default_rng(5)
+    ones = np.ones((60, 1))
+    arrays = dict(y=rng.normal(size=60), a=np.arange(60) % 2.0, x=ones, z=ones, w=ones,
+                  subject_ids=np.repeat(np.arange(20), 3), time_index=np.tile(np.arange(3), 20))
+    return LongDataset.from_arrays(**{**arrays, **overrides})
+
+
+@pytest.mark.parametrize("name", ["subject_ids", "time_index", "a"])
+def test_from_arrays_rejects_a_per_row_array_of_the_wrong_length(name):
+    short = {"subject_ids": np.repeat(np.arange(19), 3), "time_index": np.tile(np.arange(3), 19),
+             "a": np.arange(57) % 2.0}[name]
+    with pytest.raises(ValueError, match=f"^{name} must have one entry per row"):
+        sixty_rows(**{name: short})
+
+
+@pytest.mark.parametrize("name", ["subject_index", "column_values"])
+def test_dataset_rejects_a_per_row_array_of_the_wrong_length(name):
+    d = sixty_rows()
+    short = {"subject_index": d.subject_index[:57], "column_values": np.zeros((57, 2))}[name]
+    with pytest.raises(ValueError, match=f"^{name} must have one entry per row"):
+        dataclasses.replace(d, **{name: short})
+
+
+@pytest.mark.parametrize("key,value", [("x", "age"), ("z", ["risk", 3]), ("w", None),
+                                       ("subject", ["id"]), ("treatment", 1)])
+def test_spec_rejects_a_value_of_the_wrong_type(key, value):
+    raw = {**SPEC.to_dict(), key: value}
+    with pytest.raises(ValueError, match=f"spec key '{key}'"):
+        DesignSpec.from_dict(raw)

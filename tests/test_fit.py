@@ -344,6 +344,23 @@ def test_bread_agrees_with_finite_difference_bread(panel_fit):
     assert np.abs(bread - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
+@pytest.mark.parametrize("name", ["sim1", "sim2", "sim3", "sim4"])
+def test_solver_hessian_agrees_with_the_exact_bread(name):
+    # two sums of the same information rows that share no code: the solver's
+    # BLAS products and the exact Gram kernel
+    from lem.fit import _CachedObjective
+
+    cfg = preset(name, seed=3)
+    rng = substream(cfg.seed, 0)
+    d = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
+    if cfg.missingness != "none":
+        d = apply_missingness(d, cfg, rng)
+    theta = fit_lem(d).theta_hat
+    hessian = _CachedObjective(d, d.dims, theta.rho_map).hessian(theta.to_array())
+    bread = score_jacobian(theta, d)
+    assert np.abs(hessian - bread).max() <= 1e-12 * np.abs(bread).max()
+
+
 def test_bread_bit_equal_under_subject_relabeling(panel_fit):
     d, fit = panel_fit
     rng = np.random.default_rng(12)

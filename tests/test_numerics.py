@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
 
+from lem import numerics
 from lem.errors import NotPositiveDefinite, SingularMatrix
 from lem.numerics import (
     EXACT_SUM_MAX_ROWS,
@@ -231,45 +232,117 @@ def test_exact_sum_rejects_more_rows_than_the_cap():
 # exact weighted Gram
 # ---------------------------------------------------------------------------
 
-def materialised_gram(m, groups=None, weights=None):
-    j, k = np.triu_indices(m.shape[1])
-    products = m[:, j] * m[:, k]
-    if weights is not None:
-        products = products * weights[:, groups[j], groups[k]]
-    gram = np.empty((m.shape[1], m.shape[1]))
-    gram[j, k] = gram[k, j] = exact_sum(products)
-    return gram
+GROUPS = np.array([0, 0, 0, 0, 1, 1, 1, 2, 3])
+# the weighted right factor has a column for each column k and group g <= groups[k]
+RIGHT_WIDTH = {"unweighted": GROUPS.size, "weighted": sum((GROUPS >= g).sum() for g in range(4))}
 
 
-def test_exact_gram_bit_equals_exact_sum_of_products():
+def gram_cases():
+    """Scaled columns, and two huge first rows that cancel, at row counts
+    around the default block of each case."""
     rng = np.random.default_rng(17)
-    p = 9
-    groups = np.array([0, 0, 0, 0, 1, 1, 1, 2, 3])
-    block = EXACT_BLOCK_ENTRIES // (p * (p + 1) // 2)
-    for n in (1, block - 1, block, block + 1, 7 * block + 3):
-        # columns of very different scales, so the grids differ per entry
-        m = rng.normal(size=(n, p)) * np.exp2(rng.integers(-30, 30, size=p))
-        weights = rng.normal(size=(n, 4, 4))
-        weights = weights + weights.transpose(0, 2, 1)
-        if n > 1:
-            # two huge first rows set every grid and cancel in half the
-            # entries, which then depend on how the grid rounds the other rows
-            m[0] *= 2.0 ** 40
-            m[1] = m[0] * (-1.0) ** np.arange(p)
-            weights[1] = weights[0]
-        np.testing.assert_array_equal(exact_gram(m), materialised_gram(m))
-        np.testing.assert_array_equal(exact_gram(m, groups, weights),
-                                      materialised_gram(m, groups, weights))
+    p = GROUPS.size
+    for case, width in RIGHT_WIDTH.items():
+        block = EXACT_BLOCK_ENTRIES // width
+        for n in (1, block - 1, block, block + 1, 7 * block + 3):
+            # columns of very different scales, so the grids differ per entry
+            m = rng.normal(size=(n, p)) * np.exp2(rng.integers(-30, 30, size=p))
+            weights = rng.normal(size=(n, 4, 4))
+            weights = weights + weights.transpose(0, 2, 1)
+            if n > 1:
+                # two huge first rows set every grid and cancel in half the
+                # entries, which then depend on how the grid rounds the other rows
+                m[0] *= 2.0 ** 40
+                m[1] = m[0] * (-1.0) ** np.arange(p)
+                weights[1] = weights[0]
+            yield case, width, m, (() if case == "unweighted" else (GROUPS, weights))
+
+
+def test_exact_gram_does_not_depend_on_the_block_size(monkeypatch):
+    # every grid is fixed by a whole column, never by a block of rows
+    for case, width, m, args in gram_cases():
+        expected = exact_gram(m, *args)
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(numerics, "EXACT_BLOCK_ENTRIES", rows * width)
+            np.testing.assert_array_equal(exact_gram(m, *args), expected, err_msg=f"{case}, {rows}-row blocks")
+        monkeypatch.undo()
+
+
+def test_exact_gram_agrees_with_fsum_oracle():
+    # the bound of the exact_gram docstring: 2**-47 * n * L_j * R_k for the
+    # slices left out, 2**-51 * |ref| for adding the levels and the products
+    for case, _, m, args in gram_cases():
+        got = exact_gram(m, *args)
+        n, p = m.shape
+        for j in range(p):
+            for k in range(p):
+                right, r_bound = m[:, k], np.abs(m[:, k]).max()
+                if args:
+                    w = args[1][:, GROUPS[j], GROUPS[k]]
+                    right, r_bound = right * w, r_bound * np.abs(w).max()
+                ref = math.fsum((m[:, j] * right).tolist())
+                bound = 2.0 ** -47 * n * np.abs(m[:, j]).max() * r_bound + 2.0 ** -51 * abs(ref)
+                assert abs(got[j, k] - ref) <= bound, (case, n, j, k)
+
+
+@st.composite
+def gram_entries(draw, shape):
+    """Entries 0 or at least 2**-150 in magnitude, so no slice product underflows."""
+    mantissas = draw(arrays(np.int64, shape, elements=st.integers(-2 ** 53, 2 ** 53)))
+    return np.ldexp(mantissas.astype(float), draw(arrays(np.int64, shape, elements=st.integers(-150, 100))))
+
+
+@st.composite
+def gram_inputs(draw):
+    """(m, groups, weights) with symmetric weights, or (m,) alone."""
+    n, p = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    m = draw(gram_entries((n, p)))
+    if not draw(st.booleans()):
+        return (m,)
+    groups = np.array(draw(st.lists(st.integers(0, 2), min_size=p, max_size=p)))
+    weights = draw(gram_entries((n, 3, 3)))
+    return m, groups, weights + weights.transpose(0, 2, 1)
+
+
+def permuted(args, perm):
+    return tuple(a[perm] if i != 1 else a for i, a in enumerate(args))
+
+
+@given(gram_inputs(), st.data())
+def test_exact_gram_invariant_to_row_permutation(args, data):
+    perm = np.array(data.draw(st.permutations(range(args[0].shape[0]))))
+    np.testing.assert_array_equal(exact_gram(*permuted(args, perm)), exact_gram(*args))
+
+
+@given(gram_inputs())
+def test_exact_gram_doubles_exactly_under_row_duplication(args):
+    twice = np.tile(np.arange(args[0].shape[0]), 2)
+    np.testing.assert_array_equal(exact_gram(*permuted(args, twice)), 2.0 * exact_gram(*args))
+
+
+@given(gram_inputs(), st.data())
+def test_exact_gram_non_finite_input_gives_non_finite_row_and_column(args, data):
+    m = args[0]
+    i = data.draw(st.integers(0, m.shape[0] - 1))
+    j = data.draw(st.integers(0, m.shape[1] - 1))
+    m[i, j] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    gram = exact_gram(*args)
+    assert not np.isfinite(gram[j]).any()
+    assert not np.isfinite(gram[:, j]).any()
 
 
 def test_exact_gram_peak_memory_is_a_small_multiple_of_the_input():
     import tracemalloc
 
-    m = np.random.default_rng(18).normal(size=(150_000, 17))
-    tracemalloc.start()
-    try:
-        exact_gram(m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * m.nbytes
+    rng = np.random.default_rng(18)
+    m = rng.normal(size=(150_000, 17))
+    # the bread's call: four coordinate groups and one 4 x 4 weight per row
+    bread_args = (np.repeat([0, 1, 2, 3], [10, 5, 1, 1]), rng.normal(size=(150_000, 4, 4)))
+    for args in ((), bread_args):
+        tracemalloc.start()
+        try:
+            exact_gram(m, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * m.nbytes
