@@ -126,7 +126,8 @@ def cmd_simulate(args):
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        raw.setdefault("seed", args.seed)
+        if isinstance(raw, dict):
+            raw.setdefault("seed", args.seed)
         cfg = SimConfig.from_dict(raw)
     else:
         cfg = preset(args.preset, seed=args.seed)

@@ -149,6 +149,11 @@ class LongDataset:
                 raise ValueError(f"{name} must be a (n_rows, J) matrix")
             if not (arr[:, 0] == 1.0).all():
                 raise ValueError(f"{name} must carry a leading intercept column of ones")
+        covariates = np.empty((n, 0)) if self.column_values is None else self.column_values
+        for name, block in (("x_names", self.x), ("z_names", self.z), ("w_names", self.w),
+                            ("column_names", covariates)):
+            if np.shape(block)[1:] != (len(getattr(self, name)),):
+                raise ValueError(f"{name} must hold one name per column of a block of shape {np.shape(block)}")
         if np.any(np.diff(self.subject_index) < 0) or self.subject_index[0] != 0:
             raise ValueError("rows must be grouped by subject in ordinal order")
         if np.any(np.diff(self.subject_index) > 1):

@@ -12,8 +12,8 @@ by the robust and the model-based covariance.  Both refuse a bread that is
 numerically singular after scaling to unit diagonal: such a design does not
 identify its parameters.  The solver (:func:`lem.optim.minimize_bfgs`, a
 Newton method that keeps its older name because the benchmark traces it by
-that name) steps with the same information summed by plain BLAS products: a
-search direction needs no exact sum.
+that name) steps with the same sum without the pre-rounding
+(:func:`lem.numerics.gram`): a search direction needs no exact sum.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -50,6 +50,7 @@ from .numerics import (
     cluster_sandwich,
     exact_gram,
     exact_sum,
+    gram,
     log_std_normal_cdf,
     solve_sym,
     std_normal_cdf,
@@ -209,18 +210,8 @@ class _CachedObjective:
         return self._eval(np.asarray(vec, dtype=float))[1]
 
     def hessian(self, vec):
-        """The observed information at ``vec``, summed by one BLAS product per
-        pair of coordinate groups of :func:`lem.likelihood.information_rows`
-        (not bit-reproducible, unlike :func:`score_jacobian`)."""
-        theta = Theta.from_array(vec, self.dims, self.rho_map)
-        coords, groups, weights = information_rows(theta, self.dataset)
-        blocks = [np.flatnonzero(groups == g) for g in range(weights.shape[-1])]
-        info = np.empty((coords.shape[1],) * 2)
-        for i, rows in enumerate(blocks):
-            for j, cols in enumerate(blocks[i:], start=i):
-                part = coords[:, rows].T @ (weights[:, i, j, None] * coords[:, cols])
-                info[np.ix_(rows, cols)] = part
-                info[np.ix_(cols, rows)] = part.T
+        """The observed information at ``vec``, summed by :func:`lem.numerics.gram`."""
+        info = gram(*information_rows(Theta.from_array(vec, self.dims, self.rho_map), self.dataset))
         if not np.isfinite(info).all():
             raise NonFiniteLikelihood("observed information is not finite")
         return info
@@ -246,12 +237,8 @@ def fit_lem(dataset, opts=None):
             "(treated) do not intersect; the likelihood may lack an interior maximum"
         )
 
-    theta0 = initialize(dataset)
-    if opts.rho_map != "logistic":
-        theta0 = Theta(beta=theta0.beta, eta=theta0.eta, alpha=theta0.alpha,
-                       log_sigma_y=theta0.log_sigma_y, varrho=0.0, rho_map=opts.rho_map)
-    dims = (theta0.beta.size, theta0.alpha.size, theta0.eta.size)
-    cache = _CachedObjective(dataset, dims, opts.rho_map)
+    theta0 = replace(initialize(dataset), rho_map=opts.rho_map)
+    cache = _CachedObjective(dataset, dataset.dims, opts.rho_map)
     problem = OptimProblem(dimension=theta0.dim, objective=cache.objective,
                            gradient=cache.gradient, hessian=cache.hessian)
 
@@ -262,7 +249,7 @@ def fit_lem(dataset, opts=None):
         result = exc.result
         fit_warnings.append(f"line search stalled: {exc}")
 
-    theta_hat = Theta.from_array(result.argmin, dims, opts.rho_map)
+    theta_hat = Theta.from_array(result.argmin, dataset.dims, opts.rho_map)
     # the solver's value and gradient are the pooled ones at theta_hat
     nll, score_norm = result.objective_value, result.gradient_inf_norm
     criterion = SCORE_ROOT_RTOL * (1.0 + abs(nll))
@@ -430,8 +417,8 @@ def ncs_basis(x, knots):
     kn = np.asarray(knots, dtype=float)
     if kn.ndim != 1 or kn.size < 3:
         raise UnsortedKnots("at least 3 knots are required")
-    if not (np.diff(kn) > 0).all():
-        raise UnsortedKnots("knots must be strictly increasing")
+    if not (np.diff(kn) > 0).all() or not np.isfinite(kn).all():
+        raise UnsortedKnots("knots must be finite and strictly increasing")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     big = kn[-1]
 
@@ -467,13 +454,12 @@ def prediction_band(fit, xrows, grid=None, level=0.95):
     """Pointwise Wald band for x'beta over a grid of design rows."""
     zq = z_quantile(level)
     xrows = np.asarray(xrows, dtype=float)
-    if grid is None:
-        grid = np.arange(xrows.shape[0], dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    est = np.empty(xrows.shape[0])
-    se = np.empty(xrows.shape[0])
-    for i, row in enumerate(xrows):
-        est[i], se[i] = predict_mean(fit, row)
+    if xrows.ndim != 2:
+        raise DimensionMismatch(f"design rows must form a matrix, got shape {xrows.shape}")
+    grid = np.arange(xrows.shape[0], dtype=float) if grid is None else np.asarray(grid, dtype=float)
+    if grid.shape != xrows.shape[:1]:
+        raise DimensionMismatch(f"grid of shape {grid.shape} for {xrows.shape[0]} design rows")
+    est, se = np.array([predict_mean(fit, row) for row in xrows]).reshape(-1, 2).T
     return PredictionBand(grid=grid, estimate=est, lower=est - zq * se, upper=est + zq * se)
 
 
@@ -481,11 +467,11 @@ def prediction_band(fit, xrows, grid=None, level=0.95):
 # serialization
 # ---------------------------------------------------------------------------
 
-def fit_to_dict(fit, model="lem"):
+def fit_to_dict(fit):
     theta = fit.theta_hat
     se = fit.se_robust()
     return {
-        "model": model,
+        "model": "lem",
         "param_names": list(fit.param_names),
         "estimates": [float(v) for v in theta.to_array()],
         "se_robust": [float(v) for v in se],

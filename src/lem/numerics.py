@@ -251,39 +251,52 @@ def exact_gram(m, groups=None, weights=None):
     L_j * R_k + 2**-51 * |ref|`` of ``ref``, the ``math.fsum`` of ``m[:, j] *
     right[:, k]``.  Non-finite ``m[i, j]`` make row and column j non-finite.
     """
-    n, p = m.shape
-    if n > EXACT_SUM_MAX_ROWS:
-        raise ValueError(f"exact sums take at most {EXACT_SUM_MAX_ROWS} rows, got {n}")
-    biggest = _biggest(m, axis=0)
-    top = np.frexp(biggest)[1] + 1
+    if m.shape[0] > EXACT_SUM_MAX_ROWS:
+        raise ValueError(f"exact sums take at most {EXACT_SUM_MAX_ROWS} rows, got {m.shape[0]}")
+    return _gram(m, groups, weights, _GRAM_SLICES)
+
+
+def gram(m, groups=None, weights=None):
+    """:func:`exact_gram` by plain BLAS products, without slices: fast, but not
+    reproducible to the last bit.  Oracle bound: an entry is within ``(n + 2) *
+    2**-52`` times the sum of the magnitudes of its n products."""
+    return _gram(m, groups, weights, 1)
+
+
+def _gram(m, groups, weights, count):
+    """exact_gram with ``count`` slices of each factor; gram (count 1) with the factors."""
+    p = m.shape[1]
     groups = np.zeros(p, dtype=int) if weights is None else np.asarray(groups)
     n_groups = groups.max(initial=0) + 1
     # right column i is m[:, col[i]] times weights[:, group[i], groups[col[i]]]
     group, col = np.nonzero(np.arange(n_groups)[:, None] <= groups)
     step = max(1, EXACT_BLOCK_ENTRIES // max(col.size, 1))
-    levels = np.zeros((_GRAM_SLICES, p, col.size))
+    levels = np.zeros((count, p, col.size))
     # non-finite entries are allowed: they make their rows and columns non-finite
     with np.errstate(invalid="ignore", over="ignore"):
-        if weights is not None:
-            bound = biggest[col] * _biggest(weights, axis=0)[group, groups[col]]
-            right_top = np.frexp(np.minimum(bound, np.finfo(float).max))[1] + 1  # overflow: c = inf
-        for start in range(0, n, step):
+        if count > 1:  # grids fixed by whole columns, never by a block of rows
+            biggest = _biggest(m, axis=0)
+            top = np.frexp(biggest)[1] + 1
+            if weights is not None:
+                bound = biggest[col] * _biggest(weights, axis=0)[group, groups[col]]
+                right_top = np.frexp(np.minimum(bound, np.finfo(float).max))[1] + 1  # overflow: c = inf
+        for start in range(0, m.shape[0], step):
             block = np.array(m[start:start + step].T, order="C")
-            left = right = _split(block, top, _GRAM_BITS, _GRAM_SLICES)
+            left = right = _split(block, top, _GRAM_BITS, count) if count > 1 else [block]
             if weights is not None:
                 factor = block[col] * weights[start:start + step, group, groups[col]].T
-                right = _split(factor, right_top, _GRAM_BITS, _GRAM_SLICES)
-            for s in range(_GRAM_SLICES):
-                for t in range(_GRAM_SLICES - s):
+                right = _split(factor, right_top, _GRAM_BITS, count) if count > 1 else [factor]
+            for s in range(count):
+                for t in range(count - s):
                     levels[s + t] += left[s] @ right[t].T
         full = sum(reversed(levels))  # finest level first
     # entry (j, k) is left j against right (groups[j], k), which exists when
     # groups[j] <= groups[k]: keep the (j, k) or (k, j) ordered by (group, column)
     pos = np.zeros((n_groups, p), dtype=int)
     pos[group, col] = np.arange(col.size)
-    gram = np.take_along_axis(full, pos[groups], axis=1)
+    entries = np.take_along_axis(full, pos[groups], axis=1)
     key = groups * p + np.arange(p)
-    return np.where(key[:, None] <= key, gram, gram.T)
+    return np.where(key[:, None] <= key, entries, entries.T)
 
 
 def cluster_sandwich(bread, row_scores, starts):

@@ -28,8 +28,9 @@ runs produce bit-identical summaries; aggregation is an ordered fold.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -51,6 +52,12 @@ N_COVARIATES = 7
 X_COLS = (0, 3, 4, 6)
 Z_COLS = (1, 3, 5, 6)
 W_COLS = (2, 4, 5, 6)
+
+
+def _is_number(value, kind):
+    """Whether ``value`` is a ``kind`` (numbers.Integral or numbers.Real), no bool, and finite."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,17 @@ class SimConfig:
     def __post_init__(self):
         if self.missingness not in MISSINGNESS_MODES:
             raise ValueError(f"missingness must be one of {MISSINGNESS_MODES}")
+        kinds = {"int": numbers.Integral, "float": numbers.Real}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in kinds and not _is_number(value, kinds[f.type]):
+                raise ValueError(f"simulation config key {f.name!r} must be a finite {f.type}, got {value!r}")
+        for key, cols in (("beta", X_COLS), ("alpha", Z_COLS), ("eta", W_COLS)):
+            values = getattr(self, key)
+            if not (isinstance(values, (list, tuple, np.ndarray)) and len(values) == 1 + len(cols)
+                    and all(_is_number(v, numbers.Real) for v in values)):
+                raise ValueError(f"simulation config key {key!r} must list {1 + len(cols)} finite numbers, got {values!r}")
+            object.__setattr__(self, key, tuple(float(v) for v in values))
         if self.n_subjects < 1 or self.n_times < 1:
             raise ValueError("n_subjects and n_times must be positive")
         # both factorizations must exist; raises NotPositiveDefinite otherwise
@@ -103,15 +121,13 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, raw):
+        if not isinstance(raw, dict):
+            raise ValueError(f"a simulation config must be a JSON object, got {type(raw).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown simulation config keys: {sorted(unknown)}")
-        clean = dict(raw)
-        for key in ("beta", "alpha", "eta"):
-            if key in clean:
-                clean[key] = tuple(float(v) for v in clean[key])
-        return cls(**clean)
+        return cls(**raw)
 
 
 def preset(name, seed=0, **overrides):

@@ -142,6 +142,18 @@ def test_simulate_invalid_config_exit_1(tmp_path):
                      "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("config,named", [({"seed": "abc"}, "'seed'"), ({"n_subjects": "50"}, "'n_subjects'"),
+                                          ({"beta": 3}, "'beta'"), ([{"n_subjects": 80}], "JSON object"),
+                                          ({"beta": [0.0, 1.0]}, "'beta'")])
+def test_simulate_config_of_the_wrong_type_exit_1(tmp_path, capsys, config, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--reps", "2",
+                     "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (ValueError)") and named in err
+
+
 @pytest.fixture()
 def lem_fit_json(sim_csv, tmp_path):
     data, spec = sim_csv

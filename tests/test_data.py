@@ -264,6 +264,20 @@ def test_dataset_rejects_a_per_row_array_of_the_wrong_length(name):
         dataclasses.replace(d, **{name: short})
 
 
+@pytest.mark.parametrize("name", ["x_names", "z_names", "w_names"])
+def test_from_arrays_rejects_names_of_the_wrong_length(name):
+    # one name short of a two-column block: the parameter names would shift
+    two = np.column_stack([np.ones(60), np.arange(60.0)])
+    with pytest.raises(ValueError, match=f"^{name} must hold one name per column"):
+        sixty_rows(**{name[0]: two, name: ["(intercept)"]})
+
+
+def test_dataset_rejects_column_names_of_the_wrong_length():
+    d = sixty_rows()
+    with pytest.raises(ValueError, match="^column_names must hold one name per column"):
+        dataclasses.replace(d, column_names=("c1",), column_values=np.zeros((60, 2)))
+
+
 @pytest.mark.parametrize("key,value", [("x", "age"), ("z", ["risk", 3]), ("w", None),
                                        ("subject", ["id"]), ("treatment", 1)])
 def test_spec_rejects_a_value_of_the_wrong_type(key, value):

@@ -346,8 +346,8 @@ def test_bread_agrees_with_finite_difference_bread(panel_fit):
 
 @pytest.mark.parametrize("name", ["sim1", "sim2", "sim3", "sim4"])
 def test_solver_hessian_agrees_with_the_exact_bread(name):
-    # two sums of the same information rows that share no code: the solver's
-    # BLAS products and the exact Gram kernel
+    # the same information rows summed by one loop and pair layout: with the
+    # exact kernel's pre-rounded slices, and without them for the solver
     from lem.fit import _CachedObjective
 
     cfg = preset(name, seed=3)
@@ -528,6 +528,12 @@ def test_ncs_unsorted_knots_rejected():
         ncs_basis(1.0, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("knots", [[0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]])
+def test_ncs_non_finite_knots_rejected(knots):
+    with pytest.raises(UnsortedKnots):
+        ncs_basis([1.0, 2.0], knots)
+
+
 def test_predict_intercept_row(panel_fit):
     _, fit = panel_fit
     est, se = predict_mean(fit, np.array([1.0, 0, 0, 0, 0]))
@@ -557,6 +563,15 @@ def test_prediction_band_orders_bounds(panel_fit):
     band = prediction_band(fit, rows, grid=np.arange(8.0))
     assert (band.lower <= band.estimate).all()
     assert (band.estimate <= band.upper).all()
+
+
+@pytest.mark.parametrize("rows,grid", [(np.ones((3, 5)), np.arange(7.0)),
+                                       (np.ones((3, 5)), np.zeros((3, 1))),
+                                       (np.ones(0), None)])
+def test_prediction_band_rejects_a_grid_that_does_not_match_the_rows(panel_fit, rows, grid):
+    _, fit = panel_fit
+    with pytest.raises(DimensionMismatch):
+        prediction_band(fit, rows, grid=grid)
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, float("nan")])

@@ -15,6 +15,7 @@ from lem.numerics import (
     cholesky,
     exact_gram,
     exact_sum,
+    gram,
     inverse_mills_slope,
     log_std_normal_cdf,
     solve_sym,
@@ -329,6 +330,42 @@ def test_exact_gram_non_finite_input_gives_non_finite_row_and_column(args, data)
     gram = exact_gram(*args)
     assert not np.isfinite(gram[j]).any()
     assert not np.isfinite(gram[:, j]).any()
+
+
+def products(args):
+    """The (n, p, p) products m[:, j] * m[:, k] * weights[:, groups[j], groups[k]]."""
+    m = args[0]
+    products = m[:, :, None] * m[:, None, :]
+    if len(args) == 1:
+        return products
+    groups, weights = args[1:]
+    return products * weights[:, groups[:, None], groups[None, :]]
+
+
+@given(gram_inputs())
+def test_gram_agrees_with_exact_gram_within_the_oracle_bounds(args):
+    # |gram - ref| is within the gram docstring bound (n + 2) * 2**-52 * S and
+    # |exact_gram - ref| within the exact_gram docstring bound
+    m = args[0]
+    n = m.shape[0]
+    got, exact = gram(*args), exact_gram(*args)
+    biggest = np.abs(m).max(axis=0)
+    right = biggest if len(args) == 1 else biggest * np.abs(args[2]).max(axis=0)[args[1][:, None], args[1]]
+    magnitudes = np.abs(products(args)).sum(axis=0)
+    bound = ((n + 2) * 2.0 ** -52 * magnitudes
+             + 2.0 ** -47 * n * biggest[:, None] * right + 2.0 ** -51 * np.abs(exact))
+    assert (np.abs(got - exact) <= bound).all()
+
+
+@given(gram_inputs(), st.data())
+def test_gram_non_finite_input_gives_non_finite_row_and_column(args, data):
+    m = args[0]
+    i = data.draw(st.integers(0, m.shape[0] - 1))
+    j = data.draw(st.integers(0, m.shape[1] - 1))
+    m[i, j] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    got = gram(*args)
+    assert not np.isfinite(got[j]).any()
+    assert not np.isfinite(got[:, j]).any()
 
 
 def test_exact_gram_peak_memory_is_a_small_multiple_of_the_input():

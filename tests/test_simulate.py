@@ -269,6 +269,20 @@ def test_config_dict_roundtrip():
         SimConfig.from_dict({"bogus_key": 1})
 
 
+@pytest.mark.parametrize("key,value", [("n_subjects", "50"), ("n_times", 2.0), ("seed", True),
+                                       ("seed", "abc"), ("rho", "0.5"), ("sigma_y2", float("nan")),
+                                       ("corr_cross", None), ("beta", 3), ("alpha", [0.0, 1.0]),
+                                       ("eta", ["0"] * 5), ("beta", [0.0, 1.0, 1.0, 1.0, float("inf")])])
+def test_config_rejects_a_value_of_the_wrong_type_naming_its_key(key, value):
+    with pytest.raises(ValueError, match=f"simulation config key '{key}'"):
+        SimConfig.from_dict({key: value})
+
+
+def test_config_must_be_a_mapping():
+    with pytest.raises(ValueError, match="JSON object"):
+        SimConfig.from_dict([["seed", 1]])
+
+
 def test_reps_must_be_positive():
     with pytest.raises(ValueError):
         run_study(small_cfg(), 0)
