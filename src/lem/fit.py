@@ -89,10 +89,6 @@ class LemFit:
     warnings: list = field(default_factory=list)
 
     @property
-    def dims(self):
-        return (self.theta_hat.beta.size, self.theta_hat.alpha.size, self.theta_hat.eta.size)
-
-    @property
     def beta(self):
         return self.theta_hat.beta
 

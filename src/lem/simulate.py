@@ -22,7 +22,10 @@ deleted leaves the study entirely.
 
 Replicates are embarrassingly parallel.  Each replicate owns a Philox
 substream keyed by (seed, replicate index), so serial and process-parallel
-runs produce bit-identical summaries; aggregation is an ordered fold.
+runs produce bit-identical summaries; aggregation is an ordered fold.  Each
+worker process runs BLAS on one thread (a replicate's products are too small
+to gain from more, and one BLAS thread per core per worker oversubscribes the
+cores); the parent process and serial runs keep their BLAS thread count.
 """
 
 from __future__ import annotations
@@ -96,6 +99,8 @@ class SimConfig:
             object.__setattr__(self, key, tuple(float(v) for v in values))
         if self.n_subjects < 1 or self.n_times < 1:
             raise ValueError("n_subjects and n_times must be positive")
+        if self.sigma_y2 <= 0.0:
+            raise ValueError(f"simulation config key 'sigma_y2' must be positive, got {self.sigma_y2!r}")
         # both factorizations must exist; raises NotPositiveDefinite otherwise
         cholesky(covariate_correlation(self))
         cholesky(error_covariance(self))
@@ -351,12 +356,41 @@ def _run_replicate(args):
     return out
 
 
+# thread-count setters of OpenBLAS builds: numpy's and scipy's wheels, then plain OpenBLAS
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads")
+
+
+def _one_blas_thread():
+    """Pool initializer: every OpenBLAS mapped into this worker runs on one thread.
+
+    Does nothing without a maps file, an OpenBLAS library or a setter symbol.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, name) for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(1)
+
+
 def run_study(cfg, n_reps, methods=METHODS, threads=1):
     """Generate, fit and aggregate ``n_reps`` replicates.
 
     Replicates that fail to converge are counted and excluded from the
-    aggregation.  With ``threads > 1`` replicates run in worker processes;
-    results are identical to a serial run.
+    aggregation.  With ``threads > 1`` replicates run in worker processes,
+    each with BLAS on one thread; the calling process keeps its own BLAS
+    thread count, and results are identical to a serial run.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
@@ -368,7 +402,7 @@ def run_study(cfg, n_reps, methods=METHODS, threads=1):
     if threads > 1:
         # the pool starts all of its workers at once: no more than there are jobs
         workers = min(threads, n_reps)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             chunk = max(1, n_reps // (8 * workers))
             results = list(pool.map(_run_replicate, jobs, chunksize=chunk))
     else:

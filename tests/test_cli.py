@@ -144,7 +144,7 @@ def test_simulate_invalid_config_exit_1(tmp_path):
 
 @pytest.mark.parametrize("config,named", [({"seed": "abc"}, "'seed'"), ({"n_subjects": "50"}, "'n_subjects'"),
                                           ({"beta": 3}, "'beta'"), ([{"n_subjects": 80}], "JSON object"),
-                                          ({"beta": [0.0, 1.0]}, "'beta'")])
+                                          ({"beta": [0.0, 1.0]}, "'beta'"), ({"sigma_y2": -1}, "'sigma_y2'")])
 def test_simulate_config_of_the_wrong_type_exit_1(tmp_path, capsys, config, named):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))

@@ -194,16 +194,66 @@ def test_study_parallel_matches_serial():
     assert serial.to_csv() == parallel.to_csv()
 
 
+@pytest.mark.parametrize("name", ["sim2", "sim3", "sim4"])
+def test_study_parallel_matches_serial_on_every_missingness_preset(name):
+    cfg = preset(name, seed=23, n_subjects=120)
+    serial = run_study(cfg, 4, threads=1)
+    parallel = run_study(cfg, 4, threads=2)
+    assert serial.to_csv() == parallel.to_csv()
+    assert serial.to_table() == parallel.to_table()
+
+
+def openblas_thread_counts():
+    """Thread count of each OpenBLAS mapped into this process, read through ctypes."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return {}
+    counts = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for getter in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads"):
+            if hasattr(lib, getter):
+                read = getattr(lib, getter)
+                read.argtypes, read.restype = (), ctypes.c_int
+                counts[path] = read()
+                break
+    return counts
+
+
+def test_study_workers_run_one_blas_thread_and_the_parent_keeps_its_count():
+    from concurrent.futures import ProcessPoolExecutor
+
+    import lem.simulate
+
+    before = openblas_thread_counts()
+    if not before:
+        pytest.skip("no OpenBLAS loaded")
+    with ProcessPoolExecutor(max_workers=1, initializer=lem.simulate._one_blas_thread) as pool:
+        in_worker = pool.submit(openblas_thread_counts).result()
+    assert in_worker == {path: 1 for path in before}
+    run_study(small_cfg(), 2, threads=2)
+    assert openblas_thread_counts() == before
+
+
 def test_study_starts_no_more_workers_than_replicates(monkeypatch):
     import lem.simulate
 
     requested = []
+    initializers = []
 
     class SerialPool:
-        """Records the worker count and maps in this process: starts nothing."""
+        """Records the worker count and the initializer, and maps in this process: starts nothing.
 
-        def __init__(self, max_workers):
+        It does not call the initializer, so this process keeps its BLAS threads."""
+
+        def __init__(self, max_workers, initializer=None):
             requested.append(max_workers)
+            initializers.append(initializer)
 
         def __enter__(self):
             return self
@@ -217,6 +267,7 @@ def test_study_starts_no_more_workers_than_replicates(monkeypatch):
     monkeypatch.setattr(lem.simulate, "ProcessPoolExecutor", SerialPool)
     pooled = run_study(small_cfg(), 2, threads=64)
     assert requested == [2]
+    assert initializers == [lem.simulate._one_blas_thread]
     serial = run_study(small_cfg(), 2)
     assert pooled.to_csv() == serial.to_csv()
     assert pooled.to_table() == serial.to_table()
@@ -272,7 +323,8 @@ def test_config_dict_roundtrip():
 @pytest.mark.parametrize("key,value", [("n_subjects", "50"), ("n_times", 2.0), ("seed", True),
                                        ("seed", "abc"), ("rho", "0.5"), ("sigma_y2", float("nan")),
                                        ("corr_cross", None), ("beta", 3), ("alpha", [0.0, 1.0]),
-                                       ("eta", ["0"] * 5), ("beta", [0.0, 1.0, 1.0, 1.0, float("inf")])])
+                                       ("eta", ["0"] * 5), ("beta", [0.0, 1.0, 1.0, 1.0, float("inf")]),
+                                       ("sigma_y2", -1.0), ("sigma_y2", 0.0)])
 def test_config_rejects_a_value_of_the_wrong_type_naming_its_key(key, value):
     with pytest.raises(ValueError, match=f"simulation config key '{key}'"):
         SimConfig.from_dict({key: value})
