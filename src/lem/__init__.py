@@ -38,7 +38,6 @@ from .fit import (
     predict_mean,
     prediction_band,
     sandwich_cov,
-    save_fit_json,
     wald,
 )
 from .gee import GeeFit, fit_gee_independence
@@ -57,7 +56,7 @@ from .numerics import (
     std_normal_cdf,
     std_normal_pdf,
 )
-from .optim import OptimProblem, OptimResult, minimize_bfgs
+from .optim import OptimResult, minimize_bfgs
 from .simulate import (
     SimConfig,
     StudySummary,
@@ -74,12 +73,12 @@ __all__ = [
     "LemError",
     "FitOptions", "LemFit", "PredictionBand", "WaldResult", "fisher_cov",
     "fit_lem", "fit_to_dict", "initialize", "load_fit_json", "ncs_basis",
-    "predict_mean", "prediction_band", "sandwich_cov", "save_fit_json", "wald",
+    "predict_mean", "prediction_band", "sandwich_cov", "wald",
     "GeeFit", "fit_gee_independence",
     "Theta", "obs_loglik", "obs_score", "pooled_negloglik_and_score",
     "rho_of_varrho", "varrho_of_rho",
     "cholesky", "log_std_normal_cdf", "solve_sym", "std_normal_cdf", "std_normal_pdf",
-    "OptimProblem", "OptimResult", "minimize_bfgs",
+    "OptimResult", "minimize_bfgs",
     "SimConfig", "StudySummary", "apply_missingness", "gen_covariates",
     "gen_outcomes", "preset", "run_study",
 ]

@@ -121,8 +121,6 @@ def cmd_fit(args):
 
 def cmd_simulate(args):
     started = _now()
-    if args.reps < 1:
-        raise ValueError("--reps must be a positive integer")
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)

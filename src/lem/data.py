@@ -73,6 +73,8 @@ class DesignSpec:
 
     @classmethod
     def from_dict(cls, raw):
+        if not isinstance(raw, dict):
+            raise ValueError(f"a design spec must be a JSON object, got {type(raw).__name__}")
         for key in ("subject", "time", "outcome", "treatment", "x", "z", "w"):
             names = raw.get(key, []) if key in ("x", "z", "w") else [raw[key]]
             if not (isinstance(names, (list, tuple)) and all(isinstance(v, str) for v in names)):

@@ -12,8 +12,9 @@ by the robust and the model-based covariance.  Both refuse a bread that is
 numerically singular after scaling to unit diagonal: such a design does not
 identify its parameters.  The solver (:func:`lem.optim.minimize_bfgs`, a
 Newton method that keeps its older name because the benchmark traces it by
-that name) steps with the same sum without the pre-rounding
-(:func:`lem.numerics.gram`): a search direction needs no exact sum.
+that name) takes value and score from one pooled evaluation and steps with
+the same sum without the pre-rounding (:func:`lem.numerics.gram`): a search
+direction needs no exact sum.
 """
 
 from __future__ import annotations
@@ -56,19 +57,20 @@ from .numerics import (
     std_normal_cdf,
     std_normal_log_pdf,
 )
-from .optim import OptimProblem, OptimResult, minimize_bfgs
+from .optim import OptimResult, minimize_bfgs
 
 # covariances need the bread, scaled to unit diagonal, at least this well
 # conditioned: sqrt(machine epsilon)
 BREAD_MIN_RCOND = math.sqrt(np.finfo(float).eps)
+# the solver's tolerance on the pooled score's infinity norm, and its iteration cap
+SOLVER_TOL = 1e-8
+SOLVER_MAX_ITER = 500
 # a fit is accepted when the pooled score satisfies this relative criterion
 SCORE_ROOT_RTOL = 1e-6
 
 
 @dataclass
 class FitOptions:
-    tol: float = 1e-8
-    max_iter: int = 500
     rho_map: str = "logistic"
     compute_model_cov: bool = False
 
@@ -173,44 +175,25 @@ def initialize(dataset):
                  log_sigma_y=math.log(sigma), varrho=0.0)
 
 
-class _CachedObjective:
-    """Joint value/gradient evaluation memoized on the parameter vector, and
-    the Hessian of the negative log-likelihood for the Newton direction.
+def _objective(dataset, rho_map):
+    """The solver's two functions of the parameter vector: the pooled negative
+    log-likelihood and score (+inf where not finite, so the line search
+    shortens the step instead of aborting), and the observed information
+    summed by :func:`lem.numerics.gram` for the Newton direction."""
 
-    Non-finite likelihood at a trial point is reported as +inf so the
-    backtracking line search shortens the step instead of aborting.
-    """
+    def fun(vec):
+        try:
+            return pooled_negloglik_and_score(Theta.from_array(vec, dataset.dims, rho_map), dataset)
+        except NonFiniteLikelihood:
+            return math.inf, np.full(len(vec), np.nan)
 
-    def __init__(self, dataset, dims, rho_map):
-        self.dataset = dataset
-        self.dims = dims
-        self.rho_map = rho_map
-        self._key = None
-        self._value = None
-
-    def _eval(self, vec):
-        key = vec.tobytes()
-        if key != self._key:
-            theta = Theta.from_array(vec, self.dims, self.rho_map)
-            try:
-                self._value = pooled_negloglik_and_score(theta, self.dataset)
-            except NonFiniteLikelihood:
-                self._value = (math.inf, np.full(len(vec), np.nan))
-            self._key = key
-        return self._value
-
-    def objective(self, vec):
-        return self._eval(np.asarray(vec, dtype=float))[0]
-
-    def gradient(self, vec):
-        return self._eval(np.asarray(vec, dtype=float))[1]
-
-    def hessian(self, vec):
-        """The observed information at ``vec``, summed by :func:`lem.numerics.gram`."""
-        info = gram(*information_rows(Theta.from_array(vec, self.dims, self.rho_map), self.dataset))
+    def hess(vec):
+        info = gram(*information_rows(Theta.from_array(vec, dataset.dims, rho_map), dataset))
         if not np.isfinite(info).all():
             raise NonFiniteLikelihood("observed information is not finite")
         return info
+
+    return fun, hess
 
 
 def fit_lem(dataset, opts=None):
@@ -234,13 +217,9 @@ def fit_lem(dataset, opts=None):
         )
 
     theta0 = replace(initialize(dataset), rho_map=opts.rho_map)
-    cache = _CachedObjective(dataset, dataset.dims, opts.rho_map)
-    problem = OptimProblem(dimension=theta0.dim, objective=cache.objective,
-                           gradient=cache.gradient, hessian=cache.hessian)
-
     try:
-        result = minimize_bfgs(problem, theta0.to_array(), tol=opts.tol,
-                               max_iter=opts.max_iter)
+        result = minimize_bfgs(*_objective(dataset, opts.rho_map), theta0.to_array(),
+                               tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
     except LineSearchFailure as exc:
         result = exc.result
         fit_warnings.append(f"line search stalled: {exc}")
@@ -257,7 +236,7 @@ def fit_lem(dataset, opts=None):
                 result=result,
             )
         fit_warnings.append(
-            f"gradient tolerance {opts.tol:g} not reached; accepted with pooled "
+            f"gradient tolerance {SOLVER_TOL:g} not reached; accepted with pooled "
             f"score norm {score_norm:.3e} within the score-root criterion"
         )
 
@@ -490,12 +469,6 @@ def fit_to_dict(fit):
     }
 
 
-def save_fit_json(fit_dict, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fit_dict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 @dataclass(frozen=True)
 class LoadedFit:
     """Slim view of a serialized fit, sufficient for prediction."""
@@ -517,6 +490,8 @@ class LoadedFit:
 def load_fit_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"a fit file must be a JSON object, got {type(raw).__name__}")
     n = len(raw["param_names"])
     return LoadedFit(
         model=raw["model"],

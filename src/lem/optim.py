@@ -8,6 +8,8 @@ factorization succeeds (modified Newton; Nocedal & Wright, *Numerical
 Optimization*, 2nd ed., section 3.4).  The step along p backtracks from the
 full Newton step to the first with sufficient (Armijo) decrease: a Newton
 direction needs no curvature condition, which serves quasi-Newton updates.
+The objective returns its value and gradient together, so the accepted
+step, the line search's last trial, comes with its gradient.
 
 Near the minimum the predicted decrease -g'p / 2 can fall below the rounding
 of the objective itself, where no line search can tell better from worse.
@@ -24,7 +26,6 @@ may run concurrently (one per simulation replicate).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,16 +37,6 @@ SHIFT_START = 1e-3
 SHIFT_GROWTH = 10.0
 # a predicted decrease below this many ulps of the objective is rounding
 ROUNDING_ULPS = 64
-
-
-@dataclass
-class OptimProblem:
-    """Objective, gradient and Hessian over R^dimension."""
-
-    dimension: int
-    objective: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -61,18 +52,18 @@ class OptimResult:
 def _backtrack(phi, f0, d0, max_trials=40):
     """Armijo backtracking from the full step (Nocedal & Wright, Algorithm 3.1).
 
-    ``phi(a)`` is the objective at step ``a`` (+inf past its domain) and
-    ``d0 < 0`` its slope at 0.  A rejected step ``a`` is replaced by the
-    minimizer of the quadratic through f0, d0 and phi(a), clipped to
-    [a/10, a/2] (section 3.5), or by a/2 when that quadratic has no minimum.
-    Returns the accepted step and its value; raises LineSearchFailure after
-    ``max_trials`` rejected steps.
+    ``phi(a)`` is the objective (+inf past its domain) and its gradient at
+    step ``a``, and ``d0 < 0`` the objective's slope at 0.  A rejected step
+    ``a`` is replaced by the minimizer of the quadratic through f0, d0 and the
+    objective at ``a``, clipped to [a/10, a/2] (section 3.5), or by a/2 when
+    that quadratic has no minimum.  Returns the accepted step, its value and
+    its gradient; raises LineSearchFailure after ``max_trials`` rejected steps.
     """
     a = 1.0
     for _ in range(max_trials):
-        fa = phi(a)
+        fa, ga = phi(a)
         if np.isfinite(fa) and fa <= f0 + ARMIJO_C1 * a * d0:
-            return a, fa
+            return a, fa, ga
         curvature = fa - f0 - d0 * a
         if 0 < curvature < np.inf:
             a = min(max(-0.5 * d0 * a * a / curvature, 0.1 * a), 0.5 * a)
@@ -108,9 +99,13 @@ def _newton_direction(hess, grad):
     return -np.linalg.solve(low.T, half) / scale
 
 
-def minimize_bfgs(problem, start, tol=1e-8, max_iter=500, callback=None):
-    """Minimize an OptimProblem from ``start`` by damped Newton with Armijo
-    backtracking (the name is kept from the BFGS solver this replaced).
+def minimize_bfgs(fun, hess, start, tol=1e-8, max_iter=500, callback=None):
+    """Minimize from ``start`` by damped Newton with Armijo backtracking (the
+    name is kept from the BFGS solver this replaced).
+
+    ``fun(x)`` returns the objective (+inf where undefined) and its gradient,
+    once per point tried (``n_evals``); ``hess(x)`` the Hessian, once per
+    iteration.
 
     Convergence is declared when the gradient infinity norm drops to ``tol``.
     Hitting ``max_iter``, or a full step near the minimum that does not lower
@@ -124,45 +119,40 @@ def minimize_bfgs(problem, start, tol=1e-8, max_iter=500, callback=None):
     the Armijo decrease condition on every accepted step).
     """
     x = np.asarray(start, dtype=float).copy()
-    if x.shape != (problem.dimension,):
-        raise ValueError(f"start has shape {x.shape}, problem dimension is {problem.dimension}")
     if tol <= 0:
         raise ValueError("tol must be positive")
 
     evals = 0
 
-    def func(v):
+    def evaluate(v):
         nonlocal evals
         evals += 1
-        return float(problem.objective(v))
+        f, g = fun(v)
+        return float(f), np.asarray(g, dtype=float)
 
-    def grad(v):
-        return np.asarray(problem.gradient(v), dtype=float)
-
-    f = func(x)
+    f, g = evaluate(x)
+    if g.shape != x.shape:
+        raise ValueError(f"gradient has shape {g.shape}, start has shape {x.shape}")
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the initial point")
-    g = grad(x)
     gnorm = float(np.abs(g).max())
 
     for k in range(max_iter):
         if gnorm <= tol:
             return OptimResult(x, f, gnorm, k, True, evals)
 
-        p = _newton_direction(problem.hessian(x), g)
+        p = _newton_direction(hess(x), g)
         dphi0 = float(g @ p)
         near_root = -0.5 * dphi0 <= ROUNDING_ULPS * np.finfo(float).eps * (1.0 + abs(f))
         if near_root:
-            alpha, f_new = 1.0, func(x + p)
+            alpha, (f_new, g_new) = 1.0, evaluate(x + p)
         else:
             try:
-                alpha, f_new = _backtrack(lambda a: func(x + a * p), f, dphi0)
+                alpha, f_new, g_new = _backtrack(lambda a: evaluate(x + a * p), f, dphi0)
             except LineSearchFailure as exc:
                 exc.result = OptimResult(x, f, gnorm, k, False, evals)
                 raise
-        # the last trial was x_new, so a caching problem returns its gradient free
         x_new = x + alpha * p
-        g_new = grad(x_new)
         gnorm_new = float(np.abs(g_new).max())
         if near_root and not (np.isfinite(f_new) and gnorm_new < gnorm):
             # near the root the full step is kept only if it lowers the gradient

@@ -291,14 +291,13 @@ class StudySummary:
 
     def to_table(self):
         """Aligned text table: coefficient rows, method column groups."""
-        order = [m for m in METHODS if m in self.methods]
-        header1 = ["", *sum(([m.upper(), "", "", ""] for m in order), [])]
-        header2 = ["coefficient", *sum((["estimate", "ese", "se_hat", "cp"] for _ in order), [])]
+        header1 = ["", *sum(([m.upper(), "", "", ""] for m in METHODS), [])]
+        header2 = ["coefficient", *sum((["estimate", "ese", "se_hat", "cp"] for _ in METHODS), [])]
         rows = [header1, header2]
-        first = self.methods[order[0]]
+        first = self.methods[METHODS[0]]
         for i, name in enumerate(first.coef_names):
             row = [f"{name} (={first.truth[i]:g})"]
-            for m in order:
+            for m in METHODS:
                 s = self.methods[m]
                 ese = "-" if s.empirical_se is None else f"{s.empirical_se[i]:.3f}"
                 row += [f"{s.mean_estimate[i]:.3f}", ese, f"{s.mean_se[i]:.3f}", f"{s.coverage[i]:.3f}"]
@@ -307,14 +306,14 @@ class StudySummary:
         lines = ["  ".join(cell.rjust(w) for cell, w in zip(r, widths)).rstrip() for r in rows]
         meta = [
             f"replicates: {self.n_replicates}",
-            "failures: " + ", ".join(f"{m}={self.failures.get(m, 0)}" for m in order),
+            "failures: " + ", ".join(f"{m}={self.failures[m]}" for m in METHODS),
             f"missing rate: {self.missing_rate:.4f}",
         ]
         return "\n".join(lines + meta) + "\n"
 
     def to_csv(self):
         lines = ["method,coefficient,truth,mean_estimate,ese,mean_se_hat,coverage,n_converged"]
-        for m in [m for m in METHODS if m in self.methods]:
+        for m in METHODS:
             s = self.methods[m]
             for i, name in enumerate(s.coef_names):
                 ese = "" if s.empirical_se is None else repr(float(s.empirical_se[i]))
@@ -326,7 +325,7 @@ class StudySummary:
 
 
 def _run_replicate(args):
-    cfg, rep, methods = args
+    cfg, rep = args
     rng = substream(cfg.seed, rep)
     covariates = gen_covariates(cfg, rng)
     dataset = gen_outcomes(covariates, cfg, rng)
@@ -337,18 +336,16 @@ def _run_replicate(args):
     truth = np.asarray(cfg.beta)
     jx = truth.size
     out = {"rows_total": rows_total, "rows_kept": dataset.n_rows}
-    for method in methods:
+    for method in METHODS:
         try:
             if method == "lem":
                 fit = fit_lem(dataset, FitOptions())
                 est = fit.theta_hat.beta.copy()
                 se = fit.se_robust()[:jx]
-            elif method == "gee":
+            else:
                 gfit = fit_gee_independence(dataset, "adjusted")
                 est = gfit.coef[:jx].copy()
                 se = gfit.se_robust()[:jx]
-            else:
-                raise ValueError(f"unknown method {method!r}")
             cover = np.abs(est - truth) <= Z95 * se
             out[method] = (est, se, cover)
         except LemError as exc:
@@ -384,7 +381,7 @@ def _one_blas_thread():
             setter(1)
 
 
-def run_study(cfg, n_reps, methods=METHODS, threads=1):
+def run_study(cfg, n_reps, threads=1):
     """Generate, fit and aggregate ``n_reps`` replicates.
 
     Replicates that fail to converge are counted and excluded from the
@@ -394,11 +391,8 @@ def run_study(cfg, n_reps, methods=METHODS, threads=1):
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
 
-    jobs = [(cfg, rep, tuple(methods)) for rep in range(n_reps)]
+    jobs = [(cfg, rep) for rep in range(n_reps)]
     if threads > 1:
         # the pool starts all of its workers at once: no more than there are jobs
         workers = min(threads, n_reps)
@@ -412,9 +406,9 @@ def run_study(cfg, n_reps, methods=METHODS, threads=1):
     coef_names = [f"beta_{i}" for i in range(truth.size)]
     summaries = {}
     failures = {}
-    for method in methods:
+    for method in METHODS:
         records = [r[method] for r in results]
-        good = [r for r in records if r[0] is not None and not isinstance(r[0], str)]
+        good = [r for r in records if not isinstance(r[0], str)]
         failures[method] = len(records) - len(good)
         if not good:
             raise LemError(f"every replicate failed for method {method!r}")

@@ -73,6 +73,19 @@ def test_fit_spec_with_a_string_for_a_list_exit_1(sim_csv, tmp_path, capsys):
     assert "spec key 'x'" in capsys.readouterr().err
 
 
+def test_fit_spec_that_is_not_an_object_exit_1(sim_csv, tmp_path, capsys):
+    data, _ = sim_csv
+    bad_spec = tmp_path / "list.json"
+    bad_spec.write_text(json.dumps([1, 2]))
+    out = tmp_path / "out"
+    code = cli.main(["fit", "--data", data, "--spec", str(bad_spec),
+                     "--method", "lem", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (ValueError)") and "design spec" in err
+    assert not (out / "fit.json").exists()
+
+
 def test_fit_no_overlap_warns_but_succeeds(tmp_path, capsys):
     rng = np.random.default_rng(1)
     rows = ["id,visit,y,a,O1,O2,O3,O4,O5,O6,O7"]
@@ -175,6 +188,32 @@ def test_predict_intercept_row_equals_beta0(lem_fit_json, tmp_path):
     est = float(lines[1].split(",")[1])
     beta0 = json.loads(open(lem_fit_json).read())["estimates"][0]
     assert est == pytest.approx(beta0)
+
+
+@pytest.mark.parametrize("method", ["gee-adjusted", "gee-excluded"])
+def test_predict_from_a_gee_fit_intercept_row_equals_beta0(sim_csv, tmp_path, method):
+    data, spec = sim_csv
+    fit_json = tmp_path / "fitout" / "fit.json"
+    assert cli.main(["fit", "--data", data, "--spec", spec, "--method", method,
+                     "--out", str(fit_json.parent)]) == 0
+    grid = tmp_path / "rows.csv"
+    grid.write_text("c0,c1,c2,c3,c4\n1,0,0,0,0\n")
+    out = str(tmp_path / "band.csv")
+    assert cli.main(["predict", "--fit", str(fit_json), "--grid", str(grid),
+                     "--out", out]) == 0
+    est = float(open(out).read().splitlines()[1].split(",")[1])
+    assert est == pytest.approx(json.loads(fit_json.read_text())["estimates"][0])
+
+
+def test_predict_fit_that_is_not_an_object_exit_1(tmp_path, capsys):
+    bad_fit = tmp_path / "list.json"
+    bad_fit.write_text(json.dumps([1, 2]))
+    out = tmp_path / "band.csv"
+    assert cli.main(["predict", "--fit", str(bad_fit), "--grid", "0:1:5",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (ValueError)") and "fit file" in err
+    assert not out.exists()
 
 
 def test_predict_range_with_knots(tmp_path, lem_fit_json):

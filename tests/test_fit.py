@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -28,7 +29,6 @@ from lem.fit import (
     predict_mean,
     prediction_band,
     sandwich_cov,
-    save_fit_json,
     score_jacobian,
     wald,
 )
@@ -219,13 +219,10 @@ def test_refit_from_perturbed_start_reaches_same_solution(panel_fit):
     d, fit = panel_fit
     rng = np.random.default_rng(6)
     start = fit.theta_hat.to_array() + rng.uniform(-0.1, 0.1, size=fit.theta_hat.dim)
-    from lem.optim import OptimProblem, minimize_bfgs
-    from lem.fit import _CachedObjective
+    from lem.optim import minimize_bfgs
+    from lem.fit import _objective
 
-    dims = (5, 5, 5)
-    cache = _CachedObjective(d, dims, "logistic")
-    res = minimize_bfgs(OptimProblem(17, cache.objective, cache.gradient, cache.hessian),
-                        start, tol=1e-8, max_iter=500)
+    res = minimize_bfgs(*_objective(d, "logistic"), start, tol=1e-8, max_iter=500)
     np.testing.assert_allclose(res.argmin, fit.theta_hat.to_array(), atol=1e-5)
 
 
@@ -348,7 +345,7 @@ def test_bread_agrees_with_finite_difference_bread(panel_fit):
 def test_solver_hessian_agrees_with_the_exact_bread(name):
     # the same information rows summed by one loop and pair layout: with the
     # exact kernel's pre-rounded slices, and without them for the solver
-    from lem.fit import _CachedObjective
+    from lem.fit import _objective
 
     cfg = preset(name, seed=3)
     rng = substream(cfg.seed, 0)
@@ -356,7 +353,8 @@ def test_solver_hessian_agrees_with_the_exact_bread(name):
     if cfg.missingness != "none":
         d = apply_missingness(d, cfg, rng)
     theta = fit_lem(d).theta_hat
-    hessian = _CachedObjective(d, d.dims, theta.rho_map).hessian(theta.to_array())
+    _, hess = _objective(d, theta.rho_map)
+    hessian = hess(theta.to_array())
     bread = score_jacobian(theta, d)
     assert np.abs(hessian - bread).max() <= 1e-12 * np.abs(bread).max()
 
@@ -590,7 +588,8 @@ def test_level_outside_the_unit_interval_rejected(panel_fit, level):
 def test_fit_json_roundtrip(tmp_path, panel_fit):
     _, fit = panel_fit
     path = str(tmp_path / "fit.json")
-    save_fit_json(fit_to_dict(fit), path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(fit_to_dict(fit), fh)
     loaded = load_fit_json(path)
     np.testing.assert_allclose(loaded.beta, fit.theta_hat.beta)
     np.testing.assert_allclose(loaded.beta_block_cov(), fit.beta_block_cov())

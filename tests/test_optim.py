@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from lem.errors import LineSearchFailure
-from lem.optim import ARMIJO_C1, OptimProblem, minimize_bfgs
+from lem.optim import ARMIJO_C1, minimize_bfgs
+
+
+def joint(f, g):
+    """The solver's objective: value and gradient from one call."""
+    return lambda x: (f(x), g(x))
 
 
 def quadratic_problem(center):
@@ -17,7 +22,7 @@ def quadratic_problem(center):
     def h(x):
         return np.eye(center.size)
 
-    return OptimProblem(dimension=center.size, objective=f, gradient=g, hessian=h)
+    return f, g, h
 
 
 def rosenbrock_problem():
@@ -39,19 +44,21 @@ def rosenbrock_problem():
             [-400 * x, 200.0],
         ])
 
-    return OptimProblem(dimension=2, objective=f, gradient=g, hessian=h)
+    return f, g, h
 
 
 def test_quadratic_converges_fast():
     center = np.array([3.0, -1.0, 0.5, 2.0])
-    res = minimize_bfgs(quadratic_problem(center), np.array([10.0, 4.0, -3.0, 0.0]), tol=1e-10)
+    f, g, h = quadratic_problem(center)
+    res = minimize_bfgs(joint(f, g), h, np.array([10.0, 4.0, -3.0, 0.0]), tol=1e-10)
     assert res.converged
     assert res.iterations <= 3
     np.testing.assert_allclose(res.argmin, center, atol=1e-10)
 
 
 def test_rosenbrock_classical_benchmark():
-    res = minimize_bfgs(rosenbrock_problem(), np.array([-1.2, 1.0]), tol=1e-8, max_iter=500)
+    f, g, h = rosenbrock_problem()
+    res = minimize_bfgs(joint(f, g), h, np.array([-1.2, 1.0]), tol=1e-8, max_iter=500)
     assert res.converged
     np.testing.assert_allclose(res.argmin, [1.0, 1.0], atol=1e-6)
     assert res.objective_value < 1e-12
@@ -60,23 +67,25 @@ def test_rosenbrock_classical_benchmark():
 def test_rosenbrock_agrees_with_scipy():
     from scipy.optimize import minimize as sp_minimize
 
-    prob = rosenbrock_problem()
-    ours = minimize_bfgs(prob, np.array([-1.2, 1.0]), tol=1e-8)
-    ref = sp_minimize(prob.objective, np.array([-1.2, 1.0]), jac=prob.gradient, method="BFGS")
+    f, g, h = rosenbrock_problem()
+    ours = minimize_bfgs(joint(f, g), h, np.array([-1.2, 1.0]), tol=1e-8)
+    ref = sp_minimize(f, np.array([-1.2, 1.0]), jac=g, method="BFGS")
     np.testing.assert_allclose(ours.argmin, ref.x, atol=1e-5)
 
 
 def test_start_at_minimum_zero_iterations():
     center = np.array([1.0, 2.0])
-    res = minimize_bfgs(quadratic_problem(center), center.copy(), tol=1e-8)
+    f, g, h = quadratic_problem(center)
+    res = minimize_bfgs(joint(f, g), h, center.copy(), tol=1e-8)
     assert res.converged
     assert res.iterations == 0
     assert res.gradient_inf_norm == 0.0
 
 
 def test_armijo_holds_on_every_accepted_step():
+    f, g, h = rosenbrock_problem()
     records = []
-    res = minimize_bfgs(rosenbrock_problem(), np.array([-1.2, 1.0]), tol=1e-8,
+    res = minimize_bfgs(joint(f, g), h, np.array([-1.2, 1.0]), tol=1e-8,
                         callback=records.append)
     assert res.converged
     assert records
@@ -91,10 +100,10 @@ def test_callback_fires_on_near_root_full_step():
     # from 1e-3 off the minimum of 1e8 + |x - c|^2 / 2 the predicted decrease,
     # 5e-7, is below the objective's rounding: the full step is taken untested
     center = np.array([3.0, -1.0])
-    base = quadratic_problem(center)
-    prob = OptimProblem(2, lambda x: 1e8 + base.objective(x), base.gradient, base.hessian)
+    f, g, h = quadratic_problem(center)
     records = []
-    res = minimize_bfgs(prob, center + 1e-3, tol=1e-10, callback=records.append)
+    res = minimize_bfgs(joint(lambda x: 1e8 + f(x), g), h, center + 1e-3, tol=1e-10,
+                        callback=records.append)
     assert res.converged
     assert res.iterations == len(records) == 1
     assert records[0]["alpha"] == 1.0
@@ -104,22 +113,21 @@ def test_callback_fires_on_near_root_full_step():
 def test_near_root_step_that_raises_the_gradient_stops_unconverged():
     # a Hessian ten times too small makes the full step overshoot ninefold
     center = np.array([3.0, -1.0])
-    base = quadratic_problem(center)
-    prob = OptimProblem(2, lambda x: 1e8 + base.objective(x), base.gradient,
-                        lambda x: 0.1 * np.eye(2))
+    f, g, _ = quadratic_problem(center)
     start = center + 1e-4
-    res = minimize_bfgs(prob, start, tol=1e-10)
+    res = minimize_bfgs(joint(lambda x: 1e8 + f(x), g), lambda x: 0.1 * np.eye(2), start,
+                        tol=1e-10)
     assert not res.converged
     assert res.iterations == 0
     np.testing.assert_array_equal(res.argmin, start)
 
 
 def test_levenberg_shift_descends_where_hessian_is_indefinite():
-    prob = rosenbrock_problem()
+    f, g, h = rosenbrock_problem()
     start = np.array([0.0, 1.0])
-    np.testing.assert_array_equal(prob.hessian(start), np.diag([-398.0, 200.0]))
+    np.testing.assert_array_equal(h(start), np.diag([-398.0, 200.0]))
     records = []
-    res = minimize_bfgs(prob, start, tol=1e-8, callback=records.append)
+    res = minimize_bfgs(joint(f, g), h, start, tol=1e-8, callback=records.append)
     assert records[0]["dphi0"] < 0
     assert records[0]["f"] < records[0]["f_prev"]
     assert res.converged
@@ -141,14 +149,15 @@ def test_levenberg_shift_turns_an_ascent_direction_into_descent():
     start = np.array([0.01, 0.1])
     assert g(start) @ np.linalg.solve(h(start), g(start)) < 0
     records = []
-    res = minimize_bfgs(OptimProblem(2, f, g, h), start, tol=1e-10, callback=records.append)
+    res = minimize_bfgs(joint(f, g), h, start, tol=1e-10, callback=records.append)
     assert records[0]["dphi0"] < 0
     assert res.converged
     np.testing.assert_allclose(res.argmin, [0.0, 1.0], atol=1e-9)
 
 
 def test_max_iter_returns_best_point_unconverged():
-    res = minimize_bfgs(rosenbrock_problem(), np.array([-1.2, 1.0]), tol=1e-12, max_iter=3)
+    f, g, h = rosenbrock_problem()
+    res = minimize_bfgs(joint(f, g), h, np.array([-1.2, 1.0]), tol=1e-12, max_iter=3)
     assert not res.converged
     assert res.iterations == 3
     assert np.isfinite(res.objective_value)
@@ -167,7 +176,7 @@ def test_backtracking_backs_off_where_the_objective_is_infinite():
         return np.array([[0.1]])
 
     records = []
-    res = minimize_bfgs(OptimProblem(1, f, g, h), np.array([0.0]), tol=1e-10,
+    res = minimize_bfgs(joint(f, g), h, np.array([0.0]), tol=1e-10,
                         callback=records.append)
     first = records[0]
     assert first["alpha"] < 1.0
@@ -192,7 +201,7 @@ def test_line_search_failure_carries_best_point():
         return np.eye(1)
 
     with pytest.raises(LineSearchFailure) as excinfo:
-        minimize_bfgs(OptimProblem(1, f, g, h), np.array([0.0]), tol=1e-12)
+        minimize_bfgs(joint(f, g), h, np.array([0.0]), tol=1e-12)
     best = excinfo.value.result
     assert best is not None
     assert best.objective_value == 0.0
@@ -210,10 +219,32 @@ def test_nonfinite_start_rejected():
         return np.zeros((1, 1))
 
     with pytest.raises(ValueError):
-        minimize_bfgs(OptimProblem(1, f, g, h), np.array([0.0]), tol=1e-8)
+        minimize_bfgs(joint(f, g), h, np.array([0.0]), tol=1e-8)
 
 
 def test_dimension_mismatch_rejected():
-    prob = quadratic_problem(np.zeros(3))
+    # the objective is defined at the start, but its gradient has three entries
+    def fun(x):
+        return 0.0, np.zeros(3)
+
     with pytest.raises(ValueError):
-        minimize_bfgs(prob, np.zeros(2), tol=1e-8)
+        minimize_bfgs(fun, lambda x: np.eye(3), np.zeros(2), tol=1e-8)
+
+
+def test_each_point_and_each_iteration_evaluated_once():
+    f, g, h = rosenbrock_problem()
+    points, hessians = [], []
+
+    def fun(x):
+        points.append(x.copy())
+        return f(x), g(x)
+
+    def hess(x):
+        hessians.append(x.copy())
+        return h(x)
+
+    res = minimize_bfgs(fun, hess, np.array([-1.2, 1.0]), tol=1e-8)
+    assert res.converged
+    assert len(points) == res.n_evals
+    assert len({x.tobytes() for x in points}) == len(points)
+    assert len(hessians) == res.iterations
