@@ -26,6 +26,7 @@ from .data import (
 from .errors import LemError
 from .fit import (
     FitOptions,
+    FitRecord,
     LemFit,
     PredictionBand,
     WaldResult,
@@ -71,7 +72,7 @@ __all__ = [
     "DesignSpec", "LongDataset", "ObsRow", "OverlapReport", "ValidationReport",
     "check_overlap", "load_csv", "validate", "write_csv",
     "LemError",
-    "FitOptions", "LemFit", "PredictionBand", "WaldResult", "fisher_cov",
+    "FitOptions", "FitRecord", "LemFit", "PredictionBand", "WaldResult", "fisher_cov",
     "fit_lem", "fit_to_dict", "initialize", "load_fit_json", "ncs_basis",
     "predict_mean", "prediction_band", "sandwich_cov", "wald",
     "GeeFit", "fit_gee_independence",

@@ -38,7 +38,7 @@ from .fit import (
     prediction_band,
     z_quantile,
 )
-from .gee import fit_gee_independence, gee_fit_to_dict
+from .gee import fit_gee_independence
 from .simulate import SimConfig, preset, run_study
 
 NUMERICAL_ERRORS = (NoConvergence, NonFiniteLikelihood, SingularMatrix, LineSearchFailure)
@@ -103,10 +103,9 @@ def cmd_fit(args):
     if args.method == "lem":
         fit = fit_lem(dataset, FitOptions(rho_map=args.rho_map,
                                           compute_model_cov=args.model_cov))
-        payload = fit_to_dict(fit)
     else:
-        variant = args.method.split("-", 1)[1]
-        payload = gee_fit_to_dict(fit_gee_independence(dataset, variant))
+        fit = fit_gee_independence(dataset, args.method.split("-", 1)[1])
+    payload = fit_to_dict(fit)
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "fit.json")

@@ -24,7 +24,9 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+import numbers
+import sys
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -47,6 +49,12 @@ CHUNK_ROWS = 4096
 
 # times must convert to np.intp, so they lie below 2**63
 TIME_LIMIT = 2.0 ** 63
+
+
+def is_number(value, kind=numbers.Real):
+    """Whether ``value`` is a ``kind`` (numbers.Integral or numbers.Real), no bool,
+    and finite as a float: NaN, infinities and integers beyond the float range fail."""
+    return isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -90,15 +98,7 @@ class DesignSpec:
         )
 
     def to_dict(self):
-        return {
-            "subject": self.subject,
-            "time": self.time,
-            "outcome": self.outcome,
-            "treatment": self.treatment,
-            "x": list(self.x),
-            "z": list(self.z),
-            "w": list(self.w),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .data import check_overlap, matrix_rank
+from .data import check_overlap, is_number, matrix_rank
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -67,6 +67,8 @@ SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 500
 # a fit is accepted when the pooled score satisfies this relative criterion
 SCORE_ROOT_RTOL = 1e-6
+# the layout version that fit_to_dict writes and load_fit_json accepts
+FIT_SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -75,31 +77,42 @@ class FitOptions:
     compute_model_cov: bool = False
 
 
-@dataclass
-class LemFit:
-    """Converged estimates with covariance matrices and diagnostics."""
+@dataclass(kw_only=True)
+class FitRecord:
+    """Estimates and cluster-robust covariance of a fitted model, under any
+    method: what ``fit.json`` holds (:func:`fit_to_dict`) and what
+    :func:`load_fit_json` returns.  The first ``j_x`` estimates are the
+    coefficients of the outcome trend."""
 
-    theta_hat: Theta
+    model: str
+    param_names: list
+    estimates: np.ndarray
     cov_robust: np.ndarray
-    cov_model: Optional[np.ndarray]
-    optim: OptimResult
+    j_x: int
     n_subjects: int
     n_rows: int
-    param_names: list
-    negloglik: float
-    score_inf_norm: float
     warnings: list = field(default_factory=list)
 
     @property
     def beta(self):
-        return self.theta_hat.beta
+        return self.estimates[:self.j_x]
 
     def se_robust(self):
         return np.sqrt(np.diag(self.cov_robust))
 
     def beta_block_cov(self):
-        jx = self.theta_hat.beta.size
-        return self.cov_robust[:jx, :jx]
+        return self.cov_robust[:self.j_x, :self.j_x]
+
+
+@dataclass(kw_only=True)
+class LemFit(FitRecord):
+    """Converged joint-model estimates with covariance matrices and diagnostics."""
+
+    theta_hat: Theta
+    cov_model: Optional[np.ndarray]
+    optim: OptimResult
+    negloglik: float
+    score_inf_norm: float
 
 
 @dataclass(frozen=True)
@@ -253,16 +266,19 @@ def fit_lem(dataset, opts=None):
         fit_warnings.extend(model_warns)
 
     return LemFit(
-        theta_hat=theta_hat,
+        model="lem",
+        param_names=parameter_names(dataset),
+        estimates=theta_hat.to_array(),
         cov_robust=cov_robust,
-        cov_model=cov_model,
-        optim=result,
+        j_x=theta_hat.beta.size,
         n_subjects=dataset.n_subjects,
         n_rows=dataset.n_rows,
-        param_names=parameter_names(dataset),
+        warnings=fit_warnings,
+        theta_hat=theta_hat,
+        cov_model=cov_model,
+        optim=result,
         negloglik=nll,
         score_inf_norm=score_norm,
-        warnings=fit_warnings,
     )
 
 
@@ -413,8 +429,8 @@ def ncs_basis(x, knots):
 def predict_mean(fit, xrow):
     """Mean prediction for the untreated state: x'beta with delta-method SE.
 
-    Accepts a LemFit, a LoadedFit, or any object exposing ``beta`` and
-    ``beta_block_cov()``.
+    Accepts any FitRecord (a LemFit, a GeeFit or a loaded ``fit.json``), or
+    any object exposing ``beta`` and ``beta_block_cov()``.
     """
     xrow = np.asarray(xrow, dtype=float)
     beta = np.asarray(fit.beta, dtype=float)
@@ -443,60 +459,84 @@ def prediction_band(fit, xrows, grid=None, level=0.95):
 # ---------------------------------------------------------------------------
 
 def fit_to_dict(fit):
-    theta = fit.theta_hat
-    se = fit.se_robust()
-    return {
-        "model": "lem",
+    """The ``fit.json`` record of a fit: the keys every FitRecord has, plus, for
+    a LemFit, the model-based covariance, the block dimensions, sigma_y, rho
+    and the convergence summary."""
+    out = {
+        "schema_version": FIT_SCHEMA_VERSION,
+        "model": fit.model,
         "param_names": list(fit.param_names),
-        "estimates": [float(v) for v in theta.to_array()],
-        "se_robust": [float(v) for v in se],
+        "estimates": [float(v) for v in fit.estimates],
+        "se_robust": [float(v) for v in fit.se_robust()],
         "cov_robust": [float(v) for v in fit.cov_robust.ravel()],
-        "cov_model": None if fit.cov_model is None else [float(v) for v in fit.cov_model.ravel()],
-        "dims": {"j_x": theta.beta.size, "j_z": theta.alpha.size, "j_w": theta.eta.size},
-        "sigma_y": theta.sigma_y,
-        "rho": theta.rho,
-        "rho_map": theta.rho_map,
+        "dims": {"j_x": fit.j_x},
         "n_subjects": fit.n_subjects,
         "n_rows": fit.n_rows,
-        "convergence": {
-            "converged": bool(fit.optim.converged),
-            "iterations": int(fit.optim.iterations),
-            "gradient_inf_norm": float(fit.optim.gradient_inf_norm),
-            "negloglik": float(fit.negloglik),
-            "score_inf_norm": float(fit.score_inf_norm),
-        },
         "warnings": list(fit.warnings),
     }
+    if isinstance(fit, LemFit):
+        theta = fit.theta_hat
+        out.update(
+            cov_model=None if fit.cov_model is None else [float(v) for v in fit.cov_model.ravel()],
+            dims={"j_x": fit.j_x, "j_z": theta.alpha.size, "j_w": theta.eta.size},
+            sigma_y=theta.sigma_y,
+            rho=theta.rho,
+            rho_map=theta.rho_map,
+            convergence={
+                "converged": bool(fit.optim.converged),
+                "iterations": int(fit.optim.iterations),
+                "gradient_inf_norm": float(fit.optim.gradient_inf_norm),
+                "negloglik": float(fit.negloglik),
+                "score_inf_norm": float(fit.score_inf_norm),
+            },
+        )
+    return out
 
 
-@dataclass(frozen=True)
-class LoadedFit:
-    """Slim view of a serialized fit, sufficient for prediction."""
+def _checked(value, key, ok, what):
+    """``value`` if ``ok(value)``; otherwise a ValueError that names the key."""
+    if not ok(value):
+        raise ValueError(f"fit file key {key!r} must be {what}")
+    return value
 
-    model: str
-    param_names: list
-    estimates: np.ndarray
-    cov: np.ndarray
-    j_x: int
 
-    @property
-    def beta(self):
-        return self.estimates[:self.j_x]
+def _is_int(value, low, high=math.inf):
+    return type(value) is int and low <= value <= high
 
-    def beta_block_cov(self):
-        return self.cov[:self.j_x, :self.j_x]
+
+def _is_strings(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _numbers(value, key, count):
+    """``value`` as a float array when it lists ``count`` finite numbers (no bools)."""
+    _checked(value, key, lambda v: isinstance(v, list) and len(v) == count and all(map(is_number, v)),
+             f"{count} finite numbers")
+    return np.asarray(value, dtype=float)
 
 
 def load_fit_json(path):
+    """The FitRecord in a ``fit.json``.  A missing key raises KeyError, and a
+    value of the wrong type or length a ValueError that names the key."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"a fit file must be a JSON object, got {type(raw).__name__}")
-    n = len(raw["param_names"])
-    return LoadedFit(
-        model=raw["model"],
-        param_names=list(raw["param_names"]),
-        estimates=np.asarray(raw["estimates"], dtype=float),
-        cov=np.asarray(raw["cov_robust"], dtype=float).reshape(n, n),
-        j_x=int(raw["dims"]["j_x"]),
+    _checked(raw.get("schema_version"), "schema_version",
+             lambda v: type(v) is int and v == FIT_SCHEMA_VERSION,
+             f"{FIT_SCHEMA_VERSION} (a file without it predates the key: re-run `lem fit`)")
+    names = _checked(raw["param_names"], "param_names", lambda v: _is_strings(v) and len(v) > 0,
+                     "a non-empty list of strings")
+    n = len(names)
+    dims = _checked(raw["dims"], "dims", lambda v: isinstance(v, dict), "an object")
+    return FitRecord(
+        model=_checked(raw["model"], "model", lambda v: isinstance(v, str), "a string"),
+        param_names=names,
+        estimates=_numbers(raw["estimates"], "estimates", n),
+        cov_robust=_numbers(raw["cov_robust"], "cov_robust", n * n).reshape(n, n),
+        j_x=_checked(dims["j_x"], "dims.j_x", lambda v: _is_int(v, 1, n), f"an integer in [1, {n}]"),
+        n_subjects=_checked(raw["n_subjects"], "n_subjects", lambda v: _is_int(v, 0),
+                            "a non-negative integer"),
+        n_rows=_checked(raw["n_rows"], "n_rows", lambda v: _is_int(v, 0), "a non-negative integer"),
+        warnings=_checked(raw["warnings"], "warnings", _is_strings, "a list of strings"),
     )

@@ -18,22 +18,21 @@ import numpy as np
 
 from .data import matrix_rank, subset_rows
 from .errors import AllRowsExcluded, SingularDesign
+from .fit import FitRecord
 from .numerics import cluster_sandwich, colwise_matvec, exact_gram, exact_sum, solve_sym
 
 VARIANTS = ("adjusted", "excluded")
 
 
-@dataclass
-class GeeFit:
-    coef: np.ndarray
-    cov_robust: np.ndarray
-    n_subjects: int
-    n_rows: int
-    variant: str
-    param_names: list
+@dataclass(kw_only=True)
+class GeeFit(FitRecord):
+    """Pooled least-squares coefficients with their cluster-robust covariance."""
 
-    def se_robust(self):
-        return np.sqrt(np.diag(self.cov_robust))
+    variant: str
+
+    @property
+    def coef(self):
+        return self.estimates
 
 
 def fit_gee_independence(dataset, variant="adjusted"):
@@ -62,30 +61,13 @@ def fit_gee_independence(dataset, variant="adjusted"):
     cov = cluster_sandwich(gram, design * resid[:, None], dataset.subject_starts[:-1])
 
     return GeeFit(
-        coef=coef,
+        model=f"gee-{variant}",
+        param_names=names,
+        estimates=coef,
         cov_robust=cov,
+        j_x=dataset.x.shape[1],
         n_subjects=dataset.n_subjects,
         n_rows=dataset.n_rows,
         variant=variant,
-        param_names=names,
     )
 
-
-def gee_fit_to_dict(fit):
-    """Same JSON shape as the joint-model fit, for shared tooling."""
-    return {
-        "model": f"gee-{fit.variant}",
-        "param_names": list(fit.param_names),
-        "estimates": [float(v) for v in fit.coef],
-        "se_robust": [float(v) for v in fit.se_robust()],
-        "cov_robust": [float(v) for v in fit.cov_robust.ravel()],
-        "cov_model": None,
-        "dims": {"j_x": len(fit.param_names) - (1 if fit.variant == "adjusted" else 0),
-                 "j_z": 0, "j_w": 0},
-        "n_subjects": fit.n_subjects,
-        "n_rows": fit.n_rows,
-        "convergence": {"converged": True, "iterations": 0,
-                        "gradient_inf_norm": 0.0, "negloglik": None,
-                        "score_inf_norm": 0.0},
-        "warnings": [],
-    }

@@ -208,32 +208,19 @@ def _eval_rows(theta, y, a, x, z, w, want_score):
     return ll, score
 
 
+def _one_row(theta, row, want_score):
+    return _eval_rows(theta, np.array([row.y], dtype=float), np.array([row.a], dtype=float),
+                      row.x[None, :], row.z[None, :], row.w[None, :], want_score=want_score)
+
+
 def obs_loglik(theta, row):
     """Log-likelihood contribution of a single observation."""
-    ll, _ = _eval_rows(
-        theta,
-        np.array([row.y], dtype=float),
-        np.array([row.a], dtype=float),
-        row.x[None, :],
-        row.z[None, :],
-        row.w[None, :],
-        want_score=False,
-    )
-    return float(ll[0])
+    return float(_one_row(theta, row, want_score=False)[0][0])
 
 
 def obs_score(theta, row):
     """Analytic gradient of obs_loglik in the unconstrained coordinates."""
-    _, score = _eval_rows(
-        theta,
-        np.array([row.y], dtype=float),
-        np.array([row.a], dtype=float),
-        row.x[None, :],
-        row.z[None, :],
-        row.w[None, :],
-        want_score=True,
-    )
-    return score[0]
+    return _one_row(theta, row, want_score=True)[1][0]
 
 
 def pooled_negloglik_and_score(theta, dataset, want_score=True):

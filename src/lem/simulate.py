@@ -33,15 +33,15 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
 
-from .data import LongDataset, subset_rows, INTERCEPT
+from .data import LongDataset, is_number, subset_rows, INTERCEPT
 from .errors import LemError
-from .fit import FitOptions, fit_lem
+from .fit import fit_lem
 from .gee import fit_gee_independence
 from .numerics import cholesky
 
@@ -55,12 +55,6 @@ N_COVARIATES = 7
 X_COLS = (0, 3, 4, 6)
 Z_COLS = (1, 3, 5, 6)
 W_COLS = (2, 4, 5, 6)
-
-
-def _is_number(value, kind):
-    """Whether ``value`` is a ``kind`` (numbers.Integral or numbers.Real), no bool, and finite."""
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 @dataclass(frozen=True)
@@ -89,12 +83,12 @@ class SimConfig:
         kinds = {"int": numbers.Integral, "float": numbers.Real}
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in kinds and not _is_number(value, kinds[f.type]):
+            if f.type in kinds and not is_number(value, kinds[f.type]):
                 raise ValueError(f"simulation config key {f.name!r} must be a finite {f.type}, got {value!r}")
         for key, cols in (("beta", X_COLS), ("alpha", Z_COLS), ("eta", W_COLS)):
             values = getattr(self, key)
             if not (isinstance(values, (list, tuple, np.ndarray)) and len(values) == 1 + len(cols)
-                    and all(_is_number(v, numbers.Real) for v in values)):
+                    and all(map(is_number, values))):
                 raise ValueError(f"simulation config key {key!r} must list {1 + len(cols)} finite numbers, got {values!r}")
             object.__setattr__(self, key, tuple(float(v) for v in values))
         if self.n_subjects < 1 or self.n_times < 1:
@@ -106,23 +100,7 @@ class SimConfig:
         cholesky(error_covariance(self))
 
     def to_dict(self):
-        return {
-            "n_subjects": self.n_subjects,
-            "n_times": self.n_times,
-            "corr_same_time": self.corr_same_time,
-            "corr_same_var": self.corr_same_var,
-            "corr_cross": self.corr_cross,
-            "sigma_y2": self.sigma_y2,
-            "rho_y": self.rho_y,
-            "rho": self.rho,
-            "rho_ay": self.rho_ay,
-            "rho_a": self.rho_a,
-            "beta": list(self.beta),
-            "alpha": list(self.alpha),
-            "eta": list(self.eta),
-            "missingness": self.missingness,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw):
@@ -338,14 +316,9 @@ def _run_replicate(args):
     out = {"rows_total": rows_total, "rows_kept": dataset.n_rows}
     for method in METHODS:
         try:
-            if method == "lem":
-                fit = fit_lem(dataset, FitOptions())
-                est = fit.theta_hat.beta.copy()
-                se = fit.se_robust()[:jx]
-            else:
-                gfit = fit_gee_independence(dataset, "adjusted")
-                est = gfit.coef[:jx].copy()
-                se = gfit.se_robust()[:jx]
+            fit = fit_lem(dataset) if method == "lem" else fit_gee_independence(dataset, "adjusted")
+            est = fit.beta.copy()
+            se = fit.se_robust()[:jx]
             cover = np.abs(est - truth) <= Z95 * se
             out[method] = (est, se, cover)
         except LemError as exc:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import lem.cli as cli
-from lem.data import DesignSpec, write_csv
+from lem.data import DesignSpec, load_csv, write_csv
 from lem.errors import NoConvergence
-from lem.simulate import SimConfig, gen_covariates, gen_outcomes, substream
+from lem.fit import prediction_band
+from lem.gee import fit_gee_independence
+from lem.simulate import SimConfig, gen_covariates, gen_outcomes, preset, substream
 
 SPEC_DICT = {
     "subject": "id", "time": "visit", "outcome": "y", "treatment": "a",
@@ -157,7 +159,9 @@ def test_simulate_invalid_config_exit_1(tmp_path):
 
 @pytest.mark.parametrize("config,named", [({"seed": "abc"}, "'seed'"), ({"n_subjects": "50"}, "'n_subjects'"),
                                           ({"beta": 3}, "'beta'"), ([{"n_subjects": 80}], "JSON object"),
-                                          ({"beta": [0.0, 1.0]}, "'beta'"), ({"sigma_y2": -1}, "'sigma_y2'")])
+                                          ({"beta": [0.0, 1.0]}, "'beta'"), ({"sigma_y2": -1}, "'sigma_y2'"),
+                                          ({"beta": [10 ** 400, 1, 1, 1, 1]}, "'beta'"),
+                                          ({"rho": 10 ** 400}, "'rho'")])
 def test_simulate_config_of_the_wrong_type_exit_1(tmp_path, capsys, config, named):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -214,6 +218,79 @@ def test_predict_fit_that_is_not_an_object_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error (ValueError)") and "fit file" in err
     assert not out.exists()
+
+
+def _fit_file(tmp_path, **changes):
+    """A hand-written GEE fit.json with three parameters and j_x = 2; a change
+    whose value is None deletes the key."""
+    raw = {"schema_version": 1, "model": "gee-adjusted",
+           "param_names": ["beta:(intercept)", "beta:t", "beta:treatment"],
+           "estimates": [1.0, 0.5, -0.25], "se_robust": [0.2, 0.1, 0.3],
+           "cov_robust": [0.04, 0, 0, 0, 0.01, 0, 0, 0, 0.09], "dims": {"j_x": 2},
+           "n_subjects": 3, "n_rows": 7, "warnings": []}
+    raw.update(changes)
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
+    return str(path)
+
+
+def test_predict_from_a_hand_written_fit_file(tmp_path):
+    out = tmp_path / "band.csv"
+    assert cli.main(["predict", "--fit", _fit_file(tmp_path), "--grid", "0:1:3", "--out", str(out)]) == 0
+    vals = np.loadtxt(out, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(vals[:, 1], [1.0, 1.25, 1.5])
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"param_names": 3}, "'param_names'"),
+    ({"param_names": []}, "'param_names'"),
+    ({"param_names": ["a", 2, "c"]}, "'param_names'"),
+    ({"dims": 3}, "'dims'"),
+    ({"dims": {"j_x": 0}}, "'dims.j_x'"),
+    ({"dims": {"j_x": 4}}, "'dims.j_x'"),
+    ({"dims": {"j_x": True}}, "'dims.j_x'"),
+    ({"estimates": "x"}, "'estimates'"),
+    ({"estimates": [1.0, True, 0.0]}, "'estimates'"),
+    ({"estimates": [1.0, float("inf"), 0.0]}, "'estimates'"),
+    ({"cov_robust": [0.04, 0.01, 0.09]}, "'cov_robust'"),
+    ({"model": 3}, "'model'"),
+    ({"schema_version": 2}, "'schema_version'"),
+    ({"schema_version": None}, "'schema_version'"),
+    ({"n_rows": -1}, "'n_rows'"),
+    ({"warnings": "none"}, "'warnings'"),
+])
+def test_predict_fit_file_with_a_value_of_the_wrong_type_exit_1(tmp_path, capsys, changes, named):
+    out = tmp_path / "band.csv"
+    assert cli.main(["predict", "--fit", _fit_file(tmp_path, **changes), "--grid", "0:1:3",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (ValueError)") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["gee-adjusted", "gee-excluded"])
+def test_predict_from_a_gee_fit_file_equals_the_in_process_band(sim_csv, tmp_path, method):
+    data, spec = sim_csv
+    out_dir = tmp_path / "fitout"
+    assert cli.main(["fit", "--data", data, "--spec", spec, "--method", method,
+                     "--out", str(out_dir)]) == 0
+    grid = tmp_path / "rows.csv"
+    grid.write_text("c0,c1,c2,c3,c4\n1,0,0,0,0\n1,0.5,-1,2,0.25\n1,-1.5,0.3,0,1\n")
+    out = tmp_path / "band.csv"
+    assert cli.main(["predict", "--fit", str(out_dir / "fit.json"), "--grid", str(grid),
+                     "--out", str(out)]) == 0
+    fit = fit_gee_independence(load_csv(data, DesignSpec.from_dict(SPEC_DICT)), method.split("-", 1)[1])
+    band = prediction_band(fit, np.loadtxt(grid, delimiter=",", skiprows=1))
+    np.testing.assert_array_equal(np.loadtxt(out, delimiter=",", skiprows=1),
+                                  np.column_stack([band.grid, band.estimate, band.lower, band.upper]))
+
+
+def test_config_hash_of_a_preset_is_pinned():
+    # manifests written before SimConfig.to_dict became dataclasses.asdict carry this hash
+    assert cli._config_hash(preset("sim1", seed=0).to_dict()) == (
+        "d3fe96d041b8ba5b916bb8fdfe0612befdb06e708f3bf628e2170b7bfcfd95a1")
+    assert cli._config_hash(DesignSpec.from_dict(SPEC_DICT).to_dict()) == (
+        "4605c3e88ea02df795bf5882b486f304324aedf940d3420f16747c53884874ca")
 
 
 def test_predict_range_with_knots(tmp_path, lem_fit_json):

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lem.data import LongDataset
 from lem.errors import (
@@ -20,6 +21,7 @@ from lem.errors import (
 )
 from lem.fit import (
     FitOptions,
+    FitRecord,
     fisher_cov,
     fit_lem,
     fit_to_dict,
@@ -32,6 +34,7 @@ from lem.fit import (
     score_jacobian,
     wald,
 )
+from lem.gee import fit_gee_independence
 from lem.likelihood import Theta, pooled_negloglik_and_score
 from lem.simulate import (
     SimConfig,
@@ -586,13 +589,63 @@ def test_level_outside_the_unit_interval_rejected(panel_fit, level):
 # ---------------------------------------------------------------------------
 
 def test_fit_json_roundtrip(tmp_path, panel_fit):
-    _, fit = panel_fit
-    path = str(tmp_path / "fit.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fit_to_dict(fit), fh)
-    loaded = load_fit_json(path)
-    np.testing.assert_allclose(loaded.beta, fit.theta_hat.beta)
-    np.testing.assert_allclose(loaded.beta_block_cov(), fit.beta_block_cov())
-    e1, s1 = predict_mean(fit, np.eye(5)[0])
-    e2, s2 = predict_mean(loaded, np.eye(5)[0])
-    assert (e1, s1) == (pytest.approx(e2), pytest.approx(s2))
+    d, lem_fit = panel_fit
+    for fit in (lem_fit, fit_gee_independence(d, "adjusted"), fit_gee_independence(d, "excluded")):
+        path = str(tmp_path / f"{fit.model}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(fit_to_dict(fit), fh)
+        loaded = load_fit_json(path)
+        assert type(loaded) is FitRecord and loaded.model == fit.model
+        np.testing.assert_array_equal(loaded.estimates, fit.estimates)
+        np.testing.assert_array_equal(loaded.cov_robust, fit.cov_robust)
+        assert loaded.j_x == fit.j_x == d.x.shape[1]
+        assert predict_mean(loaded, np.eye(5)[0]) == predict_mean(fit, np.eye(5)[0])
+
+
+def test_fit_json_keys_are_pinned(panel_fit):
+    # perfbench's cohort-fit reads convergence.score_inf_norm, convergence.negloglik,
+    # estimates and se_robust from every LEM fit.json; the CLI tests read convergence.converged
+    d, lem_fit = panel_fit
+
+    def keys(payload):
+        return {k for k in payload} | {f"{k}.{sub}" for k, v in payload.items()
+                                       if isinstance(v, dict) for sub in v}
+
+    common = {"schema_version", "model", "param_names", "estimates", "se_robust", "cov_robust",
+              "dims", "dims.j_x", "n_subjects", "n_rows", "warnings"}
+    assert keys(fit_to_dict(lem_fit)) == common | {
+        "cov_model", "dims.j_z", "dims.j_w", "sigma_y", "rho", "rho_map", "convergence",
+        "convergence.converged", "convergence.iterations", "convergence.gradient_inf_norm",
+        "convergence.negloglik", "convergence.score_inf_norm"}
+    assert keys(fit_to_dict(fit_gee_independence(d))) == common
+
+
+def _valid_fit_dict():
+    record = FitRecord(model="gee-adjusted", param_names=["beta:(intercept)", "beta:t", "beta:treatment"],
+                       estimates=np.array([1.0, 0.5, -0.25]), cov_robust=np.diag([0.04, 0.01, 0.09]),
+                       j_x=2, n_subjects=3, n_rows=7)
+    return json.loads(json.dumps(fit_to_dict(record)))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=10) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(_valid_fit_dict()) + ["dims.j_x"]), delete=st.booleans(), value=_JSON_VALUES)
+def test_fit_file_with_one_bad_key_loads_or_raises_a_named_error(tmp_path, key, delete, value):
+    raw = _valid_fit_dict()
+    parent, key = (raw["dims"], "j_x") if key == "dims.j_x" else (raw, key)
+    if delete:
+        del parent[key]
+    else:
+        parent[key] = value
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(raw))
+    try:
+        load_fit_json(str(path))
+    except (ValueError, KeyError):
+        pass
