@@ -113,8 +113,7 @@ def cmd_fit(args):
     _print_coef_table(payload)
     config_payload = {"data": os.path.abspath(args.data), "spec": spec.to_dict(),
                       "method": args.method, "rho_map": args.rho_map}
-    _write_manifest(args.out, sys.argv if args.argv is None else args.argv,
-                    config_payload, None, [out_path], started)
+    _write_manifest(args.out, args.argv, config_payload, None, [out_path], started)
     return 0
 
 
@@ -138,8 +137,7 @@ def cmd_simulate(args):
     _atomic_write(csv_path, summary.to_csv())
     sys.stdout.write(summary.to_table())
     config_payload = {"config": cfg.to_dict(), "reps": args.reps}
-    _write_manifest(args.out, sys.argv if args.argv is None else args.argv,
-                    config_payload, cfg.seed, [table_path, csv_path], started)
+    _write_manifest(args.out, args.argv, config_payload, cfg.seed, [table_path, csv_path], started)
     return 0
 
 
@@ -198,8 +196,7 @@ def cmd_predict(args):
     _atomic_write(args.out, "\n".join(lines) + "\n")
     config_payload = {"fit": os.path.abspath(args.fit), "grid": args.grid,
                       "knots": args.knots, "level": args.level}
-    _write_manifest(out_dir, sys.argv if args.argv is None else args.argv,
-                    config_payload, None, [os.path.abspath(args.out)], started)
+    _write_manifest(out_dir, args.argv, config_payload, None, [os.path.abspath(args.out)], started)
     return 0
 
 

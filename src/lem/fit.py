@@ -201,10 +201,7 @@ def _objective(dataset, rho_map):
             return math.inf, np.full(len(vec), np.nan)
 
     def hess(vec):
-        info = gram(*information_rows(Theta.from_array(vec, dataset.dims, rho_map), dataset))
-        if not np.isfinite(info).all():
-            raise NonFiniteLikelihood("observed information is not finite")
-        return info
+        return _information(gram, Theta.from_array(vec, dataset.dims, rho_map), dataset)
 
     return fun, hess
 
@@ -290,10 +287,15 @@ def score_jacobian(theta, dataset):
     exact weighted Gram kernel (BLAS products of error-free slices), so it is
     bit-invariant under row permutation and doubles exactly under duplication.
     """
-    bread = exact_gram(*information_rows(theta, dataset))
-    if not np.isfinite(bread).all():
+    return _information(exact_gram, theta, dataset)
+
+
+def _information(kernel, theta, dataset):
+    """The observed information summed by ``kernel`` (gram or exact_gram), checked finite."""
+    info = kernel(*information_rows(theta, dataset))
+    if not np.isfinite(info).all():
         raise NonFiniteLikelihood("observed information is not finite")
-    return bread
+    return info
 
 
 def _require_identified(bread):
@@ -378,7 +380,7 @@ def wald(fit, index, level=0.95):
         if not -len(names) <= idx < len(names):
             raise IndexOutOfRange(f"parameter index {index} out of range for {len(names)} parameters")
         idx = idx % len(names)
-    est = float(fit.theta_hat.to_array()[idx])
+    est = float(fit.estimates[idx])
     se = float(math.sqrt(max(fit.cov_robust[idx, idx], 0.0)))
     if se > 0:
         p = 2.0 * std_normal_cdf(-abs(est) / se)

@@ -32,16 +32,19 @@ series form of lambda; see :func:`lem.numerics.inverse_mills_slope`).  varrho
 enters through rho by the chain rule, with d2rho/dvarrho2 = -rho * rho' for
 the logistic map and -4 varrho / (pi (1 + varrho^2)^2) for the arctan map.
 
-All functions are pure in (theta, data).  Pooled sums add row-pure per-row
-values by :func:`lem.numerics.exact_sum` and :func:`lem.numerics.exact_gram`,
-whose pre-rounded slices numpy and BLAS sum exactly in any order, so they are
-bit-invariant under row permutation and double exactly under duplication.
+One private row pass computes each row's u, c, m, log Phi(m) and lambda once
+and returns the loglik with either the score rows or the information weights;
+the public functions are thin callers of it.  All are pure in (theta, data).
+Pooled sums add row-pure per-row values by :func:`lem.numerics.exact_sum` and
+:func:`lem.numerics.exact_gram`, whose pre-rounded slices numpy and BLAS sum
+exactly in any order, so they are bit-invariant under row permutation and
+double exactly under duplication.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,132 +150,56 @@ class Theta:
             rho_map=rho_map,
         )
 
-    def with_varrho(self, varrho):
-        return replace(self, varrho=float(varrho))
 
-
-def parameter_names(dataset, prefix_sep=":"):
+def parameter_names(dataset):
     """Flat names aligned with Theta.to_array for a given dataset."""
-    names = [f"beta{prefix_sep}{c}" for c in dataset.x_names]
-    names += [f"eta{prefix_sep}{c}" for c in dataset.w_names]
-    names += [f"alpha{prefix_sep}{c}" for c in dataset.z_names]
+    names = [f"beta:{c}" for c in dataset.x_names]
+    names += [f"eta:{c}" for c in dataset.w_names]
+    names += [f"alpha:{c}" for c in dataset.z_names]
     names += ["log_sigma_y", "varrho"]
     return names
 
 
-def _row_index(theta, sq, y, a, x, z, w):
-    """Per row: u = r / sigma_y, c = z'alpha, the sign (-1)^(1-a) and the
-    probit argument m; ``sq`` is sqrt(1 - rho^2)."""
-    r = y - colwise_matvec(x, theta.beta) - colwise_matvec(w, theta.eta) * a
-    u = r / theta.sigma_y
-    c = colwise_matvec(z, theta.alpha)
-    sign = 2.0 * a - 1.0
-    m = sign * (c + theta.rho * u) / sq
-    return u, c, sign, m
+def _rows(theta, y, a, x, z, w, order):
+    """The row pass: per-row loglik (n,) with, for ``order`` 1, the score rows
+    (n, dim) in the unconstrained coordinates or, for ``order`` 2, the
+    information weights (n, 4, 4) of :func:`information_rows`.
 
-
-def _eval_rows(theta, y, a, x, z, w, want_score):
-    """Vectorized per-row loglik (n,) and, optionally, score rows (n, dim).
-
-    Scores are with respect to the unconstrained coordinates, chain rule
-    through exp for sigma_y and the varrho map for rho.
-    """
-    sigma = theta.sigma_y
-    rho = theta.rho
-    sq = math.sqrt(max(1.0 - rho * rho, 0.0))
-
-    # extreme trial points from the line search may overflow; the pooled
-    # wrapper turns non-finite results into NonFiniteLikelihood
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        u, c, sign, m = _row_index(theta, sq, y, a, x, z, w)
-        log_cdf = log_std_normal_cdf(m)
-        ll = -0.5 * u * u - LOG_SQRT_2PI - theta.log_sigma_y + log_cdf
-        if not want_score:
-            return ll, None
-
-        # inverse Mills ratio phi(m)/Phi(m), stable through the log kernels
-        lam = np.exp(-0.5 * m * m - LOG_SQRT_2PI - log_cdf)
-        t = lam * sign
-        k1 = (u - t * rho / sq) / sigma
-
-        n = y.shape[0]
-        score = np.empty((n, theta.dim))
-        jx = theta.beta.size
-        jw = theta.eta.size
-        score[:, :jx] = k1[:, None] * x
-        score[:, jx:jx + jw] = (k1 * a)[:, None] * w
-        score[:, jx + jw:-2] = (t / sq)[:, None] * z
-        score[:, -2] = u * u - 1.0 - t * rho * u / sq
-        dldrho = t * (u + rho * c) / sq ** 3
-        score[:, -1] = dldrho * _rho_slopes(theta.varrho, rho, theta.rho_map)[0]
-    return ll, score
-
-
-def _one_row(theta, row, want_score):
-    return _eval_rows(theta, np.array([row.y], dtype=float), np.array([row.a], dtype=float),
-                      row.x[None, :], row.z[None, :], row.w[None, :], want_score=want_score)
-
-
-def obs_loglik(theta, row):
-    """Log-likelihood contribution of a single observation."""
-    return float(_one_row(theta, row, want_score=False)[0][0])
-
-
-def obs_score(theta, row):
-    """Analytic gradient of obs_loglik in the unconstrained coordinates."""
-    return _one_row(theta, row, want_score=True)[1][0]
-
-
-def pooled_negloglik_and_score(theta, dataset, want_score=True):
-    """Negative pooled log-likelihood and negative pooled score.
-
-    Sums run over every subject's own observation rows (ragged clusters are
-    simply shorter blocks).  Raises NonFiniteLikelihood on overflow, which
-    signals a pathological theta reached outside the line-search guard.
-    """
-    ll, score = _eval_rows(theta, dataset.y, dataset.a, dataset.x, dataset.z,
-                           dataset.w, want_score)
-    # exact_sum turns any non-finite row into a non-finite total
-    nll = -float(exact_sum(ll))
-    if not np.isfinite(nll):
-        raise NonFiniteLikelihood(f"pooled negative log-likelihood is {nll!r}")
-    if not want_score:
-        return nll, None
-    neg_score = -exact_sum(score)
-    if not np.isfinite(neg_score).all():
-        raise NonFiniteLikelihood("pooled score is not finite")
-    return nll, neg_score
-
-
-def score_rows(theta, dataset):
-    """Per-row loglik score matrix (n, dim); building block for the sandwich."""
-    _, score = _eval_rows(theta, dataset.y, dataset.a, dataset.x, dataset.z,
-                          dataset.w, want_score=True)
-    return score
-
-
-def information_rows(theta, dataset):
-    """Per-row factors of the observed information, the negative Hessian of
-    the pooled log-likelihood: ``exact_gram(coords, groups, weights)``.
-
-    A row's loglik depends on theta only through the coordinates
-    ``(r, c, log sigma_y, varrho)``, each linear in theta.  ``coords`` (n, dim)
-    holds each parameter's derivative of the one coordinate it enters
-    (-x for beta, -a*w for eta, z for alpha, 1 for log sigma_y and varrho),
-    ``groups`` (dim,) numbers that coordinate 0-3, and ``weights`` (n, 4, 4)
-    is minus the row's Hessian in the coordinates (module docstring).
+    Each row's u = r / sigma_y, c = z'alpha, sign (-1)^(1-a), probit argument
+    m, log Phi(m) and inverse Mills ratio lambda are computed here once.
     """
     sigma = theta.sigma_y
     rho = theta.rho
     sq = math.sqrt(max(1.0 - rho * rho, 0.0))
     d1, d2 = _rho_slopes(theta.varrho, rho, theta.rho_map)
-    y, a, x, z, w = dataset.y, dataset.a, dataset.x, dataset.z, dataset.w
     n = y.shape[0]
 
+    # extreme trial points from the line search may overflow; the pooled
+    # wrapper and the fit turn non-finite results into NonFiniteLikelihood
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        u, c, sign, m = _row_index(theta, sq, y, a, x, z, w)
-        lam = np.exp(-0.5 * m * m - LOG_SQRT_2PI - log_std_normal_cdf(m))
+        r = y - colwise_matvec(x, theta.beta) - colwise_matvec(w, theta.eta) * a
+        u = r / sigma
+        c = colwise_matvec(z, theta.alpha)
+        sign = 2.0 * a - 1.0
+        m = sign * (c + rho * u) / sq
+        log_cdf = log_std_normal_cdf(m)
+        ll = -0.5 * u * u - LOG_SQRT_2PI - theta.log_sigma_y + log_cdf
+        # inverse Mills ratio phi(m)/Phi(m), stable through the log kernels
+        lam = np.exp(-0.5 * m * m - LOG_SQRT_2PI - log_cdf)
         t = lam * sign
+
+        if order == 1:
+            k1 = (u - t * rho / sq) / sigma
+            score = np.empty((n, theta.dim))
+            jx = theta.beta.size
+            jw = theta.eta.size
+            score[:, :jx] = k1[:, None] * x
+            score[:, jx:jx + jw] = (k1 * a)[:, None] * w
+            score[:, jx + jw:-2] = (t / sq)[:, None] * z
+            score[:, -2] = u * u - 1.0 - t * rho * u / sq
+            score[:, -1] = t * (u + rho * c) / sq ** 3 * d1
+            return ll, score
+
         # sign * dm/d(r, c, log sigma_y, rho); the sign squares away in the outer product
         dm = np.empty((n, 4))
         dm[:, 0] = rho / (sq * sigma)
@@ -298,8 +225,61 @@ def information_rows(theta, dataset):
         hess[:, 3, :] *= d1
         hess[:, :, 3] *= d1
         hess[:, 3, 3] += t * dm[:, 3] * d2
+    return ll, -hess
 
+
+def _one_row(theta, row, order):
+    return _rows(theta, np.array([row.y], dtype=float), np.array([row.a], dtype=float),
+                 row.x[None, :], row.z[None, :], row.w[None, :], order)
+
+
+def obs_loglik(theta, row):
+    """Log-likelihood contribution of a single observation."""
+    return float(_one_row(theta, row, 1)[0][0])
+
+
+def obs_score(theta, row):
+    """Analytic gradient of obs_loglik in the unconstrained coordinates."""
+    return _one_row(theta, row, 1)[1][0]
+
+
+def pooled_negloglik_and_score(theta, dataset):
+    """Negative pooled log-likelihood and negative pooled score.
+
+    Sums run over every subject's own observation rows (ragged clusters are
+    simply shorter blocks).  Raises NonFiniteLikelihood on overflow, which
+    signals a pathological theta reached outside the line-search guard.
+    """
+    ll, score = _rows(theta, dataset.y, dataset.a, dataset.x, dataset.z, dataset.w, 1)
+    # exact_sum turns any non-finite row into a non-finite total
+    nll = -float(exact_sum(ll))
+    if not np.isfinite(nll):
+        raise NonFiniteLikelihood(f"pooled negative log-likelihood is {nll!r}")
+    neg_score = -exact_sum(score)
+    if not np.isfinite(neg_score).all():
+        raise NonFiniteLikelihood("pooled score is not finite")
+    return nll, neg_score
+
+
+def score_rows(theta, dataset):
+    """Per-row loglik score matrix (n, dim); building block for the sandwich."""
+    return _rows(theta, dataset.y, dataset.a, dataset.x, dataset.z, dataset.w, 1)[1]
+
+
+def information_rows(theta, dataset):
+    """Per-row factors of the observed information, the negative Hessian of
+    the pooled log-likelihood: ``exact_gram(coords, groups, weights)``.
+
+    A row's loglik depends on theta only through the coordinates
+    ``(r, c, log sigma_y, varrho)``, each linear in theta.  ``coords`` (n, dim)
+    holds each parameter's derivative of the one coordinate it enters
+    (-x for beta, -a*w for eta, z for alpha, 1 for log sigma_y and varrho),
+    ``groups`` (dim,) numbers that coordinate 0-3, and ``weights`` (n, 4, 4)
+    is minus the row's Hessian in the coordinates (module docstring).
+    """
+    y, a, x, z, w = dataset.y, dataset.a, dataset.x, dataset.z, dataset.w
+    _, weights = _rows(theta, y, a, x, z, w, 2)
     jx, jw, jz = theta.beta.size, theta.eta.size, theta.alpha.size
-    coords = np.hstack([-x, -w * a[:, None], z, np.ones((n, 2))])
+    coords = np.hstack([-x, -w * a[:, None], z, np.ones((y.shape[0], 2))])
     groups = np.repeat([0, 1, 2, 3], [jx + jw, jz, 1, 1])
-    return coords, groups, -hess
+    return coords, groups, weights

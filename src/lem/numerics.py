@@ -167,9 +167,10 @@ def solve_sym(m, rhs):
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("symmetric solve failed: matrix is singular") from exc
-    norm_b = np.linalg.norm(b)
-    if norm_b > 0:
-        resid = np.linalg.norm(a @ x - b) / norm_b
+    # the norms square entries, so both sides are first scaled to max |rhs| = 1
+    scale = np.max(np.abs(b), initial=0.0)
+    if scale > 0:
+        resid = np.linalg.norm((a @ x - b) / scale) / np.linalg.norm(b / scale)
         if not np.isfinite(resid) or resid > 1e-8:
             raise SingularMatrix(f"symmetric solve residual {resid:.3e} exceeds 1e-8; matrix is numerically singular")
     return x

@@ -459,24 +459,32 @@ def test_fits_load_neither_scipy_linalg_nor_scipy_optimize():
 # Wald inference
 # ---------------------------------------------------------------------------
 
-def test_wald_textbook_interval():
-    class Stub:
-        param_names = ["b"]
-        cov_robust = np.array([[0.05 ** 2]])
-        theta_hat = Theta(beta=[1.0], eta=[], alpha=[], log_sigma_y=0.0, varrho=0.0)
+def one_estimate(estimate, variance):
+    return FitRecord(model="lem", param_names=["b"], estimates=np.array([estimate]),
+                     cov_robust=np.array([[variance]]), j_x=1, n_subjects=1, n_rows=1)
 
-    res = wald(Stub(), 0, level=0.95)
+
+def test_wald_textbook_interval():
+    res = wald(one_estimate(1.0, 0.05 ** 2), 0, level=0.95)
     assert res.ci[0] == pytest.approx(0.9020018, abs=1e-6)
     assert res.ci[1] == pytest.approx(1.0979982, abs=1e-6)
 
 
 def test_wald_zero_estimate_p_value_one():
-    class Stub:
-        param_names = ["b"]
-        cov_robust = np.array([[4.0]])
-        theta_hat = Theta(beta=[0.0], eta=[], alpha=[], log_sigma_y=0.0, varrho=0.0)
+    assert wald(one_estimate(0.0, 4.0), "b").p_value == 1.0
 
-    assert wald(Stub(), "b").p_value == 1.0
+
+def test_wald_on_a_loaded_fit_and_a_gee_fit(tmp_path, panel_fit):
+    d, fit = panel_fit
+    path = str(tmp_path / "fit.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(fit_to_dict(fit), fh)
+    loaded = load_fit_json(path)
+    for idx in (0, "beta:O1", "varrho"):
+        assert wald(loaded, idx) == wald(fit, idx)
+    gee = fit_gee_independence(d)
+    res = wald(gee, "beta:treatment")
+    assert (res.estimate, res.se) == (gee.coef[-1], gee.se_robust()[-1])
 
 
 def test_wald_selector_errors(panel_fit):

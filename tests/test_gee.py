@@ -85,6 +85,16 @@ def test_doubling_clusters_halves_covariance():
     np.testing.assert_allclose(two.coef, one.coef, rtol=1e-12)
 
 
+def test_scale_equivariance_at_a_huge_outcome_scale():
+    d = panel(seed=7, n_subjects=60)
+    scaled = LongDataset.from_arrays(y=1e100 * d.y, a=d.a, x=d.x, z=d.z, w=d.w,
+                                     subject_ids=d.subject_ids, time_index=d.time_index)
+    one = fit_gee_independence(d, "adjusted")
+    big = fit_gee_independence(scaled, "adjusted")
+    np.testing.assert_allclose(big.coef, 1e100 * one.coef, rtol=1e-10)
+    np.testing.assert_allclose(big.se_robust(), 1e100 * one.se_robust(), rtol=1e-10)
+
+
 def test_coefficients_invariant_to_subject_relabeling():
     d = panel(seed=5, n_subjects=120)
     rng = np.random.default_rng(6)

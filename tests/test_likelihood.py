@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from lem.likelihood import (
     obs_score,
     pooled_negloglik_and_score,
     rho_of_varrho,
+    score_rows,
     varrho_of_rho,
 )
-from lem.numerics import TAIL_CROSSOVER
+from lem.numerics import TAIL_CROSSOVER, exact_sum
 from oracles import fd_jacobian
 
 
@@ -139,8 +141,11 @@ def fd_score(theta, row, rel_step=1e-6):
 def test_score_matches_finite_differences(rho_map):
     rng = np.random.default_rng(11)
     d = make_dataset(rng, n=5)
-    for _ in range(8):
-        theta = random_theta(rng, rho_map=rho_map)
+    cases = [(random_theta(rng, rho_map=rho_map), d) for _ in range(8)]
+    # the Mills-series regime of lambda, below the tail crossover of log Phi
+    tails = [tail_case(rng, rho_map) for _ in range(3)]
+    assert all((probit_argument(theta, d) < TAIL_CROSSOVER).any() for theta, d in tails)
+    for theta, d in cases + tails:
         for i in range(d.n_rows):
             row = d.row(i)
             analytic = obs_score(theta, row)
@@ -153,8 +158,7 @@ def test_score_beta_block_at_rho_zero():
     # with rho = 0 the probit factor drops from d/d beta: score = (r/sigma^2) x
     rng = np.random.default_rng(3)
     d = make_dataset(rng, n=10)
-    theta = random_theta(rng)
-    theta = theta.with_varrho(0.0)
+    theta = replace(random_theta(rng), varrho=0.0)
     for i in range(d.n_rows):
         row = d.row(i)
         resid = row.y - row.x @ theta.beta - (row.w @ theta.eta) * row.a
@@ -173,6 +177,17 @@ def test_pooled_single_row_equals_observation():
     nll, neg_score = pooled_negloglik_and_score(theta, d)
     assert nll == pytest.approx(-obs_loglik(theta, d.row(0)), abs=1e-14)
     np.testing.assert_allclose(neg_score, -obs_score(theta, d.row(0)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("rho_map", ["logistic", "arctan"])
+def test_rows_of_one_pass_agree_bit_for_bit(rho_map):
+    # one row's score is the same function of the row alone or in a ragged dataset,
+    # and the pooled score is the exact sum of the rows (sandwich_cov relies on it)
+    theta, d = tail_case(np.random.default_rng(23), rho_map)
+    rows = score_rows(theta, d)
+    for i in range(d.n_rows):
+        np.testing.assert_array_equal(obs_score(theta, d.row(i)), rows[i])
+    np.testing.assert_array_equal(pooled_negloglik_and_score(theta, d)[1], -exact_sum(rows))
 
 
 def test_pooled_doubling_is_exactly_twice():
@@ -201,8 +216,8 @@ def test_pooled_equivariance_under_outcome_scaling():
     theta_scaled = Theta(beta=c * theta.beta, eta=c * theta.eta, alpha=theta.alpha,
                          log_sigma_y=theta.log_sigma_y + math.log(c),
                          varrho=theta.varrho)
-    nll1, _ = pooled_negloglik_and_score(theta, d, want_score=False)
-    nll2, _ = pooled_negloglik_and_score(theta_scaled, scaled, want_score=False)
+    nll1 = pooled_negloglik_and_score(theta, d)[0]
+    nll2 = pooled_negloglik_and_score(theta_scaled, scaled)[0]
     assert nll2 - nll1 == pytest.approx(d.n_rows * math.log(c), rel=1e-12)
 
 
@@ -240,8 +255,8 @@ def test_logistic_and_arctan_maps_agree_on_rho():
     t_atan = Theta(beta=base.beta, eta=base.eta, alpha=base.alpha,
                    log_sigma_y=base.log_sigma_y, varrho=varrho_of_rho(rho, "arctan"),
                    rho_map="arctan")
-    nll1, _ = pooled_negloglik_and_score(t_log, d, want_score=False)
-    nll2, _ = pooled_negloglik_and_score(t_atan, d, want_score=False)
+    nll1 = pooled_negloglik_and_score(t_log, d)[0]
+    nll2 = pooled_negloglik_and_score(t_atan, d)[0]
     assert nll1 == pytest.approx(nll2, rel=1e-12)
 
 
@@ -268,21 +283,27 @@ def probit_argument(theta, d):
     return (2.0 * d.a - 1.0) * (d.z @ theta.alpha + rho * u) / math.sqrt(1.0 - rho * rho)
 
 
+def tail_case(rng, rho_map):
+    """A theta with |alpha[1]| >= 0.5 and its tail_dataset."""
+    alpha = rng.uniform(-1.5, 1.5, size=3)
+    alpha[1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
+    theta = Theta(beta=rng.uniform(-1.5, 1.5, size=3), eta=rng.uniform(-1.5, 1.5, size=2),
+                  alpha=alpha, log_sigma_y=rng.uniform(-0.5, 0.5),
+                  varrho=varrho_of_rho(rng.uniform(-0.9, 0.9), rho_map), rho_map=rho_map)
+    d = tail_dataset(rng, theta)
+    m = probit_argument(theta, d)
+    assert (m[:6] < -12.0).all()
+    # central differences must not straddle the tail crossover of log Phi
+    assert np.abs(m - TAIL_CROSSOVER).min() > 0.5
+    return theta, d
+
+
 @pytest.mark.parametrize("rho_map", ["logistic", "arctan"])
 def test_information_matches_finite_differences_of_score(rho_map):
     rng = np.random.default_rng(21)
     dims = (3, 3, 2)
     for _ in range(6):
-        alpha = rng.uniform(-1.5, 1.5, size=3)
-        alpha[1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
-        theta = Theta(beta=rng.uniform(-1.5, 1.5, size=3), eta=rng.uniform(-1.5, 1.5, size=2),
-                      alpha=alpha, log_sigma_y=rng.uniform(-0.5, 0.5),
-                      varrho=varrho_of_rho(rng.uniform(-0.9, 0.9), rho_map), rho_map=rho_map)
-        d = tail_dataset(rng, theta)
-        m = probit_argument(theta, d)
-        assert (m[:6] < -12.0).all()
-        # central differences must not straddle the tail crossover of log Phi
-        assert np.abs(m - TAIL_CROSSOVER).min() > 0.5
+        theta, d = tail_case(rng, rho_map)
 
         def neg_score(vec):
             return pooled_negloglik_and_score(Theta.from_array(vec, dims, rho_map), d)[1]

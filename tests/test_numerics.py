@@ -170,8 +170,15 @@ def test_solve_random_spd_residual():
 
 def test_solve_singular_raises():
     m = np.ones((3, 3))
-    with pytest.raises(SingularMatrix):
-        solve_sym(m, np.array([1.0, 2.0, 3.0]))
+    for scale in (1.0, 1e200):
+        with pytest.raises(SingularMatrix):
+            solve_sym(m, scale * np.array([1.0, 2.0, 3.0]))
+
+
+def test_solve_right_hand_side_beyond_the_square_root_of_the_float_range():
+    # the residual check's 2-norms square entries, which overflow beyond about 1e154
+    np.testing.assert_allclose(solve_sym([[3.0, 1.0], [1.0, 3.0]], [1e200, 3e199]),
+                               [3.375e199, -1.25e198], rtol=1e-12)
 
 
 def test_asymmetric_input_rejected():
