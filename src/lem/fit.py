@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .data import check_overlap, is_number, matrix_rank
+from .data import RANK_TOL, check_overlap, is_number, matrix_rank
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -52,6 +52,7 @@ from .numerics import (
     exact_gram,
     exact_sum,
     gram,
+    inverse_mills_slope,
     log_std_normal_cdf,
     solve_sym,
     std_normal_cdf,
@@ -65,6 +66,9 @@ BREAD_MIN_RCOND = math.sqrt(np.finfo(float).eps)
 # the solver's tolerance on the pooled score's infinity norm, and its iteration cap
 SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 500
+# the probit start's Newton iteration cap, and its score tolerance per row
+PROBIT_MAX_ITER = 50
+PROBIT_TOL = 1e-10
 # a fit is accepted when the pooled score satisfies this relative criterion
 SCORE_ROOT_RTOL = 1e-6
 # the layout version that fit_to_dict writes and load_fit_json accepts
@@ -135,50 +139,41 @@ class WaldResult:
     name: str
 
 
-def _ols(design, y):
-    """Least squares through the normal equations with a rank pre-check."""
-    if matrix_rank(design) < design.shape[1]:
-        raise SingularDesign(
-            f"design matrix with {design.shape[1]} columns is rank deficient"
-        )
-    gram = design.T @ design
-    coef = solve_sym(gram, design.T @ y)
-    return coef
-
-
-def _probit(z, a, max_iter=50, tol=1e-10):
-    """Probit coefficients by Fisher scoring on the pooled rows."""
+def _probit(z, a):
+    """Probit coefficients by Newton's method on the observed information
+    ``z' diag(-inverse_mills_slope(m, lambda)) z``.  Raises SingularDesign for a
+    rank-deficient z, after PROBIT_MAX_ITER steps, and when every row is
+    classified: a finite probit maximum misclassifies some row, so that is
+    complete separation (Albert & Anderson, Biometrika 71 (1984) 1-10)."""
     if matrix_rank(z) < z.shape[1]:
         raise SingularDesign("treatment design matrix is rank deficient")
     alpha = np.zeros(z.shape[1])
     sign = 2.0 * a - 1.0
-    for _ in range(max_iter):
-        c = z @ alpha
-        m = sign * c
+    for _ in range(PROBIT_MAX_ITER):
+        m = sign * (z @ alpha)
         # phi(m)/Phi(m) through the stable log kernels
         lam = np.exp(std_normal_log_pdf(m) - log_std_normal_cdf(m))
         score = z.T @ (sign * lam)
-        p = std_normal_cdf(c)
-        pq = np.clip(p * (1.0 - p), 1e-12, None)
-        wgt = np.exp(2.0 * std_normal_log_pdf(c)) / pq
-        info = (z * wgt[:, None]).T @ z
-        step = solve_sym(info, score)
-        alpha = alpha + step
-        if np.abs(score).max() <= tol * len(a):
+        if np.abs(score).max() <= PROBIT_TOL * len(a):
             break
+        info = (z * -inverse_mills_slope(m, lam)[:, None]).T @ z
+        alpha = alpha + solve_sym(info, score)
+    else:
+        raise SingularDesign(f"probit start did not converge in {PROBIT_MAX_ITER} Newton steps")
+    if (m > 0).all():  # m is sign * (z @ alpha) at the returned alpha
+        raise SingularDesign("z separates treatment completely: the probit has no finite maximum")
     return alpha
 
 
 def initialize(dataset):
-    """Starting values from standard regression fits.
-
-    beta and eta come from pooled least squares of y on [X, W*A]; alpha from
-    a probit of A on Z; sigma_y from the least-squares residual SD; the
-    correlation coordinate starts at zero.
-    """
+    """Starting values: the maximum of the joint likelihood at rho = 0, where it
+    splits into least squares of y on [X, W*A] (beta, eta and sigma_y, the
+    residual SD) and a probit of A on Z (alpha); varrho starts at zero."""
     x, w, a = dataset.x, dataset.w, dataset.a
     design = np.hstack([x, w * a[:, None]])
-    coef = _ols(design, dataset.y)
+    coef, _, rank, _ = np.linalg.lstsq(design, dataset.y, rcond=RANK_TOL)
+    if rank < design.shape[1]:
+        raise SingularDesign(f"design matrix with {design.shape[1]} columns is rank deficient")
     jx = x.shape[1]
     beta, eta = coef[:jx], coef[jx:]
     resid = dataset.y - design @ coef

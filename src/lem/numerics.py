@@ -157,12 +157,14 @@ def cholesky(m):
 def solve_sym(m, rhs):
     """Solve m @ x = rhs for symmetric invertible m.
 
-    Raises SingularMatrix when the factorization fails or the residual check
-    ``||m @ x - rhs|| <= 1e-8 * ||rhs||`` does not hold (collinear design or
-    non-identified fit).
+    Raises SingularMatrix when ``m`` or ``rhs`` is not finite, the
+    factorization fails or the residual check ``||m @ x - rhs|| <= 1e-8 *
+    ||rhs||`` does not hold (collinear design or non-identified fit).
     """
     a = as_sym_matrix(m)
     b = np.asarray(rhs, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise SingularMatrix("symmetric solve of a system that is not finite")
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:

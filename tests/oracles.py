@@ -1,7 +1,9 @@
 """Reference implementations shared by the test modules.
 
-Finite-difference derivatives, and the row-by-row CSV reader and writer that
-the column-wise ``lem.data.load_csv`` and ``write_csv`` must match exactly.
+Finite-difference derivatives, the Fisher-scoring probit that the Newton
+probit start ``lem.fit._probit`` must agree with, and the row-by-row CSV
+reader and writer that the column-wise ``lem.data.load_csv`` and
+``write_csv`` must match exactly.
 """
 
 import csv
@@ -10,6 +12,7 @@ import numpy as np
 
 from lem.data import INTERCEPT, LongDataset
 from lem.errors import DuplicateObservation, MissingColumn, NonBinaryTreatment, ParseError
+from lem.numerics import log_std_normal_cdf, solve_sym, std_normal_cdf, std_normal_log_pdf
 
 
 def fd_jacobian(fun, x, step_scale=1e-5):
@@ -29,6 +32,27 @@ def fd_jacobian(fun, x, step_scale=1e-5):
         dn[k] -= h
         jac[:, k] = (np.asarray(fun(up)) - np.asarray(fun(dn))) / (2.0 * h)
     return 0.5 * (jac + jac.T)
+
+
+def probit_fisher_scoring(z, a, max_iter=50, tol=1e-10):
+    """Probit coefficients of ``a`` on ``z`` by Fisher scoring: each step solves
+    with the expected information ``z' diag(phi(c)^2 / (Phi(c) (1 - Phi(c)))) z``
+    at the index ``c = z @ alpha``, starting from zero."""
+    alpha = np.zeros(z.shape[1])
+    sign = 2.0 * a - 1.0
+    for _ in range(max_iter):
+        c = z @ alpha
+        m = sign * c
+        lam = np.exp(std_normal_log_pdf(m) - log_std_normal_cdf(m))
+        score = z.T @ (sign * lam)
+        p = std_normal_cdf(c)
+        pq = np.clip(p * (1.0 - p), 1e-12, None)
+        wgt = np.exp(2.0 * std_normal_log_pdf(c)) / pq
+        info = (z * wgt[:, None]).T @ z
+        alpha = alpha + solve_sym(info, score)
+        if np.abs(score).max() <= tol * len(a):
+            break
+    return alpha
 
 
 def _parse_cell(raw, row_number, column):

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,37 @@ def test_fit_no_overlap_warns_but_succeeds(tmp_path, capsys):
     assert code == 0
     payload = json.loads(open(os.path.join(out, "fit.json")).read())
     assert any("overlap" in w for w in payload["warnings"])
+
+
+def test_fit_separated_treatment_exit_1(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    rows = ["id,visit,y,a,v"]
+    for i, v in enumerate(rng.normal(size=200).tolist()):
+        a = int(v > 0)   # treatment exactly separated by v
+        rows.append(f"{i},0,{float(rng.normal()) + a!r},{a},{v!r}")
+    data = tmp_path / "sep.csv"
+    data.write_text("\n".join(rows) + "\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"subject": "id", "time": "visit", "outcome": "y",
+                                "treatment": "a", "z": ["v"]}))
+    code = cli.main(["fit", "--data", str(data), "--spec", str(spec),
+                     "--method", "lem", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "SingularDesign" in capsys.readouterr().err
+
+
+def test_fit_gee_outcome_near_overflow_exit_2(tmp_path, capsys):
+    cfg = SimConfig(n_subjects=200, seed=3)
+    rng = substream(cfg.seed, 0)
+    d = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
+    data = str(tmp_path / "panel.csv")
+    write_csv(replace(d, y=d.y * 1e300), data, DesignSpec.from_dict(SPEC_DICT))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC_DICT))
+    code = cli.main(["fit", "--data", data, "--spec", str(spec),
+                     "--method", "gee-adjusted", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "SingularMatrix" in capsys.readouterr().err
 
 
 def test_fit_numerical_failure_exit_2(sim_csv, tmp_path, monkeypatch):

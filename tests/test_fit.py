@@ -9,7 +9,9 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.special import ndtri
 
+import lem.fit
 from lem.data import LongDataset
 from lem.errors import (
     DimensionMismatch,
@@ -22,6 +24,7 @@ from lem.errors import (
 from lem.fit import (
     FitOptions,
     FitRecord,
+    _probit,
     fisher_cov,
     fit_lem,
     fit_to_dict,
@@ -44,7 +47,7 @@ from lem.simulate import (
     preset,
     substream,
 )
-from oracles import fd_jacobian
+from oracles import fd_jacobian, probit_fisher_scoring
 
 
 def panel_dataset(seed=0, n_subjects=500, rho=0.5, eta=(0.0, 0.2, 0.2, 0.2, 0.2),
@@ -92,6 +95,8 @@ def test_initialize_intercept_only_design():
     d = LongDataset.from_arrays(y=y, a=a, x=ones, z=ones, w=ones)
     theta0 = initialize(d)
     assert theta0.beta[0] == pytest.approx(y[a == 0].mean(), abs=1e-8)
+    # the probit maximum of an intercept-only z in closed form
+    assert theta0.alpha[0] == ndtri(a.mean())
 
 
 def test_initialize_duplicated_z_column_raises():
@@ -103,6 +108,42 @@ def test_initialize_duplicated_z_column_raises():
     d = LongDataset.from_arrays(y=rng.normal(size=n), a=(rng.random(n) < 0.5).astype(float),
                                 x=ones, z=z, w=ones)
     with pytest.raises(SingularDesign):
+        initialize(d)
+
+
+@pytest.mark.parametrize("name", ["sim1", "sim2", "sim3", "sim4"])
+def test_probit_start_agrees_with_fisher_scoring(name):
+    cfg = preset(name)
+    for rep in range(3):
+        rng = substream(cfg.seed, rep)
+        d = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
+        if cfg.missingness != "none":
+            d = apply_missingness(d, cfg, rng)
+        np.testing.assert_allclose(_probit(d.z, d.a), probit_fisher_scoring(d.z, d.a),
+                                   rtol=0, atol=1e-9)
+
+
+def separated_dataset(seed):
+    """Treatment exactly 1(v > 0) for a column v of z."""
+    rng = np.random.default_rng(seed)
+    n = 200
+    v = rng.normal(size=n)
+    a = (v > 0).astype(float)
+    ones = np.ones((n, 1))
+    return LongDataset.from_arrays(y=rng.normal(size=n) + a, a=a, x=ones,
+                                   z=np.column_stack([np.ones(n), v]), w=ones)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_raises_on_complete_separation(seed):
+    with pytest.raises(SingularDesign, match="separates treatment completely"):
+        fit_lem(separated_dataset(seed))
+
+
+def test_probit_start_raises_at_its_iteration_cap(monkeypatch):
+    d = panel_dataset(seed=33, n_subjects=300)
+    monkeypatch.setattr(lem.fit, "PROBIT_MAX_ITER", 2)
+    with pytest.raises(SingularDesign, match="did not converge"):
         initialize(d)
 
 

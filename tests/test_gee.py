@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lem.data import LongDataset
-from lem.errors import AllRowsExcluded, SingularDesign
+from lem.errors import AllRowsExcluded, LemError, SingularDesign
 from lem.fit import fit_lem
 from lem.gee import fit_gee_independence
 from lem.simulate import SimConfig, gen_covariates, gen_outcomes, substream
@@ -127,3 +129,10 @@ def test_unknown_variant_rejected():
     d = cross_sectional(seed=8)
     with pytest.raises(ValueError):
         fit_gee_independence(d, "bogus")
+
+
+def test_outcome_near_overflow_raises():
+    # y x 1e300 puts X'y within 2**28 of overflow, where the exact sums give NaN
+    d = panel(seed=3, n_subjects=200)
+    with pytest.raises(LemError):
+        fit_gee_independence(replace(d, y=d.y * 1e300), "adjusted")

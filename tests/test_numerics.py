@@ -175,6 +175,16 @@ def test_solve_singular_raises():
             solve_sym(m, scale * np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("m, rhs", [
+    ([[2.0, 0.0], [0.0, 2.0]], [1.0, np.nan]),
+    ([[2.0, 0.0], [0.0, 2.0]], [np.inf, 1.0]),
+    ([[2.0, np.nan], [np.nan, 2.0]], [1.0, 1.0]),
+])
+def test_solve_non_finite_system_raises(m, rhs):
+    with pytest.raises(SingularMatrix):
+        solve_sym(m, rhs)
+
+
 def test_solve_right_hand_side_beyond_the_square_root_of_the_float_range():
     # the residual check's 2-norms square entries, which overflow beyond about 1e154
     np.testing.assert_allclose(solve_sym([[3.0, 1.0], [1.0, 3.0]], [1e200, 3e199]),
