@@ -1,8 +1,10 @@
 """Long-format panel dataset: ingestion, validation, and identifiability checks.
 
-A dataset is a frozen collection of per-row arrays grouped by subject with
-rows sorted by time within subject.  Missing visits are represented by the
-absence of a row (ragged clusters); no in-row missing-value sentinel exists.
+A dataset is a frozen collection of per-row arrays.  Its subjects (clusters)
+are the runs of equal consecutive labels, and each label may start one run
+only; visits are nonnegative integers, strictly increasing within a subject.
+Missing visits are represented by the absence of a row (ragged clusters); no
+in-row missing-value sentinel exists.
 Covariates are pre-encoded numerics; an intercept column of ones is prepended
 to each of the X (outcome), Z (treatment), and W (effect-modifier) blocks at
 construction.
@@ -26,7 +28,7 @@ import itertools
 import json
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -49,6 +51,9 @@ CHUNK_ROWS = 4096
 
 # times must convert to np.intp, so they lie below 2**63
 TIME_LIMIT = 2.0 ** 63
+
+# the per-row arrays of a LongDataset, which subset_rows masks
+ROW_FIELDS = ("subject_ids", "time_index", "y", "a", "x", "z", "w", "column_values")
 
 
 def is_number(value, kind=numbers.Real):
@@ -114,29 +119,35 @@ class ObsRow:
     w: np.ndarray
 
 
+def _label_runs(labels):
+    """(R+1,) offsets of the runs of equal consecutive labels, ending with len(labels)."""
+    change = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    return np.concatenate(([0], change, [len(labels)]))
+
+
 @dataclass(frozen=True)
 class LongDataset:
-    """Immutable long-format dataset with contiguous per-subject row blocks."""
+    """Immutable long-format dataset whose clusters are derived from its labels."""
 
-    subject_ids: np.ndarray        # (n,) original labels, per row
-    time_index: np.ndarray         # (n,) int
+    subject_ids: np.ndarray        # (n,) labels, per row; each subject's rows contiguous
+    time_index: np.ndarray         # (n,) int, >= 0, strictly increasing within subject
     y: np.ndarray                  # (n,)
     a: np.ndarray                  # (n,) values in {0, 1}
     x: np.ndarray                  # (n, J_X), leading column of ones
     z: np.ndarray                  # (n, J_Z)
     w: np.ndarray                  # (n, J_W)
-    subject_index: np.ndarray      # (n,) cluster ordinal 0..N-1, nondecreasing
     x_names: tuple
     z_names: tuple
     w_names: tuple
     column_names: tuple = ()       # raw covariate columns for write-back
     column_values: Optional[np.ndarray] = field(default=None, repr=False)
+    subject_starts: np.ndarray = field(init=False, repr=False)  # (N+1,) label-run offsets
 
     def __post_init__(self):
         n = self.y.shape[0]
         if n == 0:
             raise ValueError("dataset has no rows")
-        for name in ("subject_ids", "time_index", "a", "subject_index", "column_values"):
+        for name in ("subject_ids", "time_index", "a", "column_values"):
             if getattr(self, name) is not None and np.shape(getattr(self, name))[:1] != (n,):
                 raise ValueError(f"{name} must have one entry per row ({n})")
         for name in ("y", "x", "z", "w"):
@@ -156,15 +167,18 @@ class LongDataset:
                             ("column_names", covariates)):
             if np.shape(block)[1:] != (len(getattr(self, name)),):
                 raise ValueError(f"{name} must hold one name per column of a block of shape {np.shape(block)}")
-        if np.any(np.diff(self.subject_index) < 0) or self.subject_index[0] != 0:
-            raise ValueError("rows must be grouped by subject in ordinal order")
-        if np.any(np.diff(self.subject_index) > 1):
-            raise ValueError("subject ordinals must be contiguous")
-        for arr in (self.subject_ids, self.time_index, self.y, self.a, self.x,
-                    self.z, self.w, self.subject_index):
-            arr.setflags(write=False)
-        if self.column_values is not None:
-            self.column_values.setflags(write=False)
+        starts = _label_runs(self.subject_ids)
+        if len(set(self.subject_ids[starts[:-1]].tolist())) < starts.size - 1:
+            raise ValueError("rows must be grouped by subject: a label starts two row blocks")
+        t = self.time_index
+        if (not np.issubdtype(t.dtype, np.integer) or (t < 0).any()
+                or (np.delete(np.diff(t), starts[1:-1] - 1) <= 0).any()):
+            raise ValueError("time_index must hold nonnegative integers that strictly "
+                             "increase within each subject")
+        object.__setattr__(self, "subject_starts", starts)
+        for name in (*ROW_FIELDS, "subject_starts"):
+            if getattr(self, name) is not None:
+                getattr(self, name).setflags(write=False)
 
     # -- shape helpers ------------------------------------------------------
 
@@ -174,17 +188,11 @@ class LongDataset:
 
     @property
     def n_subjects(self):
-        return int(self.subject_index[-1]) + 1
+        return len(self.subject_starts) - 1
 
     @property
     def dims(self):
         return (self.x.shape[1], self.z.shape[1], self.w.shape[1])
-
-    @property
-    def subject_starts(self):
-        """(N+1,) row offsets delimiting each subject's contiguous block."""
-        starts = np.flatnonzero(np.diff(self.subject_index)) + 1
-        return np.concatenate(([0], starts, [self.n_rows]))
 
     def cluster_sizes(self):
         return np.diff(self.subject_starts)
@@ -209,41 +217,28 @@ class LongDataset:
 
         ``x``, ``z``, ``w`` must already carry the leading intercept column.
         Without ``subject_ids`` every row is its own subject (cross-sectional
-        data).  Rows must arrive grouped by subject and sorted by time.
+        data).  Rows must arrive grouped by subject, with integer visits that
+        are nonnegative and strictly increase within it, or ValueError is
+        raised.  The default visits count each subject's rows from 0.
         """
         y = np.asarray(y, dtype=float)
-        a = np.asarray(a, dtype=float)
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        w = np.asarray(w, dtype=float)
-        n = y.shape[0]
-        if subject_ids is None:
-            subject_ids = np.arange(n).astype(str)
-        else:
-            subject_ids = np.asarray(subject_ids).astype(str)
-        order = {}
-        for s in subject_ids:
-            if s not in order:
-                order[s] = len(order)
-        subject_index = np.array([order[s] for s in subject_ids], dtype=np.intp)
+        subject_ids = np.asarray(np.arange(len(y)) if subject_ids is None else subject_ids).astype(str)
         if time_index is None:
-            starts = np.flatnonzero(np.r_[True, np.diff(subject_index) != 0])
-            time_index = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
-        else:
-            time_index = np.asarray(time_index, dtype=np.intp)
+            starts = _label_runs(subject_ids)
+            time_index = np.arange(len(subject_ids)) - np.repeat(starts[:-1], np.diff(starts))
+        x, z, w = (np.asarray(block, dtype=float) for block in (x, z, w))
 
         def default_names(prefix, k):
             return (INTERCEPT,) + tuple(f"{prefix}{j}" for j in range(1, k))
 
         return cls(
             subject_ids=subject_ids,
-            time_index=time_index,
+            time_index=np.asarray(time_index),
             y=y,
-            a=a,
+            a=np.asarray(a, dtype=float),
             x=x,
             z=z,
             w=w,
-            subject_index=subject_index,
             x_names=tuple(x_names) if x_names else default_names("x", x.shape[1]),
             z_names=tuple(z_names) if z_names else default_names("z", z.shape[1]),
             w_names=tuple(w_names) if w_names else default_names("w", w.shape[1]),
@@ -434,7 +429,6 @@ def load_csv(path, spec):
         x=block(spec.x),
         z=block(spec.z),
         w=block(spec.w),
-        subject_index=ordinal,
         x_names=(INTERCEPT, *spec.x),
         z_names=(INTERCEPT, *spec.z),
         w_names=(INTERCEPT, *spec.w),
@@ -478,7 +472,7 @@ def check_overlap(dataset):
     y0 = dataset.y[a == 0.0]
     y1 = dataset.y[a == 1.0]
     if y0.size == 0 or y1.size == 0:
-        raise OneArmEmpty("both treatment arms must be nonempty for the overlap check")
+        raise OneArmEmpty("both treatment arms must be nonempty to check overlap or fit")
     r0 = (float(y0.min()), float(y0.max()))
     r1 = (float(y1.min()), float(y1.max()))
     overlap = max(r0[0], r1[0]) < min(r0[1], r1[1])
@@ -518,21 +512,5 @@ def subset_rows(dataset, keep):
     keep = np.asarray(keep, dtype=bool)
     if not keep.any():
         raise ValueError("subset would remove every row")
-    old_index = dataset.subject_index[keep]
-    # re-pack ordinals contiguously, preserving order
-    _, new_index = np.unique(old_index, return_inverse=True)
-    return LongDataset(
-        subject_ids=dataset.subject_ids[keep].copy(),
-        time_index=dataset.time_index[keep].copy(),
-        y=dataset.y[keep].copy(),
-        a=dataset.a[keep].copy(),
-        x=dataset.x[keep].copy(),
-        z=dataset.z[keep].copy(),
-        w=dataset.w[keep].copy(),
-        subject_index=new_index.astype(np.intp),
-        x_names=dataset.x_names,
-        z_names=dataset.z_names,
-        w_names=dataset.w_names,
-        column_names=dataset.column_names,
-        column_values=None if dataset.column_values is None else dataset.column_values[keep].copy(),
-    )
+    return replace(dataset, **{name: getattr(dataset, name)[keep] for name in ROW_FIELDS
+                               if getattr(dataset, name) is not None})

@@ -35,7 +35,6 @@ from .errors import (
     LineSearchFailure,
     NoConvergence,
     NonFiniteLikelihood,
-    OneArmEmpty,
     SingularDesign,
     SingularMatrix,
     UnsortedKnots,
@@ -207,11 +206,15 @@ def fit_lem(dataset, opts=None):
     Warnings (overlap failure, line-search stall at numerical precision,
     single cluster, ...) are collected machine-readably on the returned fit;
     only structural errors abort.
+
+    The solver's tolerances are absolute, so y is fitted divided by the power
+    of two 2**k that puts max|y| in [8, 16); ``optim`` is in those units.  The
+    rest is mapped back to the data's units: beta, eta and their covariance rows
+    and columns times 2**k (exact), log_sigma_y plus k ln 2, ``negloglik`` plus
+    n_rows k ln 2.  A variance that then overflows or underflows raises
+    NonFiniteLikelihood.
     """
     opts = opts or FitOptions()
-    if not ((dataset.a == 0).any() and (dataset.a == 1).any()):
-        raise OneArmEmpty("both treatment arms are required to fit the joint model")
-
     fit_warnings = []
     overlap = check_overlap(dataset)
     if not overlap.overlap:
@@ -221,16 +224,18 @@ def fit_lem(dataset, opts=None):
             "(treated) do not intersect; the likelihood may lack an interior maximum"
         )
 
-    theta0 = replace(initialize(dataset), rho_map=opts.rho_map)
+    k = int(np.frexp(np.abs(dataset.y).max())[1]) - 4
+    fitted = replace(dataset, y=np.ldexp(dataset.y, -k)) if k else dataset
+    theta0 = replace(initialize(fitted), rho_map=opts.rho_map)
     try:
-        result = minimize_bfgs(*_objective(dataset, opts.rho_map), theta0.to_array(),
+        result = minimize_bfgs(*_objective(fitted, opts.rho_map), theta0.to_array(),
                                tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
     except LineSearchFailure as exc:
         result = exc.result
         fit_warnings.append(f"line search stalled: {exc}")
 
-    theta_hat = Theta.from_array(result.argmin, dataset.dims, opts.rho_map)
-    # the solver's value and gradient are the pooled ones at theta_hat
+    theta_fitted = Theta.from_array(result.argmin, dataset.dims, opts.rho_map)
+    # the solver's value and gradient are the pooled ones at theta_fitted
     nll, score_norm = result.objective_value, result.gradient_inf_norm
     criterion = SCORE_ROOT_RTOL * (1.0 + abs(nll))
     if not result.converged:
@@ -246,31 +251,41 @@ def fit_lem(dataset, opts=None):
         )
 
     if dataset.n_subjects < 2:
-        fit_warnings.append(
-            "single cluster: the robust covariance estimate is unreliable"
-        )
+        fit_warnings.append("single cluster: the robust covariance estimate is unreliable")
 
-    bread = score_jacobian(theta_hat, dataset)
-    cov_robust = sandwich_cov(theta_hat, dataset, bread)
+    bread = score_jacobian(theta_fitted, fitted)
+    cov_robust = sandwich_cov(theta_fitted, fitted, bread)
     cov_model = None
     if opts.compute_model_cov:
-        cov_model, model_warns = _fisher_cov_impl(bread, dataset)
+        cov_model, model_warns = _fisher_cov_impl(bread, fitted)
         fit_warnings.extend(model_warns)
 
+    # back to the data's units: beta and eta, the first j_x + j_w entries, scale by 2**k
+    jx, _, jw = dataset.dims
+    e = np.where(np.arange(theta_fitted.dim) < jx + jw, k, 0)
+    with np.errstate(over="ignore"):
+        cov_robust, cov_model = (c if c is None else np.ldexp(c, e[:, None] + e)
+                                 for c in (cov_robust, cov_model))
+    var = np.diag(cov_robust)   # variances overflow before the estimates do
+    if not ((var >= np.finfo(float).tiny) & (var <= np.finfo(float).max)).all():
+        raise NonFiniteLikelihood("a variance lies outside the normal float range in "
+                                  "the data's units; rescale the outcome")
+    estimates = np.ldexp(result.argmin, e)
+    estimates[-2] += k * math.log(2.0)
     return LemFit(
         model="lem",
         param_names=parameter_names(dataset),
-        estimates=theta_hat.to_array(),
+        estimates=estimates,
         cov_robust=cov_robust,
-        j_x=theta_hat.beta.size,
+        j_x=jx,
         n_subjects=dataset.n_subjects,
         n_rows=dataset.n_rows,
         warnings=fit_warnings,
-        theta_hat=theta_hat,
+        theta_hat=Theta.from_array(estimates, dataset.dims, opts.rho_map),
         cov_model=cov_model,
         optim=result,
-        negloglik=nll,
-        score_inf_norm=score_norm,
+        negloglik=nll + dataset.n_rows * k * math.log(2.0),
+        score_inf_norm=float(np.abs(np.ldexp(result.gradient, -e)).max()),
     )
 
 

@@ -1,7 +1,8 @@
 """Stable normal special functions, exact reductions and small dense algebra.
 
-All matrices in this package are tiny (never beyond the parameter dimension,
-~25), so plain dense O(n^3) routines are used throughout.  "Symmetric matrix"
+Square matrices are tiny (the parameter dimension, ~25), so plain dense
+O(n^3) routines serve them; the row reductions take (n, p) row matrices, the
+exact ones up to EXACT_SUM_MAX_ROWS = 2**26 rows.  "Symmetric matrix"
 arguments are ordinary ndarrays validated by :func:`as_sym_matrix`; there is
 no wrapper class.
 

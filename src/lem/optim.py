@@ -43,10 +43,14 @@ ROUNDING_ULPS = 64
 class OptimResult:
     argmin: np.ndarray
     objective_value: float
-    gradient_inf_norm: float
+    gradient: np.ndarray
     iterations: int
     converged: bool
     n_evals: int = 0
+
+    @property
+    def gradient_inf_norm(self):
+        return float(np.abs(self.gradient).max())
 
 
 def _backtrack(phi, f0, d0, max_trials=40):
@@ -139,7 +143,7 @@ def minimize_bfgs(fun, hess, start, tol=1e-8, max_iter=500, callback=None):
 
     for k in range(max_iter):
         if gnorm <= tol:
-            return OptimResult(x, f, gnorm, k, True, evals)
+            return OptimResult(x, f, g, k, True, evals)
 
         p = _newton_direction(hess(x), g)
         dphi0 = float(g @ p)
@@ -150,13 +154,13 @@ def minimize_bfgs(fun, hess, start, tol=1e-8, max_iter=500, callback=None):
             try:
                 alpha, f_new, g_new = _backtrack(lambda a: evaluate(x + a * p), f, dphi0)
             except LineSearchFailure as exc:
-                exc.result = OptimResult(x, f, gnorm, k, False, evals)
+                exc.result = OptimResult(x, f, g, k, False, evals)
                 raise
         x_new = x + alpha * p
         gnorm_new = float(np.abs(g_new).max())
         if near_root and not (np.isfinite(f_new) and gnorm_new < gnorm):
             # near the root the full step is kept only if it lowers the gradient
-            return OptimResult(x, f, gnorm, k, False, evals)
+            return OptimResult(x, f, g, k, False, evals)
 
         if callback is not None:
             callback({"k": k, "x": x_new.copy(), "f": f_new, "f_prev": f, "alpha": alpha,
@@ -164,4 +168,4 @@ def minimize_bfgs(fun, hess, start, tol=1e-8, max_iter=500, callback=None):
 
         x, f, g, gnorm = x_new, f_new, g_new, gnorm_new
 
-    return OptimResult(x, f, gnorm, max_iter, gnorm <= tol, evals)
+    return OptimResult(x, f, g, max_iter, gnorm <= tol, evals)

@@ -195,7 +195,6 @@ def gen_outcomes(covariates, cfg, rng, return_latents=False):
         x=x,
         z=z,
         w=w,
-        subject_index=np.repeat(np.arange(n), t).astype(np.intp),
         x_names=(INTERCEPT, *(names[k] for k in X_COLS)),
         z_names=(INTERCEPT, *(names[k] for k in Z_COLS)),
         w_names=(INTERCEPT, *(names[k] for k in W_COLS)),

@@ -149,7 +149,6 @@ def load_csv_rowwise(path, spec):
             cols.append(cov_matrix[:, covariate_names.index(name)])
         return np.column_stack(cols)
 
-    order = {s: i for i, s in enumerate(per_subject)}
     return LongDataset(
         subject_ids=subject_ids,
         time_index=time_index,
@@ -158,7 +157,6 @@ def load_csv_rowwise(path, spec):
         x=block(spec.x),
         z=block(spec.z),
         w=block(spec.w),
-        subject_index=np.array([order[s] for s in subject_ids], dtype=np.intp),
         x_names=(INTERCEPT, *spec.x),
         z_names=(INTERCEPT, *spec.z),
         w_names=(INTERCEPT, *spec.w),

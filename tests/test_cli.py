@@ -126,18 +126,30 @@ def test_fit_separated_treatment_exit_1(tmp_path, capsys):
     assert "SingularDesign" in capsys.readouterr().err
 
 
-def test_fit_gee_outcome_near_overflow_exit_2(tmp_path, capsys):
+def fit_scaled_outcome(tmp_path, scale, method):
+    """`lem fit` exit code on a sim1 cohort (200 subjects, seed 3) with y x ``scale``."""
     cfg = SimConfig(n_subjects=200, seed=3)
     rng = substream(cfg.seed, 0)
     d = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
     data = str(tmp_path / "panel.csv")
-    write_csv(replace(d, y=d.y * 1e300), data, DesignSpec.from_dict(SPEC_DICT))
+    write_csv(replace(d, y=d.y * scale), data, DesignSpec.from_dict(SPEC_DICT))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPEC_DICT))
-    code = cli.main(["fit", "--data", data, "--spec", str(spec),
-                     "--method", "gee-adjusted", "--out", str(tmp_path / "out")])
-    assert code == 2
+    return cli.main(["fit", "--data", data, "--spec", str(spec),
+                     "--method", method, "--out", str(tmp_path / "out")])
+
+
+def test_fit_gee_outcome_near_overflow_exit_2(tmp_path, capsys):
+    assert fit_scaled_outcome(tmp_path, 1e300, "gee-adjusted") == 2
     assert "SingularMatrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale,code", [(1e-20, 0), (1e-100, 0), (1e300, 2)])
+def test_fit_lem_at_extreme_outcome_scales(tmp_path, capsys, scale, code):
+    # the fit runs in power-of-two units; at 1e300 the beta variances overflow
+    assert fit_scaled_outcome(tmp_path, scale, "lem") == code
+    if code == 2:
+        assert "NonFiniteLikelihood" in capsys.readouterr().err
 
 
 def test_fit_numerical_failure_exit_2(sim_csv, tmp_path, monkeypatch):

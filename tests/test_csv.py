@@ -19,7 +19,7 @@ from oracles import load_csv_rowwise, write_csv_rowwise
 SPEC = DesignSpec(subject="id", time="visit", outcome="ldl", treatment="statin",
                   x=("age",), z=("risk",), w=("age",))
 HEADER = ["id", "visit", "ldl", "statin", "age", "risk", "note"]
-ARRAYS = ("subject_ids", "time_index", "y", "a", "x", "z", "w", "subject_index",
+ARRAYS = ("subject_ids", "time_index", "y", "a", "x", "z", "w", "subject_starts",
           "column_values")
 NAMES = ("x_names", "z_names", "w_names", "column_names")
 
@@ -224,7 +224,9 @@ def datasets(draw):
         a=draw(st.lists(st.sampled_from([0.0, 1.0, -0.0]), min_size=n, max_size=n)),
         x=ones, z=ones, w=ones,
         subject_ids=sorted(draw(st.lists(labels, min_size=n, max_size=n))),
-        time_index=draw(st.lists(st.integers(0, 2 ** 62), min_size=n, max_size=n)))
+        # visits increasing over the whole file increase within every subject
+        time_index=sorted(draw(st.lists(st.integers(0, 2 ** 62), min_size=n, max_size=n,
+                                        unique=True))))
     return dataclasses.replace(d, column_names=tuple(f"c{j}" for j in range(k)),
                                column_values=cov)
 

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lem.data import (
     DesignSpec,
@@ -227,11 +228,73 @@ def test_subset_rows_drops_empty_subjects():
                                 subject_ids=["u", "u", "v", "v", "w", "w"])
     kept = subset_rows(d, np.array([True, True, False, False, True, True]))
     assert kept.n_subjects == 2
-    np.testing.assert_array_equal(kept.subject_index, [0, 0, 1, 1])
+    np.testing.assert_array_equal(kept.subject_starts, [0, 2, 4])
     # the default time index counts rows within each (ragged) subject block
     ragged = LongDataset.from_arrays(y=y, a=a, x=ones, z=ones, w=ones,
                                      subject_ids=["u", "u", "u", "v", "w", "w"])
     np.testing.assert_array_equal(ragged.time_index, [0, 1, 2, 0, 0, 1])
+
+
+# labels that are prefixes of one another or differ only in whitespace
+LABELS = st.text(alphabet="ab \t", max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs=st.lists(st.tuples(LABELS, st.integers(1, 4)), min_size=1, max_size=8,
+                     unique_by=lambda run: run[0]),
+       data=st.data())
+def test_clusters_are_the_label_runs(runs, data):
+    labels, lengths = zip(*runs)
+    ids = np.repeat(labels, lengths)
+    n = len(ids)
+    rows = dict(y=np.arange(n, dtype=float), a=np.arange(n) % 2.0,
+                x=np.column_stack([np.ones(n), np.arange(n) ** 2.0]), z=np.ones((n, 1)),
+                w=np.ones((n, 1)), subject_ids=ids)
+    d = LongDataset.from_arrays(**rows)
+    np.testing.assert_array_equal(d.subject_starts, np.cumsum((0,) + lengths))
+    assert d.n_subjects == len(labels)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    assume(keep.any())
+    expected = LongDataset.from_arrays(**{k: v[keep] for k, v in rows.items()},
+                                       time_index=d.time_index[keep])
+    kept = subset_rows(d, keep)
+    for f in dataclasses.fields(LongDataset):
+        got, want = getattr(kept, f.name), getattr(expected, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+        else:
+            assert got == want, f.name
+
+
+def test_a_label_that_starts_two_row_blocks_is_rejected():
+    ones = np.ones((3, 1))
+    with pytest.raises(ValueError, match="rows must be grouped by subject"):
+        LongDataset.from_arrays(y=np.zeros(3), a=[0, 1, 0], x=ones, z=ones, w=ones,
+                                subject_ids=["u", "v", "u"])
+
+
+@pytest.mark.parametrize("name,value", [("subject_starts", np.arange(61)),
+                                        ("subject_index", np.arange(60))])
+def test_clusters_cannot_be_given(name, value):
+    # each row its own cluster, against labels that group rows in threes
+    d = sixty_rows()
+    with pytest.raises((TypeError, ValueError), match=name):
+        dataclasses.replace(d, **{name: value})
+    given_fields = {f.name: getattr(d, f.name) for f in dataclasses.fields(d) if f.init}
+    with pytest.raises(TypeError, match=name):
+        LongDataset(**given_fields, **{name: value})
+
+
+@pytest.mark.parametrize("subject_ids,time_index", [(["a", "a", "b", "b"], [1, 1, 2, 0]),
+                                                    (None, [0.5, 0.7]),
+                                                    (None, [-1, 0])])
+def test_from_arrays_rejects_visits_that_are_not_increasing_nonnegative_integers(
+        subject_ids, time_index):
+    n = len(time_index)
+    ones = np.ones((n, 1))
+    with pytest.raises(ValueError, match="time_index"):
+        LongDataset.from_arrays(y=np.zeros(n), a=np.arange(n) % 2.0, x=ones, z=ones, w=ones,
+                                subject_ids=subject_ids, time_index=time_index)
 
 
 def test_arrays_are_frozen():
@@ -256,12 +319,10 @@ def test_from_arrays_rejects_a_per_row_array_of_the_wrong_length(name):
         sixty_rows(**{name: short})
 
 
-@pytest.mark.parametrize("name", ["subject_index", "column_values"])
+@pytest.mark.parametrize("name", ["column_values"])
 def test_dataset_rejects_a_per_row_array_of_the_wrong_length(name):
-    d = sixty_rows()
-    short = {"subject_index": d.subject_index[:57], "column_values": np.zeros((57, 2))}[name]
     with pytest.raises(ValueError, match=f"^{name} must have one entry per row"):
-        dataclasses.replace(d, **{name: short})
+        dataclasses.replace(sixty_rows(), **{name: np.zeros((57, 2))})
 
 
 @pytest.mark.parametrize("name", ["x_names", "z_names", "w_names"])

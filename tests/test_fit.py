@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from lem.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NonFiniteLikelihood,
+    OneArmEmpty,
     SingularDesign,
     SingularMatrix,
     UnsortedKnots,
@@ -257,6 +259,38 @@ def test_fit_non_finite_hessian_raises(monkeypatch):
     monkeypatch.setattr(lem.fit, "information_rows", poisoned)
     with pytest.raises(NonFiniteLikelihood):
         fit_lem(panel_dataset(seed=37, n_subjects=200))
+
+
+@pytest.fixture(scope="module")
+def small_panel_fit():
+    d = panel_dataset(seed=3, n_subjects=100)
+    return d, fit_lem(d)
+
+
+@settings(max_examples=6, deadline=None)
+@given(j=st.integers(-450, 450))
+def test_fit_is_equivariant_to_power_of_two_outcome_scales(small_panel_fit, j):
+    # y x 2**j is fitted on the same numbers as y: beta, eta and their SEs scale
+    # exactly, alpha and varrho do not move
+    d, fit = small_panel_fit
+    scaled = fit_lem(dataclasses.replace(d, y=np.ldexp(d.y, j)))
+    trend = fit.j_x + d.dims[2]
+    np.testing.assert_array_equal(scaled.estimates[:trend], np.ldexp(fit.estimates[:trend], j))
+    np.testing.assert_array_equal(scaled.se_robust()[:trend], np.ldexp(fit.se_robust()[:trend], j))
+    np.testing.assert_array_equal(scaled.theta_hat.alpha, fit.theta_hat.alpha)
+    assert scaled.theta_hat.varrho == fit.theta_hat.varrho
+
+
+def test_fit_raises_when_variances_overflow_in_the_data_units(small_panel_fit):
+    d, _ = small_panel_fit
+    with pytest.raises(NonFiniteLikelihood, match="variance"):
+        fit_lem(dataclasses.replace(d, y=d.y * 1e300))
+
+
+def test_fit_one_arm_raises():
+    d = panel_dataset(seed=3, n_subjects=50)
+    with pytest.raises(OneArmEmpty, match="both treatment arms"):
+        fit_lem(dataclasses.replace(d, a=np.zeros(d.n_rows)))
 
 
 def test_refit_from_perturbed_start_reaches_same_solution(panel_fit):

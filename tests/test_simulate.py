@@ -136,7 +136,7 @@ def test_covariate_mechanism_closed_form_at_zero():
     d, cfg = zeros_dataset(100_000, y_value=0.0)
     d = LongDataset(
         subject_ids=d.subject_ids, time_index=d.time_index, y=d.y, a=d.a,
-        x=d.x, z=d.z, w=d.w, subject_index=d.subject_index,
+        x=d.x, z=d.z, w=d.w,
         x_names=d.x_names, z_names=d.z_names, w_names=d.w_names,
         column_names=tuple(f"O{i}" for i in range(1, 8)),
         column_values=np.zeros((d.n_rows, 7)),
