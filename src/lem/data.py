@@ -315,10 +315,10 @@ def _raise_first_fault(path, spec, width, col_of, covariate_names):
 
     Called only after the column-wise pass of :func:`load_csv` found a fault;
     ``width`` is the header length and ``col_of`` maps names to positions.
-    Each row is checked in the order the format defines (length, time,
-    outcome and treatment parse, treatment value, outcome, covariates, then
-    the (subject, time) pair), so the exception type, row number and column
-    name are those of the first faulty row.
+    Each row is checked in the order the format defines (length, subject
+    label, time, outcome and treatment parse, treatment value, outcome,
+    covariates, then the (subject, time) pair), so the exception type, row
+    number and column name are those of the first faulty row.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -332,6 +332,8 @@ def _raise_first_fault(path, spec, width, col_of, covariate_names):
                     f"row {lineno}: {len(cells)} cells but header has {width} columns"
                 )
             subj = cells[col_of[spec.subject]].strip()
+            if "\x00" in subj:
+                raise ParseError(f"row {lineno}, column '{spec.subject}': subject label contains a NUL character")
             t_raw = _parse_cell(cells[col_of[spec.time]], lineno, spec.time)
             if not (t_raw.is_integer() and 0 <= t_raw < TIME_LIMIT):
                 raise ParseError(
@@ -400,10 +402,11 @@ def load_csv(path, spec):
              & ((a == 0.0) | (a == 1.0)) & np.isfinite(y))
     for column in covariates:
         valid &= np.isfinite(column)
-    if not valid.all():
+    code = {s: i for i, s in enumerate(dict.fromkeys(subjects))}
+    # a fixed-width numpy label drops trailing NULs, which would merge clusters
+    if not valid.all() or "\x00" in "".join(code):
         _raise_first_fault(path, spec, len(header), col_of, covariate_names)
 
-    code = {s: i for i, s in enumerate(dict.fromkeys(subjects))}
     ordinal = np.fromiter(map(code.__getitem__, subjects), dtype=np.intp, count=n)
     t = t.astype(np.intp)
     order = np.lexsort((t, ordinal))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -381,15 +382,12 @@ def wald(fit, index, level=0.95):
     """Point estimate, robust SE, symmetric CI and two-sided p-value."""
     zq = z_quantile(level)
     names = fit.param_names
-    if isinstance(index, str):
-        if index not in names:
-            raise IndexOutOfRange(f"no parameter named {index!r}")
+    if isinstance(index, str) and index in names:
         idx = names.index(index)
+    elif is_number(index, numbers.Integral) and -len(names) <= index < len(names):
+        idx = int(index) % len(names)
     else:
-        idx = int(index)
-        if not -len(names) <= idx < len(names):
-            raise IndexOutOfRange(f"parameter index {index} out of range for {len(names)} parameters")
-        idx = idx % len(names)
+        raise IndexOutOfRange(f"{index!r} is neither a parameter name nor an index in [-{len(names)}, {len(names)})")
     est = float(fit.estimates[idx])
     se = float(math.sqrt(max(fit.cov_robust[idx, idx], 0.0)))
     if se > 0:

@@ -1,4 +1,4 @@
-"""Stable normal special functions, exact reductions and small dense algebra.
+"""Normal special functions, exact reductions and small dense algebra.
 
 Square matrices are tiny (the parameter dimension, ~25), so plain dense
 O(n^3) routines serve them; the row reductions take (n, p) row matrices, the
@@ -10,9 +10,11 @@ Functions here are pure and reentrant; NaN screening happens at the data
 validation boundary, not in these kernels.
 
 Dense linear algebra in ``lem`` goes through ``numpy.linalg`` and numpy's
-matrix products only; scipy is used for special functions.  The two wheels
-bundle separate OpenBLAS builds, each with its own thread pool, and a fit
-that alternates between them pays for waking one pool while the other spins.
+matrix products only; scipy is used for special functions (``ndtr``,
+``log_ndtr``; only the inverse-Mills-ratio slope has its own series).  The
+two wheels bundle separate OpenBLAS builds, each with its own thread pool,
+and a fit that alternates between them pays for waking one pool while the
+other spins.
 """
 
 from __future__ import annotations
@@ -20,17 +22,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy import special
 
 from .errors import NotPositiveDefinite, SingularMatrix
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_SQRT2 = math.sqrt(2.0)
 
-# Below this point the erfc kernel is abandoned for the asymptotic tail
-# expansion; keeps log Phi finite (no underflow) down to x = -300 and beyond.
-# At -20 the eight-term series and the erfc kernel agree to about 3e-14, so the
-# log-likelihood and its derivatives are smooth across the switch.
+# Below this point inverse_mills_slope takes the Mills-ratio series, as
+# -lambda (m + lambda) loses about log10(m^2) digits as m -> -inf; at -20 the
+# two forms agree to about 1e-11 relative, so the Hessian is smooth there.
 TAIL_CROSSOVER = -20.0
 # Mills-ratio series S(v) = sum_k (-1)^k (2k - 1)!! v^k at v = x^-2, eight terms:
 # the first one left out is 2027025 v^8, below 4e-15 for x <= -20
@@ -49,63 +50,25 @@ EXACT_BLOCK_ENTRIES = 2 ** 13
 
 def std_normal_pdf(x):
     """Standard normal density, (2*pi)^(-1/2) * exp(-x^2 / 2)."""
-    xa = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * xa * xa - LOG_SQRT_2PI)
-    return out if isinstance(x, np.ndarray) else float(out)
+    return np.exp(std_normal_log_pdf(x))
 
 
 def std_normal_log_pdf(x):
     """log of the standard normal density."""
-    xa = np.asarray(x, dtype=float)
-    out = -0.5 * xa * xa - LOG_SQRT_2PI
-    return out if isinstance(x, np.ndarray) else float(out)
+    x = np.asarray(x, dtype=float)
+    return -0.5 * x * x - LOG_SQRT_2PI
 
 
 def std_normal_cdf(x):
-    """Standard normal CDF via the complementary error function kernel."""
-    xa = np.asarray(x, dtype=float)
-    out = 0.5 * special.erfc(-xa / _SQRT2)
-    return out if isinstance(x, np.ndarray) else float(out)
+    """Standard normal CDF, scipy's ``ndtr``."""
+    return special.ndtr(x)
 
 
 def log_std_normal_cdf(x):
-    """log Phi(x) without underflow for arbitrarily negative x.
-
-    Three regimes:
-
-    * x < -20: eight-term Mills-ratio asymptotic expansion,
-      ``-x^2/2 - log(-x) - log(2*pi)/2 + log(S)``,
-      ``S = 1 - x^-2 + 3x^-4 - 15x^-6 + ... - 135135x^-14``;
-    * -20 <= x <= 0: ``log(erfc(-x/sqrt(2)) / 2)``;
-    * x > 0: ``log1p(-erfc(x/sqrt(2)) / 2)`` so the result approaches 0 from
-      below at full precision instead of rounding to exactly 0.
-    """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xa)
-
-    lo = xa < TAIL_CROSSOVER
-    hi = xa > 0.0
-    mid = ~(lo | hi)
-    if lo.any():
-        v = xa[lo]
-        series = _polynomial(_MILLS_SERIES, 1.0 / (v * v))
-        out[lo] = -0.5 * v * v - np.log(-v) - LOG_SQRT_2PI + np.log(series)
-    if mid.any():
-        out[mid] = np.log(0.5 * special.erfc(-xa[mid] / _SQRT2))
-    if hi.any():
-        out[hi] = np.log1p(-0.5 * special.erfc(xa[hi] / _SQRT2))
-
-    if isinstance(x, np.ndarray):
-        return out.reshape(np.shape(x))
-    return float(out[0])
-
-
-def _polynomial(coefs, v):
-    """sum_k coefs[k] * v**k by Horner's rule."""
-    out = np.zeros_like(v)
-    for c in reversed(coefs):
-        out = out * v + c
-    return out
+    """log Phi(x), scipy's ``log_ndtr``: finite for arbitrarily negative x,
+    and approaching 0 from below at full precision as x grows.  Every normal
+    log-CDF of the likelihood goes through this one function."""
+    return special.log_ndtr(x)
 
 
 def inverse_mills_slope(m, lam):
@@ -113,16 +76,17 @@ def inverse_mills_slope(m, lam):
 
     Takes ``lam`` as evaluated through :func:`log_std_normal_cdf`.  Above
     TAIL_CROSSOVER the slope is ``-lambda (m + lambda)``.  Below it that form
-    cancels badly, and lambda is the series form ``-m / S(m)``, so the slope is
-    that form's derivative ``-1/S + m S'/S^2``, where ``m S' = -2 sum_k k c_k v^k``
-    at ``v = m^-2`` for the series coefficients ``c_k``.
+    cancels badly (scipy has no Mills-ratio slope), so the slope is the
+    derivative ``-1/S + m S'/S^2`` of the series form ``lambda = -m / S(m)``,
+    where ``m S' = -2 sum_k k c_k v^k`` at ``v = m^-2`` for the series
+    coefficients ``c_k``.
     """
     slope = -lam * (m + lam)
     lo = m < TAIL_CROSSOVER
     if lo.any():
         v = 1.0 / (m[lo] * m[lo])
-        s = _polynomial(_MILLS_SERIES, v)
-        m_ds = -2.0 * _polynomial([k * c for k, c in enumerate(_MILLS_SERIES)], v)
+        s = polyval(v, _MILLS_SERIES)
+        m_ds = -2.0 * polyval(v, [k * c for k, c in enumerate(_MILLS_SERIES)])
         slope[lo] = (m_ds - s) / (s * s)
     return slope
 

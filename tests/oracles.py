@@ -1,14 +1,18 @@
 """Reference implementations shared by the test modules.
 
-Finite-difference derivatives, the Fisher-scoring probit that the Newton
-probit start ``lem.fit._probit`` must agree with, and the row-by-row CSV
-reader and writer that the column-wise ``lem.data.load_csv`` and
-``write_csv`` must match exactly.
+Finite-difference derivatives, a three-regime log Phi that
+``lem.numerics.log_std_normal_cdf`` must agree with, the Fisher-scoring
+probit that the Newton probit start ``lem.fit._probit`` must agree with, and
+the row-by-row CSV reader and writer that the column-wise
+``lem.data.load_csv`` and ``write_csv`` must match exactly.
 """
 
 import csv
+import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
+from scipy import special
 
 from lem.data import INTERCEPT, LongDataset
 from lem.errors import DuplicateObservation, MissingColumn, NonBinaryTreatment, ParseError
@@ -32,6 +36,28 @@ def fd_jacobian(fun, x, step_scale=1e-5):
         dn[k] -= h
         jac[:, k] = (np.asarray(fun(up)) - np.asarray(fun(dn))) / (2.0 * h)
     return 0.5 * (jac + jac.T)
+
+
+def log_normal_cdf_three_regime(x):
+    """log Phi(x) in three regimes, without underflow for arbitrarily negative x.
+
+    * x < -20: eight-term Mills-ratio asymptotic expansion,
+      ``-x^2/2 - log(-x) - log(2*pi)/2 + log(S)``,
+      ``S = 1 - x^-2 + 3x^-4 - 15x^-6 + ... - 135135x^-14``;
+    * -20 <= x <= 0: ``log(erfc(-x/sqrt(2)) / 2)``;
+    * x > 0: ``log1p(-erfc(x/sqrt(2)) / 2)``, so the result approaches 0
+      from below at full precision instead of rounding to exactly 0.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    lo, hi = x < -20.0, x > 0.0
+    mid = ~(lo | hi)
+    v = x[lo]
+    series = polyval(1.0 / (v * v), (1.0, -1.0, 3.0, -15.0, 105.0, -945.0, 10395.0, -135135.0))
+    out[lo] = -0.5 * v * v - np.log(-v) - 0.5 * math.log(2.0 * math.pi) + np.log(series)
+    out[mid] = np.log(0.5 * special.erfc(-x[mid] / math.sqrt(2.0)))
+    out[hi] = np.log1p(-0.5 * special.erfc(x[hi] / math.sqrt(2.0)))
+    return out
 
 
 def probit_fisher_scoring(z, a, max_iter=50, tol=1e-10):
@@ -100,6 +126,8 @@ def load_csv_rowwise(path, spec):
                     f"row {lineno}: {len(cells)} cells but header has {len(header)} columns"
                 )
             subj = cells[col_of[spec.subject]].strip()
+            if "\x00" in subj:
+                raise ParseError(f"row {lineno}, column '{spec.subject}': subject label contains a NUL character")
             t_raw = _parse_cell(cells[col_of[spec.time]], lineno, spec.time)
             if not np.isfinite(t_raw) or t_raw != int(t_raw) or not 0 <= t_raw < 2.0 ** 63:
                 raise ParseError(

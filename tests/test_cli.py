@@ -126,6 +126,17 @@ def test_fit_separated_treatment_exit_1(tmp_path, capsys):
     assert "SingularDesign" in capsys.readouterr().err
 
 
+def test_fit_subject_label_with_a_nul_character_exit_1(tmp_path, capsys):
+    data = tmp_path / "nul.csv"
+    data.write_text("id,visit,y,a\na,0,1.0,0\na\x00,0,2.0,1\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"subject": "id", "time": "visit", "outcome": "y", "treatment": "a"}))
+    code = cli.main(["fit", "--data", str(data), "--spec", str(spec),
+                     "--method", "lem", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "row 3, column 'id': subject label contains a NUL character" in capsys.readouterr().err
+
+
 def fit_scaled_outcome(tmp_path, scale, method):
     """`lem fit` exit code on a sim1 cohort (200 subjects, seed 3) with y x ``scale``."""
     cfg = SimConfig(n_subjects=200, seed=3)

@@ -124,6 +124,12 @@ ROWS = [f"s{i // 3},{i % 3},{0.5 * i},{i % 2},{60 + i},{0.1 * (i % 4)}," for i i
     (["s0,0,1.0,0,inf,0.1,", "s0,1,1.0,2,60.0,0.1,"], ParseError,
      "row 2, column 'age': non-finite value"),
     (ROWS[:4] + ["s9,0,1.0"], ParseError, "row 6: 3 cells but header has 7 columns"),
+    # a NUL in a label: numpy's fixed-width labels drop it, so "a" and "a\x00" at
+    # one time gave a fault that named no row, and at two times one cluster
+    (["a,0,1.0,0,60.0,0.1,", "a\x00,0,2.0,1,61.0,0.2,"], ParseError,
+     "row 3, column 'id': subject label contains a NUL character"),
+    (["a,0,1.0,0,60.0,0.1,", "a\x00,1,2.0,1,61.0,0.2,", "b,0,1.5,1,62.0,0.3,"], ParseError,
+     "row 3, column 'id': subject label contains a NUL character"),
 ])
 def test_first_fault_in_file_order_across_chunks(tmp_path, monkeypatch, rows, error, message):
     monkeypatch.setattr(data, "CHUNK_ROWS", 3)

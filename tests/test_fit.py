@@ -568,6 +568,12 @@ def test_wald_selector_errors(panel_fit):
         wald(fit, "nonexistent")
     with pytest.raises(IndexOutOfRange):
         wald(fit, 99)
+    # a fraction, a bool or a non-number is no index, where int() would truncate it
+    for index in (1.7, -0.5, 1.0, True, False, None, np.float64(1.0), [1]):
+        with pytest.raises(IndexOutOfRange):
+            wald(fit, index)
+    assert wald(fit, np.int64(1)).name == wald(fit, 1).name == fit.param_names[1]
+    assert wald(fit, np.int64(-1)).name == fit.param_names[-1]
 
 
 def test_wald_by_name(panel_fit):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import special
 
 from lem import numerics
 from lem.errors import NotPositiveDefinite, SingularMatrix
@@ -23,6 +22,7 @@ from lem.numerics import (
     std_normal_log_pdf,
     std_normal_pdf,
 )
+from oracles import log_normal_cdf_three_regime
 
 
 def test_pdf_at_zero():
@@ -101,9 +101,28 @@ def test_log_cdf_continuous_across_tail_crossover():
 
 
 def test_log_cdf_agrees_with_scipy_log_ndtr():
+    # the kernel is scipy's log_ndtr; the reference is the three-regime oracle
     xs = np.linspace(-40.0, 8.0, 20_001)
-    ref = special.log_ndtr(xs)
+    ref = log_normal_cdf_three_regime(xs)
     np.testing.assert_allclose(log_std_normal_cdf(xs), ref, rtol=1e-13, atol=0)
+    # deep tail, where both sides are asymptotic series: 6.6e-16 measured
+    deep = -np.logspace(np.log10(40.0), 150.0, 20_001)
+    np.testing.assert_allclose(log_std_normal_cdf(deep), log_normal_cdf_three_regime(deep),
+                               rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(log_std_normal_cdf(np.array([-np.inf, np.inf, np.nan])),
+                                  [-np.inf, 0.0, np.nan])
+
+
+@pytest.mark.parametrize("kernel", [log_std_normal_cdf, std_normal_cdf, std_normal_pdf,
+                                    std_normal_log_pdf])
+@pytest.mark.parametrize("x", [[-1.0, 0.0, 1.0], (-45.0, 0.5), np.array(-3.0),
+                               np.array([-30.0, 2.0]), np.array([[-1.0, 0.0], [7.0, -25.0]])],
+                         ids=["list", "tuple", "0-d", "1-d", "2-d"])
+def test_normal_kernels_on_array_likes(kernel, x):
+    got, expected = kernel(x), kernel(np.asarray(x))
+    assert np.shape(got) == np.shape(expected) == np.shape(x)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+    assert isinstance(kernel(float(np.ravel(x)[0])), float)
 
 
 def inverse_mills(m):
