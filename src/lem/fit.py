@@ -1,9 +1,12 @@
 """End-to-end fitting and inference.
 
-Pipeline: regression-based initialization, damped Newton solution of the
-pooled estimating equations, cluster-robust sandwich covariance (subjects are
-the clusters), optional model-based covariance, Wald inference and
-spline-basis trend prediction with pointwise bands.
+Pipeline: a start at the rho = 0 maximum (least squares and a probit)
+followed by Heckman's two-step estimate, which falls back to the rho = 0 start
+when the probit's generalized residual is collinear with the outcome design;
+damped Newton solution of the pooled estimating equations, cluster-robust
+sandwich covariance (subjects are the clusters), optional model-based
+covariance, Wald inference and spline-basis trend prediction with pointwise
+bands.
 
 The sandwich bread is the analytic observed information: the per-row
 Hessian factors of :mod:`lem.likelihood`, summed exactly by BLAS products of
@@ -46,6 +49,7 @@ from .likelihood import (
     parameter_names,
     pooled_negloglik_and_score,
     score_rows,
+    varrho_of_rho,
 )
 from .numerics import (
     cluster_sandwich,
@@ -69,6 +73,8 @@ SOLVER_MAX_ITER = 500
 # the probit start's Newton iteration cap, and its score tolerance per row
 PROBIT_MAX_ITER = 50
 PROBIT_TOL = 1e-10
+# the two-step start's |rho| cap, short of the boundary where varrho diverges
+TWO_STEP_MAX_RHO = 0.95
 # a fit is accepted when the pooled score satisfies this relative criterion
 SCORE_ROOT_RTOL = 1e-6
 # the layout version that fit_to_dict writes and load_fit_json accepts
@@ -139,6 +145,11 @@ class WaldResult:
     name: str
 
 
+def _mills_ratio(m):
+    """lambda = phi(m)/Phi(m) through the stable log kernels."""
+    return np.exp(std_normal_log_pdf(m) - log_std_normal_cdf(m))
+
+
 def _probit(z, a):
     """Probit coefficients by Newton's method on the observed information
     ``z' diag(-inverse_mills_slope(m, lambda)) z``.  Raises SingularDesign for a
@@ -151,8 +162,7 @@ def _probit(z, a):
     sign = 2.0 * a - 1.0
     for _ in range(PROBIT_MAX_ITER):
         m = sign * (z @ alpha)
-        # phi(m)/Phi(m) through the stable log kernels
-        lam = np.exp(std_normal_log_pdf(m) - log_std_normal_cdf(m))
+        lam = _mills_ratio(m)
         score = z.T @ (sign * lam)
         if np.abs(score).max() <= PROBIT_TOL * len(a):
             break
@@ -181,6 +191,33 @@ def initialize(dataset):
     alpha = _probit(dataset.z, a)
     return Theta(beta=beta, eta=eta, alpha=alpha,
                  log_sigma_y=math.log(sigma), varrho=0.0)
+
+
+def _two_step(dataset, theta0):
+    """Heckman's two-step estimate (Econometrica 47 (1979) 153-161) from the
+    rho = 0 start ``theta0``: least squares of y on [X, W*A, h], where
+    h = s lambda(m), m = s z'alpha and s = 2a - 1, is the probit's generalized
+    residual.  Its coefficient estimates rho sigma_y, and sigma_y^2 solves
+    E[e^2 | a, z] = sigma_y^2 (1 - rho^2 lambda (lambda + m)).  alpha is kept.
+
+    Returns ``theta0`` when h is collinear with [X, W*A] (with an intercept-only
+    z it takes one value per arm) or the variance is not a finite positive number.
+    """
+    sign = 2.0 * dataset.a - 1.0
+    m = sign * (dataset.z @ theta0.alpha)
+    lam = _mills_ratio(m)
+    design = np.hstack([dataset.x, dataset.w * dataset.a[:, None], (sign * lam)[:, None]])
+    coef, _, rank, _ = np.linalg.lstsq(design, dataset.y, rcond=RANK_TOL)
+    rho_sigma = coef[-1]
+    sigma2 = float(np.mean((dataset.y - design @ coef) ** 2)
+                   + rho_sigma ** 2 * np.mean(-inverse_mills_slope(m, lam)))
+    if rank < design.shape[1] or not 0.0 < sigma2 < math.inf:
+        return theta0
+    sigma = math.sqrt(sigma2)
+    rho = min(max(rho_sigma / sigma, -TWO_STEP_MAX_RHO), TWO_STEP_MAX_RHO)
+    jx = dataset.x.shape[1]
+    return replace(theta0, beta=coef[:jx], eta=coef[jx:-1], log_sigma_y=math.log(sigma),
+                   varrho=varrho_of_rho(rho, theta0.rho_map))
 
 
 def _objective(dataset, rho_map):
@@ -212,8 +249,9 @@ def fit_lem(dataset, opts=None):
     of two 2**k that puts max|y| in [8, 16); ``optim`` is in those units.  The
     rest is mapped back to the data's units: beta, eta and their covariance rows
     and columns times 2**k (exact), log_sigma_y plus k ln 2, ``negloglik`` plus
-    n_rows k ln 2.  A variance that then overflows or underflows raises
-    NonFiniteLikelihood.
+    n_rows k ln 2.  A robust variance that is not positive raises
+    SingularMatrix (rescaling cannot help); one that overflows or underflows
+    after the map raises NonFiniteLikelihood.
     """
     opts = opts or FitOptions()
     fit_warnings = []
@@ -227,7 +265,7 @@ def fit_lem(dataset, opts=None):
 
     k = int(np.frexp(np.abs(dataset.y).max())[1]) - 4
     fitted = replace(dataset, y=np.ldexp(dataset.y, -k)) if k else dataset
-    theta0 = replace(initialize(fitted), rho_map=opts.rho_map)
+    theta0 = _two_step(fitted, replace(initialize(fitted), rho_map=opts.rho_map))
     try:
         result = minimize_bfgs(*_objective(fitted, opts.rho_map), theta0.to_array(),
                                tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
@@ -261,6 +299,12 @@ def fit_lem(dataset, opts=None):
         cov_model, model_warns = _fisher_cov_impl(bread, fitted)
         fit_warnings.extend(model_warns)
 
+    names = parameter_names(dataset)
+    for name, v in zip(names, np.diag(cov_robust)):
+        if not v > 0.0:
+            raise SingularMatrix(f"robust variance of {name} is {v:.1e}, not positive: "
+                                 "the data do not identify it")
+
     # back to the data's units: beta and eta, the first j_x + j_w entries, scale by 2**k
     jx, _, jw = dataset.dims
     e = np.where(np.arange(theta_fitted.dim) < jx + jw, k, 0)
@@ -275,7 +319,7 @@ def fit_lem(dataset, opts=None):
     estimates[-2] += k * math.log(2.0)
     return LemFit(
         model="lem",
-        param_names=parameter_names(dataset),
+        param_names=names,
         estimates=estimates,
         cov_robust=cov_robust,
         j_x=jx,
@@ -495,6 +539,7 @@ def fit_to_dict(fit):
             convergence={
                 "converged": bool(fit.optim.converged),
                 "iterations": int(fit.optim.iterations),
+                "evaluations": int(fit.optim.n_evals),
                 "gradient_inf_norm": float(fit.optim.gradient_inf_norm),
                 "negloglik": float(fit.negloglik),
                 "score_inf_norm": float(fit.score_inf_norm),

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
@@ -353,21 +354,31 @@ def _one_blas_thread():
             setter(1)
 
 
+def _usable_cpus():
+    """The CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_study(cfg, n_reps, threads=1):
     """Generate, fit and aggregate ``n_reps`` replicates.
 
     Replicates that fail to converge are counted and excluded from the
     aggregation.  With ``threads > 1`` replicates run in worker processes,
-    each with BLAS on one thread; the calling process keeps its own BLAS
-    thread count, and results are identical to a serial run.
+    no more than there are replicates or usable CPUs, each with BLAS on one
+    thread; the calling process keeps its own BLAS thread count, and results
+    are identical to a serial run.  ``threads`` below 1 raises ValueError.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
 
     jobs = [(cfg, rep) for rep in range(n_reps)]
     if threads > 1:
-        # the pool starts all of its workers at once: no more than there are jobs
-        workers = min(threads, n_reps)
+        # the pool starts all of its workers at once: no more than there are jobs or CPUs
+        workers = min(threads, n_reps, _usable_cpus())
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             chunk = max(1, n_reps // (8 * workers))
             results = list(pool.map(_run_replicate, jobs, chunksize=chunk))

@@ -173,6 +173,20 @@ def test_fit_numerical_failure_exit_2(sim_csv, tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_fit_unidentified_parameter_exit_2(tmp_path, capsys):
+    # an intercept-only z: the robust variance of varrho comes out negative
+    cfg = preset("sim1")
+    rng = substream(cfg.seed, 0)
+    data = str(tmp_path / "panel.csv")
+    write_csv(gen_outcomes(gen_covariates(cfg, rng), cfg, rng), data, DesignSpec.from_dict(SPEC_DICT))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(SPEC_DICT, z=[])))
+    assert cli.main(["fit", "--data", data, "--spec", str(spec), "--method", "lem",
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (SingularMatrix)") and "varrho" in err and "rescale" not in err
+
+
 def test_simulate_deterministic_across_runs_and_threads(tmp_path):
     outs = []
     for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):
@@ -192,6 +206,13 @@ def test_simulate_reps_zero_exit_1(tmp_path):
     code = cli.main(["simulate", "--preset", "sim1", "--reps", "0",
                      "--out", str(tmp_path)])
     assert code == 1
+
+
+def test_simulate_threads_zero_exit_1(tmp_path, capsys):
+    code = cli.main(["simulate", "--preset", "sim1", "--reps", "2", "--threads", "0",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    assert "threads must be at least 1" in capsys.readouterr().err
 
 
 def test_simulate_custom_config(tmp_path):

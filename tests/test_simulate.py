@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -265,12 +267,22 @@ def test_study_starts_no_more_workers_than_replicates(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(lem.simulate, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(lem.simulate, "_usable_cpus", lambda: 3)
     pooled = run_study(small_cfg(), 2, threads=64)
     assert requested == [2]
     assert initializers == [lem.simulate._one_blas_thread]
     serial = run_study(small_cfg(), 2)
     assert pooled.to_csv() == serial.to_csv()
     assert pooled.to_table() == serial.to_table()
+    # nor more than there are CPUs to run them
+    run_study(small_cfg(), 5, threads=5000)
+    assert requested == [2, 3]
+
+
+def test_usable_cpus_is_the_affinity_mask():
+    import lem.simulate
+
+    assert lem.simulate._usable_cpus() == len(os.sched_getaffinity(0))
 
 
 def test_study_single_replicate_has_no_ese():
@@ -338,3 +350,5 @@ def test_config_must_be_a_mapping():
 def test_reps_must_be_positive():
     with pytest.raises(ValueError):
         run_study(small_cfg(), 0)
+    with pytest.raises(ValueError, match="threads"):
+        run_study(small_cfg(), 2, threads=0)
