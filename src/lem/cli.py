@@ -120,7 +120,7 @@ def cmd_fit(args):
 def cmd_simulate(args):
     started = _now()
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
         if isinstance(raw, dict):
             raw.setdefault("seed", args.seed)

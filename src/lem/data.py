@@ -80,7 +80,7 @@ class DesignSpec:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
         return cls.from_dict(raw)
 
@@ -213,7 +213,7 @@ class LongDataset:
     @classmethod
     def from_arrays(cls, y, a, x, z, w, subject_ids=None, time_index=None,
                     x_names=None, z_names=None, w_names=None):
-        """Build a dataset from prepared arrays.
+        """Build a dataset from copies of prepared arrays.
 
         ``x``, ``z``, ``w`` must already carry the leading intercept column.
         Without ``subject_ids`` every row is its own subject (cross-sectional
@@ -221,21 +221,21 @@ class LongDataset:
         are nonnegative and strictly increase within it, or ValueError is
         raised.  The default visits count each subject's rows from 0.
         """
-        y = np.asarray(y, dtype=float)
+        y = np.array(y, dtype=float)
         subject_ids = np.asarray(np.arange(len(y)) if subject_ids is None else subject_ids).astype(str)
         if time_index is None:
             starts = _label_runs(subject_ids)
             time_index = np.arange(len(subject_ids)) - np.repeat(starts[:-1], np.diff(starts))
-        x, z, w = (np.asarray(block, dtype=float) for block in (x, z, w))
+        x, z, w = (np.array(block, dtype=float) for block in (x, z, w))
 
         def default_names(prefix, k):
             return (INTERCEPT,) + tuple(f"{prefix}{j}" for j in range(1, k))
 
         return cls(
             subject_ids=subject_ids,
-            time_index=np.asarray(time_index),
+            time_index=np.array(time_index),
             y=y,
-            a=np.asarray(a, dtype=float),
+            a=np.array(a, dtype=float),
             x=x,
             z=z,
             w=w,
@@ -320,7 +320,7 @@ def _raise_first_fault(path, spec, width, col_of, covariate_names):
     covariates, then the (subject, time) pair), so the exception type, row
     number and column name are those of the first faulty row.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         seen = set()
@@ -359,7 +359,7 @@ def _raise_first_fault(path, spec, width, col_of, covariate_names):
 
 
 def load_csv(path, spec):
-    """Parse a UTF-8 CSV with a header row into a LongDataset.
+    """Parse a UTF-8 CSV (a leading byte-order mark is skipped) with a header row into a LongDataset.
 
     Rows are grouped by subject (first-appearance order) and sorted by time
     within subject.  An intercept column is prepended to X, Z and W.
@@ -376,7 +376,7 @@ def load_csv(path, spec):
         if name not in covariate_names:
             covariate_names.append(name)
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

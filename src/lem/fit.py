@@ -573,7 +573,7 @@ def _numbers(value, key, count):
 def load_fit_json(path):
     """The FitRecord in a ``fit.json``.  A missing key raises KeyError, and a
     value of the wrong type or length a ValueError that names the key."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"a fit file must be a JSON object, got {type(raw).__name__}")

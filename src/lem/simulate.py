@@ -38,11 +38,10 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import LongDataset, is_number, subset_rows, INTERCEPT
 from .errors import LemError
-from .fit import fit_lem
+from .fit import fit_lem, z_quantile
 from .gee import fit_gee_independence
 from .numerics import cholesky
 
@@ -242,7 +241,7 @@ def apply_missingness(dataset, cfg, rng):
 # replicate studies
 # ---------------------------------------------------------------------------
 
-Z95 = float(ndtri(0.975))
+Z95 = z_quantile(0.95)
 
 
 @dataclass
@@ -296,33 +295,28 @@ class StudySummary:
             for i, name in enumerate(s.coef_names):
                 ese = "" if s.empirical_se is None else repr(float(s.empirical_se[i]))
                 lines.append(
-                    f"{m},{name},{s.truth[i]!r},{float(s.mean_estimate[i])!r},{ese},"
+                    f"{m},{name},{float(s.truth[i])!r},{float(s.mean_estimate[i])!r},{ese},"
                     f"{float(s.mean_se[i])!r},{float(s.coverage[i])!r},{s.n_converged}"
                 )
         return "\n".join(lines) + "\n"
 
 
 def _run_replicate(args):
+    """Per method, the (2, J_X) stack of estimates and robust SEs, or the failure's "ExcType: message"."""
     cfg, rep = args
     rng = substream(cfg.seed, rep)
     covariates = gen_covariates(cfg, rng)
     dataset = gen_outcomes(covariates, cfg, rng)
     rows_total = dataset.n_rows
-    if cfg.missingness != "none":
-        dataset = apply_missingness(dataset, cfg, rng)
+    dataset = apply_missingness(dataset, cfg, rng)
 
-    truth = np.asarray(cfg.beta)
-    jx = truth.size
     out = {"rows_total": rows_total, "rows_kept": dataset.n_rows}
     for method in METHODS:
         try:
             fit = fit_lem(dataset) if method == "lem" else fit_gee_independence(dataset, "adjusted")
-            est = fit.beta.copy()
-            se = fit.se_robust()[:jx]
-            cover = np.abs(est - truth) <= Z95 * se
-            out[method] = (est, se, cover)
+            out[method] = np.stack([fit.beta, fit.se_robust()[:fit.j_x]])
         except LemError as exc:
-            out[method] = ("failed", f"{type(exc).__name__}: {exc}")
+            out[method] = f"{type(exc).__name__}: {exc}"
     return out
 
 
@@ -387,26 +381,22 @@ def run_study(cfg, n_reps, threads=1):
 
     truth = np.asarray(cfg.beta)
     coef_names = [f"beta_{i}" for i in range(truth.size)]
-    summaries = {}
-    failures = {}
+    summaries, failures = {}, {}
     for method in METHODS:
-        records = [r[method] for r in results]
-        good = [r for r in records if not isinstance(r[0], str)]
-        failures[method] = len(records) - len(good)
+        good = [r[method] for r in results if not isinstance(r[method], str)]
+        failures[method] = n_reps - len(good)
         if not good:
             raise LemError(f"every replicate failed for method {method!r}")
-        est = np.vstack([g[0] for g in good])
-        se = np.vstack([g[1] for g in good])
-        cover = np.vstack([g[2] for g in good])
+        est, se = np.stack(good, axis=1)
         summaries[method] = MethodSummary(
             method=method,
             coef_names=coef_names,
             truth=truth,
             mean_estimate=est.mean(axis=0),
-            empirical_se=est.std(axis=0, ddof=1) if est.shape[0] > 1 else None,
+            empirical_se=est.std(axis=0, ddof=1) if len(good) > 1 else None,
             mean_se=se.mean(axis=0),
-            coverage=cover.mean(axis=0),
-            n_converged=est.shape[0],
+            coverage=(np.abs(est - truth) <= Z95 * se).mean(axis=0),
+            n_converged=len(good),
         )
 
     kept = sum(r["rows_kept"] for r in results)

@@ -103,7 +103,7 @@ def load_csv_rowwise(path, spec):
         if name not in covariate_names:
             covariate_names.append(name)
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -46,6 +46,17 @@ def test_fit_smoke(sim_csv, tmp_path, capsys):
     assert "parameter" in capsys.readouterr().out
 
 
+def test_fit_reads_files_that_start_with_a_byte_order_mark(sim_csv, tmp_path):
+    for path in sim_csv:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(b"\xef\xbb\xbf" + raw)
+    data, spec = sim_csv
+    assert cli.main(["fit", "--data", data, "--spec", spec, "--method", "lem",
+                     "--out", str(tmp_path / "out")]) == 0
+
+
 def test_fit_gee_variants(sim_csv, tmp_path):
     data, spec = sim_csv
     for method in ("gee-adjusted", "gee-excluded"):

@@ -146,6 +146,27 @@ def test_blank_records_are_skipped_across_chunks(tmp_path, monkeypatch):
     assert got.n_rows == 7 and got.subject_ids[-1] == "a,b"
 
 
+def with_byte_order_mark(path):
+    """Copy of the file at ``path`` that starts with the UTF-8 byte-order mark."""
+    marked = path.replace(".csv", "-bom.csv")
+    with open(path, "rb") as src, open(marked, "wb") as dst:
+        dst.write(b"\xef\xbb\xbf" + src.read())
+    return marked
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path):
+    plain = write_rows(tmp_path, ROWS)
+    marked = with_byte_order_mark(plain)
+    assert_same_outcome(load_csv(marked, SPEC), load_csv(plain, SPEC))
+    assert_same_outcome(load_csv_rowwise(marked, SPEC), load_csv(plain, SPEC))
+
+
+def test_a_byte_order_mark_keeps_the_fault_location(tmp_path):
+    marked = with_byte_order_mark(write_rows(tmp_path, ROWS[:2] + ["s1,0,oops,0,61.0,0.1,"]))
+    expected = (ParseError, "row 4, column 'ldl': cannot parse 'oops' as a number")
+    assert outcome(load_csv, marked) == expected == outcome(load_csv_rowwise, marked)
+
+
 @pytest.mark.parametrize("time", ["inf", "nan", "1e19"])
 def test_non_finite_or_huge_time_is_a_parse_error(tmp_path, time):
     path = write_rows(tmp_path, ROWS[:2] + [f"s5,{time},1.0,0,60.0,0.1,"])

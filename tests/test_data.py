@@ -303,6 +303,20 @@ def test_arrays_are_frozen():
         d.y[0] = 99.0
 
 
+def test_from_arrays_copies_its_inputs():
+    # y is a view of the caller's panel; every input stays the caller's to write
+    base = np.random.default_rng(3).normal(size=(60, 2))
+    block = np.column_stack([np.ones(60), base[:, 1]])
+    inputs = dict(y=base[:, 0], a=np.arange(60) % 2.0, x=block, z=block.copy(), w=block.copy(),
+                  subject_ids=np.repeat(np.arange(20), 3), time_index=np.tile(np.arange(3), 20))
+    d = LongDataset.from_arrays(**inputs)
+    kept = {name: getattr(d, name).copy() for name in inputs}
+    for name, arr in inputs.items():
+        assert arr.flags.writeable, name
+        arr[...] = 0 if name in ("subject_ids", "time_index") else 100.0
+        np.testing.assert_array_equal(getattr(d, name), kept[name], err_msg=name)
+
+
 def sixty_rows(**overrides):
     rng = np.random.default_rng(5)
     ones = np.ones((60, 1))

@@ -1,10 +1,13 @@
+import csv
 import os
 
 import numpy as np
 import pytest
 
 from lem.data import LongDataset
-from lem.errors import NotPositiveDefinite
+from lem.errors import LemError, NotPositiveDefinite
+from lem.fit import fit_lem, z_quantile
+from lem.gee import fit_gee_independence
 from lem.simulate import (
     SimConfig,
     apply_missingness,
@@ -313,6 +316,56 @@ def test_study_counts_and_layout():
     csv = s.to_csv()
     assert csv.splitlines()[0].startswith("method,coefficient,truth")
     assert len(csv.splitlines()) == 1 + 2 * 5
+
+
+def test_study_csv_holds_numbers():
+    cfg = small_cfg(seed=19)
+    rows = list(csv.DictReader(run_study(cfg, 3).to_csv().splitlines()))
+    assert len(rows) == 2 * len(cfg.beta)
+    for row in rows:
+        for key in ("truth", "mean_estimate", "ese", "mean_se_hat", "coverage"):
+            float(row[key])
+    assert [float(r["truth"]) for r in rows] == list(cfg.beta) * 2
+
+
+@pytest.mark.parametrize("cfg, n_reps, lem_failures", [
+    (preset("sim3", seed=5, n_subjects=80), 4, 0),
+    # z separates treatment in three of the four replicates: their LEM fits fail
+    (preset("sim3", seed=6, n_subjects=16), 4, 3),
+])
+def test_study_aggregates_the_fits_themselves(cfg, n_reps, lem_failures):
+    fitters = {"lem": fit_lem, "gee": lambda d: fit_gee_independence(d, "adjusted")}
+    est, se, failures = {m: [] for m in fitters}, {m: [] for m in fitters}, dict.fromkeys(fitters, 0)
+    kept = total = 0
+    for rep in range(n_reps):
+        rng = substream(cfg.seed, rep)
+        full = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
+        d = apply_missingness(full, cfg, rng)
+        kept, total = kept + d.n_rows, total + full.n_rows
+        for m, fitter in fitters.items():
+            try:
+                fit = fitter(d)
+            except LemError:
+                failures[m] += 1
+                continue
+            est[m].append(fit.beta)
+            se[m].append(fit.se_robust()[:len(cfg.beta)])
+    assert failures == {"lem": lem_failures, "gee": 0}
+    s = run_study(cfg, n_reps)
+    assert s.failures == failures
+    assert s.missing_rate == 1.0 - kept / total
+    truth = np.asarray(cfg.beta)
+    for m in fitters:
+        e, h = np.array(est[m]), np.array(se[m])
+        got = s.methods[m]
+        assert got.n_converged == len(e) == n_reps - failures[m]
+        np.testing.assert_array_equal(got.mean_estimate, e.mean(axis=0))
+        if len(e) > 1:
+            np.testing.assert_array_equal(got.empirical_se, e.std(axis=0, ddof=1))
+        else:
+            assert got.empirical_se is None
+        np.testing.assert_array_equal(got.mean_se, h.mean(axis=0))
+        np.testing.assert_array_equal(got.coverage, (np.abs(e - truth) <= z_quantile(0.95) * h).mean(axis=0))
 
 
 def test_presets():
