@@ -1,23 +1,25 @@
 """End-to-end fitting and inference.
 
-Pipeline: a start at the rho = 0 maximum (least squares and a probit)
-followed by Heckman's two-step estimate, which falls back to the rho = 0 start
-when the probit's generalized residual is collinear with the outcome design;
-damped Newton solution of the pooled estimating equations, cluster-robust
-sandwich covariance (subjects are the clusters), optional model-based
-covariance, Wald inference and spline-basis trend prediction with pointwise
-bands.
+Pipeline: one PreparedDesign of the rows, the outcome scaled by a power of
+two (:mod:`lem.likelihood`); a start at the rho = 0 maximum (least squares
+and a probit) followed by Heckman's two-step estimate, which falls back to
+the rho = 0 start when the probit's generalized residual is collinear with
+the outcome design; damped Newton solution of the pooled estimating
+equations, cluster-robust sandwich covariance (subjects are the clusters),
+optional model-based covariance, Wald inference and spline-basis trend
+prediction with pointwise bands.
 
-The sandwich bread is the analytic observed information: the per-row
-Hessian factors of :mod:`lem.likelihood`, summed exactly by BLAS products of
-pre-rounded slices (:func:`lem.numerics.exact_gram`) once per fit and shared
-by the robust and the model-based covariance.  Both refuse a bread that is
+Each point the solver (:func:`lem.optim.minimize_bfgs`, a Newton method
+whose older name the benchmark traces) tries costs one pooled evaluation,
+which keeps the point's RowState.  An accepted point's state gives the
+Newton Hessian, summed without pre-rounding (:func:`lem.numerics.gram`: a
+search direction needs no exact sum); the final point's state gives the
+bread, the analytic observed information summed exactly by BLAS products of
+pre-rounded slices (:func:`lem.numerics.exact_gram`), and the meat's score
+rows, and the solver's final gradient is the pooled score.  The bread is
+shared by the robust and the model-based covariance; both refuse one that is
 numerically singular after scaling to unit diagonal: such a design does not
-identify its parameters.  The solver (:func:`lem.optim.minimize_bfgs`, a
-Newton method that keeps its older name because the benchmark traces it by
-that name) takes value and score from one pooled evaluation and steps with
-the same sum without the pre-rounding (:func:`lem.numerics.gram`): a search
-direction needs no exact sum.
+identify its parameters.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ from .errors import (
     UnsortedKnots,
 )
 from .likelihood import (
+    PreparedDesign,
+    RowState,
     Theta,
-    information_rows,
     parameter_names,
     pooled_negloglik_and_score,
     score_rows,
@@ -221,19 +224,22 @@ def _two_step(dataset, theta0):
 
 
 def _objective(dataset, rho_map):
-    """The solver's two functions of the parameter vector: the pooled negative
-    log-likelihood and score (+inf where not finite, so the line search
-    shortens the step instead of aborting), and the observed information
-    summed by :func:`lem.numerics.gram` for the Newton direction."""
+    """The solver's two functions: of the parameter vector, the pooled negative
+    log-likelihood and score with the point's RowState (+inf where not finite,
+    so the line search shortens the step instead of aborting); of a RowState,
+    the observed information summed by :func:`lem.numerics.gram` for the
+    Newton direction."""
+    design = PreparedDesign.of(dataset)
 
     def fun(vec):
         try:
-            return pooled_negloglik_and_score(Theta.from_array(vec, dataset.dims, rho_map), dataset)
+            return pooled_negloglik_and_score(Theta.from_array(vec, design.dims, rho_map), design,
+                                              _keep_rows=True)
         except NonFiniteLikelihood:
-            return math.inf, np.full(len(vec), np.nan)
+            return math.inf, np.full(len(vec), np.nan), None
 
-    def hess(vec):
-        return _information(gram, Theta.from_array(vec, dataset.dims, rho_map), dataset)
+    def hess(state):
+        return _information(gram, design, state)
 
     return fun, hess
 
@@ -264,14 +270,16 @@ def fit_lem(dataset, opts=None):
         )
 
     k = int(np.frexp(np.abs(dataset.y).max())[1]) - 4
-    fitted = replace(dataset, y=np.ldexp(dataset.y, -k)) if k else dataset
-    theta0 = _two_step(fitted, replace(initialize(fitted), rho_map=opts.rho_map))
+    design = PreparedDesign.of(dataset, k)
+    theta0 = _two_step(design, replace(initialize(design), rho_map=opts.rho_map))
     try:
-        result = minimize_bfgs(*_objective(fitted, opts.rho_map), theta0.to_array(),
+        result = minimize_bfgs(*_objective(design, opts.rho_map), theta0.to_array(),
                                tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
     except LineSearchFailure as exc:
         result = exc.result
         fit_warnings.append(f"line search stalled: {exc}")
+    # the final point's row state feeds the covariance; the fit does not keep it
+    state, result = result.state, replace(result, state=None)
 
     theta_fitted = Theta.from_array(result.argmin, dataset.dims, opts.rho_map)
     # the solver's value and gradient are the pooled ones at theta_fitted
@@ -292,11 +300,11 @@ def fit_lem(dataset, opts=None):
     if dataset.n_subjects < 2:
         fit_warnings.append("single cluster: the robust covariance estimate is unreliable")
 
-    bread = score_jacobian(theta_fitted, fitted)
-    cov_robust = sandwich_cov(theta_fitted, fitted, bread)
+    bread = score_jacobian(theta_fitted, design, _state=state)
+    cov_robust = sandwich_cov(theta_fitted, design, bread, _point=(state.score, -result.gradient))
     cov_model = None
     if opts.compute_model_cov:
-        cov_model, model_warns = _fisher_cov_impl(bread, fitted)
+        cov_model, model_warns = _fisher_cov_impl(bread, dataset)
         fit_warnings.extend(model_warns)
 
     names = parameter_names(dataset)
@@ -334,20 +342,23 @@ def fit_lem(dataset, opts=None):
     )
 
 
-def score_jacobian(theta, dataset):
+def score_jacobian(theta, dataset, *, _state=None):
     """Observed information: the negative Hessian of the pooled log-likelihood,
     which is the Jacobian of the pooled negative score.
 
     Assembled analytically from :func:`lem.likelihood.information_rows` by the
     exact weighted Gram kernel (BLAS products of error-free slices), so it is
     bit-invariant under row permutation and doubles exactly under duplication.
+    The private ``_state`` is the RowState at theta when the caller has it.
     """
-    return _information(exact_gram, theta, dataset)
+    design = PreparedDesign.of(dataset)
+    return _information(exact_gram, design, RowState(theta, design) if _state is None else _state)
 
 
-def _information(kernel, theta, dataset):
-    """The observed information summed by ``kernel`` (gram or exact_gram), checked finite."""
-    info = kernel(*information_rows(theta, dataset))
+def _information(kernel, design, state):
+    """The observed information at the state's point summed by ``kernel``
+    (gram or exact_gram), checked finite."""
+    info = kernel(design.coords, design.groups, state.weights())
     if not np.isfinite(info).all():
         raise NonFiniteLikelihood("observed information is not finite")
     return info
@@ -369,16 +380,21 @@ def _require_identified(bread):
         )
 
 
-def sandwich_cov(theta_hat, dataset, bread=None):
+def sandwich_cov(theta_hat, dataset, bread=None, *, _point=None):
     """Cluster-robust covariance: bread^-1 * meat * bread^-T.
 
     The bread is the observed information at theta_hat (computed unless
     given); the meat sums the outer products of subject-level scores.  Warns
     (without failing) away from a score root; raises NonFiniteLikelihood on a
     non-finite score and SingularMatrix on a numerically singular bread.
+    The private ``_point`` is the score rows and the pooled score at
+    theta_hat when the caller has them.
     """
-    rows = score_rows(theta_hat, dataset)
-    gnorm = float(np.abs(exact_sum(rows)).max())  # bit-identical to the pooled score
+    if _point is None:
+        rows = score_rows(theta_hat, dataset)
+        _point = rows, exact_sum(rows)  # bit-identical to the pooled score
+    rows, score = _point
+    gnorm = float(np.abs(score).max())
     if not np.isfinite(gnorm):
         raise NonFiniteLikelihood("pooled score is not finite")
     if gnorm > 1e-4:

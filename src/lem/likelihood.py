@@ -32,9 +32,13 @@ series form of lambda; see :func:`lem.numerics.inverse_mills_slope`).  varrho
 enters through rho by the chain rule, with d2rho/dvarrho2 = -rho * rho' for
 the logistic map and -4 varrho / (pi (1 + varrho^2)^2) for the arctan map.
 
-One private row pass computes each row's u, c, m, log Phi(m) and lambda once
-and returns the loglik with either the score rows or the information weights;
-the public functions are thin callers of it.  All are pure in (theta, data).
+The row pass, :class:`RowState`, computes each row's u, c, sign, m,
+log Phi(m), lambda, t = sign * lambda and loglik once, and keeps what its two
+assemblies read: order 1, the score rows, and order 2, the information
+weights, column-major (4, 4, n).  The public functions are thin callers of
+the three; a fit builds each Newton Hessian, and at the end the bread and
+the meat, from the state of its pooled evaluation at that point (:mod:`lem.fit`).
+All are pure in (theta, data).
 Pooled sums add row-pure per-row values by :func:`lem.numerics.exact_sum` and
 :func:`lem.numerics.exact_gram`, whose pre-rounded slices numpy and BLAS sum
 exactly in any order, so they are bit-invariant under row permutation and
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -78,17 +83,6 @@ def varrho_of_rho(rho, rho_map="logistic"):
         return 2.0 * math.atanh(rho)
     if rho_map == "arctan":
         return math.tan(0.5 * math.pi * rho)
-    raise ValueError(f"unknown rho map {rho_map!r}")
-
-
-def _rho_slopes(varrho, rho, rho_map):
-    """First and second derivatives of rho with respect to varrho."""
-    if rho_map == "logistic":
-        d1 = 0.5 * (1.0 - rho * rho)
-        return d1, -rho * d1
-    if rho_map == "arctan":
-        v2 = 1.0 + varrho * varrho
-        return 2.0 / (math.pi * v2), -4.0 * varrho / (math.pi * v2 * v2)
     raise ValueError(f"unknown rho map {rho_map!r}")
 
 
@@ -160,110 +154,167 @@ def parameter_names(dataset):
     return names
 
 
-def _rows(theta, y, a, x, z, w, order):
-    """The row pass: per-row loglik (n,) with, for ``order`` 1, the score rows
-    (n, dim) in the unconstrained coordinates or, for ``order`` 2, the
-    information weights (n, 4, 4) of :func:`information_rows`.
+@dataclass(frozen=True)
+class PreparedDesign:
+    """One fit's theta-free arrays: the rows (y divided by 2**k), the
+    ``coords`` and ``groups`` of :func:`information_rows` and the subject
+    starts, with a LongDataset's ``n_rows`` and ``dims``: it stands in for
+    the dataset wherever the likelihood's rows are read."""
 
-    Each row's u = r / sigma_y, c = z'alpha, sign (-1)^(1-a), probit argument
-    m, log Phi(m) and inverse Mills ratio lambda are computed here once.
-    """
-    sigma = theta.sigma_y
-    rho = theta.rho
+    y: np.ndarray
+    a: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+    subject_starts: np.ndarray
+    coords: np.ndarray
+    groups: np.ndarray
+    n_rows: int
+    dims: tuple
+
+    @classmethod
+    def of(cls, dataset, k=0):
+        """The design of ``dataset`` with y times 2**-k (a design is its own)."""
+        if isinstance(dataset, cls):
+            return dataset
+        y, a, x, z, w = dataset.y, dataset.a, dataset.x, dataset.z, dataset.w
+        jx, jz, jw = dataset.dims
+        coords = np.hstack([-x, -w * a[:, None], z, np.ones((y.shape[0], 2))])
+        groups = np.repeat([0, 1, 2, 3], [jx + jw, jz, 1, 1])
+        return cls(np.ldexp(y, -k) if k else y, a, x, z, w, dataset.subject_starts,
+                   coords, groups, dataset.n_rows, dataset.dims)
+
+
+# extreme trial points from the line search may overflow; the pooled wrapper
+# and the fit turn non-finite results into NonFiniteLikelihood
+_QUIET = dict(divide="ignore", invalid="ignore", over="ignore", under="ignore")
+
+
+def _scalars(theta):
+    """sigma_y, rho, sqrt(1 - rho^2) and the first two derivatives of rho in varrho."""
+    v, rho = theta.varrho, theta.rho
     sq = math.sqrt(max(1.0 - rho * rho, 0.0))
-    d1, d2 = _rho_slopes(theta.varrho, rho, theta.rho_map)
-    n = y.shape[0]
+    if theta.rho_map == "logistic":
+        d1 = 0.5 * (1.0 - rho * rho)
+        return theta.sigma_y, rho, sq, d1, -rho * d1
+    v2 = 1.0 + v * v  # the arctan map
+    return theta.sigma_y, rho, sq, 2.0 / (math.pi * v2), -4.0 * v / (math.pi * v2 * v2)
 
-    # extreme trial points from the line search may overflow; the pooled
-    # wrapper and the fit turn non-finite results into NonFiniteLikelihood
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        r = y - colwise_matvec(x, theta.beta) - colwise_matvec(w, theta.eta) * a
-        u = r / sigma
-        c = colwise_matvec(z, theta.alpha)
-        sign = 2.0 * a - 1.0
-        m = sign * (c + rho * u) / sq
-        log_cdf = log_std_normal_cdf(m)
-        ll = -0.5 * u * u - LOG_SQRT_2PI - theta.log_sigma_y + log_cdf
-        # inverse Mills ratio phi(m)/Phi(m), stable through the log kernels
-        lam = np.exp(-0.5 * m * m - LOG_SQRT_2PI - log_cdf)
-        t = lam * sign
 
-        if order == 1:
+class RowState:
+    """The row pass at one point (module docstring): theta and each row's
+    u = r / sigma_y, c = z'alpha, m, lambda, t = sign * lambda and loglik
+    ``ll``, with the two assemblies as methods.  ``score`` holds the score
+    rows once a pooled evaluation has assembled them."""
+
+    score = None
+
+    def __init__(self, theta, d):
+        """The row pass at ``theta`` over the rows (y, a, x, z, w) of ``d``."""
+        self.theta = theta
+        sigma, rho, sq, _, _ = _scalars(theta)
+        with np.errstate(**_QUIET):
+            r = d.y - colwise_matvec(d.x, theta.beta) - colwise_matvec(d.w, theta.eta) * d.a
+            self.u = u = r / sigma
+            self.c = c = colwise_matvec(d.z, theta.alpha)
+            sign = 2.0 * d.a - 1.0
+            self.m = m = sign * (c + rho * u) / sq
+            log_cdf = log_std_normal_cdf(m)
+            self.ll = -0.5 * u * u - LOG_SQRT_2PI - theta.log_sigma_y + log_cdf
+            # inverse Mills ratio phi(m)/Phi(m), stable through the log kernels
+            self.lam = np.exp(-0.5 * m * m - LOG_SQRT_2PI - log_cdf)
+            self.t = self.lam * sign
+
+    def scores(self, d):
+        """Order 1: the score rows (n, dim) in the unconstrained coordinates."""
+        theta, u, c, t = self.theta, self.u, self.c, self.t
+        sigma, rho, sq, d1, _ = _scalars(theta)
+        jx, jw = theta.beta.size, theta.eta.size
+        score = np.empty((u.shape[0], theta.dim))
+        with np.errstate(**_QUIET):
             k1 = (u - t * rho / sq) / sigma
-            score = np.empty((n, theta.dim))
-            jx = theta.beta.size
-            jw = theta.eta.size
-            score[:, :jx] = k1[:, None] * x
-            score[:, jx:jx + jw] = (k1 * a)[:, None] * w
-            score[:, jx + jw:-2] = (t / sq)[:, None] * z
+            score[:, :jx] = k1[:, None] * d.x
+            score[:, jx:jx + jw] = (k1 * d.a)[:, None] * d.w
+            score[:, jx + jw:-2] = (t / sq)[:, None] * d.z
             score[:, -2] = u * u - 1.0 - t * rho * u / sq
             score[:, -1] = t * (u + rho * c) / sq ** 3 * d1
-            return ll, score
+        return score
 
-        # sign * dm/d(r, c, log sigma_y, rho); the sign squares away in the outer product
-        dm = np.empty((n, 4))
-        dm[:, 0] = rho / (sq * sigma)
-        dm[:, 1] = 1.0 / sq
-        dm[:, 2] = -rho * u / sq
-        dm[:, 3] = (u + rho * c) / sq ** 3
-        hess = inverse_mills_slope(m, lam)[:, None, None] * (dm[:, :, None] * dm[:, None, :])
-        # the Gaussian terms, and lambda times the second derivatives of m
-        hess[:, 0, 0] -= 1.0 / sigma ** 2
-        upper = {
-            (0, 2): 2.0 * u / sigma - t * rho / (sq * sigma),
-            (0, 3): t / (sq ** 3 * sigma),
-            (1, 3): t * rho / sq ** 3,
-            (2, 2): t * rho * u / sq - 2.0 * u * u,
-            (2, 3): -t * u / sq ** 3,
-            (3, 3): t * (c / sq ** 3 + 3.0 * rho * (u + rho * c) / sq ** 5),
-        }
-        for (i, j), term in upper.items():
-            hess[:, i, j] += term
-            if i != j:
-                hess[:, j, i] += term
-        # rho -> varrho by the chain rule
-        hess[:, 3, :] *= d1
-        hess[:, :, 3] *= d1
-        hess[:, 3, 3] += t * dm[:, 3] * d2
-    return ll, -hess
+    def weights(self):
+        """Order 2: the information weights (4, 4, n) of :func:`information_rows`."""
+        u, c, t = self.u, self.c, self.t
+        sigma, rho, sq, d1, d2 = _scalars(self.theta)
+        with np.errstate(**_QUIET):
+            # sign * dm/d(r, c, log sigma_y, rho); the sign squares away in the outer product
+            dm = np.empty((4, u.shape[0]))
+            dm[0] = rho / (sq * sigma)
+            dm[1] = 1.0 / sq
+            dm[2] = -rho * u / sq
+            dm[3] = (u + rho * c) / sq ** 3
+            # in place: at 150k rows each (4, 4, n) temporary takes 19 MB
+            hess = dm[:, None] * dm[None, :]
+            hess *= inverse_mills_slope(self.m, self.lam)
+            # the Gaussian terms, and lambda times the second derivatives of m
+            hess[0, 0] -= 1.0 / sigma ** 2
+            upper = {
+                (0, 2): 2.0 * u / sigma - t * rho / (sq * sigma),
+                (0, 3): t / (sq ** 3 * sigma),
+                (1, 3): t * rho / sq ** 3,
+                (2, 2): t * rho * u / sq - 2.0 * u * u,
+                (2, 3): -t * u / sq ** 3,
+                (3, 3): t * (c / sq ** 3 + 3.0 * rho * (u + rho * c) / sq ** 5),
+            }
+            for (i, j), term in upper.items():
+                hess[i, j] += term
+                if i != j:
+                    hess[j, i] += term
+            # rho -> varrho by the chain rule
+            hess[3] *= d1
+            hess[:, 3] *= d1
+            hess[3, 3] += t * dm[3] * d2
+        return np.negative(hess, out=hess)
 
 
-def _one_row(theta, row, order):
-    return _rows(theta, np.array([row.y], dtype=float), np.array([row.a], dtype=float),
-                 row.x[None, :], row.z[None, :], row.w[None, :], order)
+def _one_row(row):
+    return SimpleNamespace(y=np.array([row.y], dtype=float), a=np.array([row.a], dtype=float),
+                           x=row.x[None, :], z=row.z[None, :], w=row.w[None, :])
 
 
 def obs_loglik(theta, row):
     """Log-likelihood contribution of a single observation."""
-    return float(_one_row(theta, row, 1)[0][0])
+    return float(RowState(theta, _one_row(row)).ll[0])
 
 
 def obs_score(theta, row):
     """Analytic gradient of obs_loglik in the unconstrained coordinates."""
-    return _one_row(theta, row, 1)[1][0]
+    return score_rows(theta, _one_row(row))[0]
 
 
-def pooled_negloglik_and_score(theta, dataset):
+def pooled_negloglik_and_score(theta, dataset, *, _keep_rows=False):
     """Negative pooled log-likelihood and negative pooled score.
 
     Sums run over every subject's own observation rows (ragged clusters are
     simply shorter blocks).  Raises NonFiniteLikelihood on overflow, which
     signals a pathological theta reached outside the line-search guard.
+    With the private ``_keep_rows`` the point's RowState, score rows
+    included, comes third.
     """
-    ll, score = _rows(theta, dataset.y, dataset.a, dataset.x, dataset.z, dataset.w, 1)
+    state = RowState(theta, dataset)
+    score = state.scores(dataset)
     # exact_sum turns any non-finite row into a non-finite total
-    nll = -float(exact_sum(ll))
+    nll = -float(exact_sum(state.ll))
     if not np.isfinite(nll):
         raise NonFiniteLikelihood(f"pooled negative log-likelihood is {nll!r}")
     neg_score = -exact_sum(score)
     if not np.isfinite(neg_score).all():
         raise NonFiniteLikelihood("pooled score is not finite")
-    return nll, neg_score
+    state.score = score
+    return (nll, neg_score, state) if _keep_rows else (nll, neg_score)
 
 
 def score_rows(theta, dataset):
     """Per-row loglik score matrix (n, dim); building block for the sandwich."""
-    return _rows(theta, dataset.y, dataset.a, dataset.x, dataset.z, dataset.w, 1)[1]
+    return RowState(theta, dataset).scores(dataset)
 
 
 def information_rows(theta, dataset):
@@ -274,12 +325,9 @@ def information_rows(theta, dataset):
     ``(r, c, log sigma_y, varrho)``, each linear in theta.  ``coords`` (n, dim)
     holds each parameter's derivative of the one coordinate it enters
     (-x for beta, -a*w for eta, z for alpha, 1 for log sigma_y and varrho),
-    ``groups`` (dim,) numbers that coordinate 0-3, and ``weights`` (n, 4, 4)
-    is minus the row's Hessian in the coordinates (module docstring).
+    ``groups`` (dim,) numbers that coordinate 0-3, and ``weights`` (4, 4, n),
+    column-major, is minus each row's Hessian in the coordinates (module
+    docstring).
     """
-    y, a, x, z, w = dataset.y, dataset.a, dataset.x, dataset.z, dataset.w
-    _, weights = _rows(theta, y, a, x, z, w, 2)
-    jx, jw, jz = theta.beta.size, theta.eta.size, theta.alpha.size
-    coords = np.hstack([-x, -w * a[:, None], z, np.ones((y.shape[0], 2))])
-    groups = np.repeat([0, 1, 2, 3], [jx + jw, jz, 1, 1])
-    return coords, groups, weights
+    design = PreparedDesign.of(dataset)
+    return design.coords, design.groups, RowState(theta, design).weights()

@@ -202,14 +202,14 @@ def exact_sum(m):
 
 def exact_gram(m, groups=None, weights=None):
     """Symmetric matrix whose (j, k) entry is the sum over rows of
-    ``m[:, j] * m[:, k]``, times ``weights[:, groups[j], groups[k]]`` when
-    weights (n, g, g) and column groups (p,) are given, reproducible to the
-    last bit.
+    ``m[:, j] * m[:, k]``, times ``weights[groups[j], groups[k]]`` when
+    weights (g, g, n), column-major, and column groups (p,) are given,
+    reproducible to the last bit.
 
-    ``m`` and a right factor (``m``, or column k times ``weights[:, g,
+    ``m`` and a right factor (``m``, or column k times ``weights[g,
     groups[k]]`` for each g <= groups[k], formed a block of rows at a time) are
     cut into four 13-bit slices on grids ``frexp(L_j) + 1`` and ``frexp(R_k) +
-    1``, where ``L_j = max|m[:, j]|`` and ``R_k = L_k * max|weights[:, g,
+    1``, where ``L_j = max|m[:, j]|`` and ``R_k = L_k * max|weights[g,
     groups[k]]|``.  BLAS sums the slice products with s + t < 4, and the
     levels s + t are added finest first.  Exactness rule: 2 x 13 slice bits +
     26 row-cap bits <= 53, so the <= 4 pairs of a level sum exactly in any
@@ -236,7 +236,7 @@ def _gram(m, groups, weights, count):
     p = m.shape[1]
     groups = np.zeros(p, dtype=int) if weights is None else np.asarray(groups)
     n_groups = groups.max(initial=0) + 1
-    # right column i is m[:, col[i]] times weights[:, group[i], groups[col[i]]]
+    # right column i is m[:, col[i]] times weights[group[i], groups[col[i]]]
     group, col = np.nonzero(np.arange(n_groups)[:, None] <= groups)
     step = max(1, EXACT_BLOCK_ENTRIES // max(col.size, 1))
     levels = np.zeros((count, p, col.size))
@@ -246,13 +246,13 @@ def _gram(m, groups, weights, count):
             biggest = _biggest(m, axis=0)
             top = np.frexp(biggest)[1] + 1
             if weights is not None:
-                bound = biggest[col] * _biggest(weights, axis=0)[group, groups[col]]
+                bound = biggest[col] * _biggest(weights)[group, groups[col]]
                 right_top = np.frexp(np.minimum(bound, np.finfo(float).max))[1] + 1  # overflow: c = inf
         for start in range(0, m.shape[0], step):
             block = np.array(m[start:start + step].T, order="C")
             left = right = _split(block, top, _GRAM_BITS, count) if count > 1 else [block]
             if weights is not None:
-                factor = block[col] * weights[start:start + step, group, groups[col]].T
+                factor = block[col] * weights[group, groups[col], start:start + step]
                 right = _split(factor, right_top, _GRAM_BITS, count) if count > 1 else [factor]
             for s in range(count):
                 for t in range(count - s):

@@ -8,13 +8,16 @@ factorization succeeds (modified Newton; Nocedal & Wright, *Numerical
 Optimization*, 2nd ed., section 3.4).  The step along p backtracks from the
 full Newton step to the first with sufficient (Armijo) decrease: a Newton
 direction needs no curvature condition, which serves quasi-Newton updates.
-The objective returns its value and gradient together, so the accepted
-step, the line search's last trial, comes with its gradient.
+The objective returns its value, gradient and state together, so the
+accepted step, the line search's last trial, comes with its gradient, and
+its state gives the next Hessian.
 
 Near the minimum the predicted decrease -g'p / 2 can fall below the rounding
 of the objective itself, where no line search can tell better from worse.
 There the full step is taken and kept only if it lowers the gradient's
 infinity norm; otherwise the solver stops unconverged at the best point.
+Elsewhere an accepted step that does not lower the objective (a step so short
+that the objective rounds to its old value) stops it the same way.
 
 The entry point keeps the name ``minimize_bfgs`` from the quasi-Newton solver
 it replaced, because the benchmark traces it under that name.
@@ -47,6 +50,7 @@ class OptimResult:
     iterations: int
     converged: bool
     n_evals: int = 0
+    state: object = None  # what ``fun`` returned with the value at ``argmin``
 
     @property
     def gradient_inf_norm(self):
@@ -56,18 +60,19 @@ class OptimResult:
 def _backtrack(phi, f0, d0, max_trials=40):
     """Armijo backtracking from the full step (Nocedal & Wright, Algorithm 3.1).
 
-    ``phi(a)`` is the objective (+inf past its domain) and its gradient at
-    step ``a``, and ``d0 < 0`` the objective's slope at 0.  A rejected step
+    ``phi(a)`` is the objective (+inf past its domain), its gradient and its
+    state at step ``a``, and ``d0 < 0`` the objective's slope at 0.  A rejected step
     ``a`` is replaced by the minimizer of the quadratic through f0, d0 and the
     objective at ``a``, clipped to [a/10, a/2] (section 3.5), or by a/2 when
-    that quadratic has no minimum.  Returns the accepted step, its value and
-    its gradient; raises LineSearchFailure after ``max_trials`` rejected steps.
+    that quadratic has no minimum.  Returns the accepted step and what ``phi``
+    returned there; raises LineSearchFailure after ``max_trials`` rejected steps.
     """
     a = 1.0
     for _ in range(max_trials):
-        fa, ga = phi(a)
+        point = phi(a)
+        fa = point[0]
         if np.isfinite(fa) and fa <= f0 + ARMIJO_C1 * a * d0:
-            return a, fa, ga
+            return a, point
         curvature = fa - f0 - d0 * a
         if 0 < curvature < np.inf:
             a = min(max(-0.5 * d0 * a * a / curvature, 0.1 * a), 0.5 * a)
@@ -107,13 +112,15 @@ def minimize_bfgs(fun, hess, start, tol=1e-8, max_iter=500, callback=None):
     """Minimize from ``start`` by damped Newton with Armijo backtracking (the
     name is kept from the BFGS solver this replaced).
 
-    ``fun(x)`` returns the objective (+inf where undefined) and its gradient,
-    once per point tried (``n_evals``); ``hess(x)`` the Hessian, once per
-    iteration.
+    ``fun(x)`` returns the objective (+inf where undefined), its gradient and
+    the point's state (any object), once per point tried (``n_evals``);
+    ``hess(state)`` the Hessian at the accepted point whose evaluation gave
+    ``state``, once per iteration.
 
     Convergence is declared when the gradient infinity norm drops to ``tol``.
-    Hitting ``max_iter``, or a full step near the minimum that does not lower
-    the gradient norm (module docstring), returns the best point with
+    Hitting ``max_iter``, a full step near the minimum that does not lower
+    the gradient norm, or an accepted step elsewhere that does not lower the
+    objective (module docstring), returns the best point with
     ``converged=False``.  A failed line search raises
     :class:`LineSearchFailure` with the best point so far attached as
     ``exc.result``.
@@ -131,10 +138,10 @@ def minimize_bfgs(fun, hess, start, tol=1e-8, max_iter=500, callback=None):
     def evaluate(v):
         nonlocal evals
         evals += 1
-        f, g = fun(v)
-        return float(f), np.asarray(g, dtype=float)
+        f, g, state = fun(v)
+        return float(f), np.asarray(g, dtype=float), state
 
-    f, g = evaluate(x)
+    f, g, state = evaluate(x)
     if g.shape != x.shape:
         raise ValueError(f"gradient has shape {g.shape}, start has shape {x.shape}")
     if not np.isfinite(f):
@@ -143,29 +150,31 @@ def minimize_bfgs(fun, hess, start, tol=1e-8, max_iter=500, callback=None):
 
     for k in range(max_iter):
         if gnorm <= tol:
-            return OptimResult(x, f, g, k, True, evals)
+            return OptimResult(x, f, g, k, True, evals, state)
 
-        p = _newton_direction(hess(x), g)
+        p = _newton_direction(hess(state), g)
         dphi0 = float(g @ p)
         near_root = -0.5 * dphi0 <= ROUNDING_ULPS * np.finfo(float).eps * (1.0 + abs(f))
         if near_root:
-            alpha, (f_new, g_new) = 1.0, evaluate(x + p)
+            alpha, point = 1.0, evaluate(x + p)
         else:
             try:
-                alpha, f_new, g_new = _backtrack(lambda a: evaluate(x + a * p), f, dphi0)
+                alpha, point = _backtrack(lambda a: evaluate(x + a * p), f, dphi0)
             except LineSearchFailure as exc:
-                exc.result = OptimResult(x, f, g, k, False, evals)
+                exc.result = OptimResult(x, f, g, k, False, evals, state)
                 raise
+        f_new, g_new, state_new = point
         x_new = x + alpha * p
         gnorm_new = float(np.abs(g_new).max())
-        if near_root and not (np.isfinite(f_new) and gnorm_new < gnorm):
-            # near the root the full step is kept only if it lowers the gradient
-            return OptimResult(x, f, g, k, False, evals)
+        # near the root the full step is kept only if it lowers the gradient,
+        # elsewhere the accepted step only if it lowers the objective
+        if not ((np.isfinite(f_new) and gnorm_new < gnorm) if near_root else f_new < f):
+            return OptimResult(x, f, g, k, False, evals, state)
 
         if callback is not None:
             callback({"k": k, "x": x_new.copy(), "f": f_new, "f_prev": f, "alpha": alpha,
                       "dphi0": dphi0, "gnorm": gnorm_new})
 
-        x, f, g, gnorm = x_new, f_new, g_new, gnorm_new
+        x, f, g, gnorm, state = x_new, f_new, g_new, gnorm_new, state_new
 
-    return OptimResult(x, f, g, max_iter, gnorm <= tol, evals)
+    return OptimResult(x, f, g, max_iter, gnorm <= tol, evals, state)

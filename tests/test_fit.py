@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from lem.data import LongDataset
 from lem.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    NoConvergence,
     NonFiniteLikelihood,
     OneArmEmpty,
     SingularDesign,
@@ -24,8 +27,10 @@ from lem.errors import (
     UnsortedKnots,
 )
 from lem.fit import (
+    SOLVER_MAX_ITER,
     FitOptions,
     FitRecord,
+    _objective,
     _probit,
     _two_step,
     fisher_cov,
@@ -41,7 +46,8 @@ from lem.fit import (
     wald,
 )
 from lem.gee import fit_gee_independence
-from lem.likelihood import Theta, pooled_negloglik_and_score
+from lem.likelihood import RowState, Theta, information_rows, pooled_negloglik_and_score
+from lem.numerics import gram
 from lem.simulate import (
     SimConfig,
     apply_missingness,
@@ -303,19 +309,30 @@ def test_fit_converges_where_the_line_search_meets_rounding(name, seed):
 
 
 def test_fit_non_finite_hessian_raises(monkeypatch):
-    import lem.fit
+    # every Newton Hessian's weights come from the accepted point's row state
+    original = RowState.weights
 
-    original = lem.fit.information_rows
-
-    def poisoned(theta, dataset):
-        coords, groups, weights = original(theta, dataset)
-        weights = weights.copy()
+    def poisoned(state):
+        weights = original(state).copy()
         weights[0, 0, 0] = np.nan
-        return coords, groups, weights
+        return weights
 
-    monkeypatch.setattr(lem.fit, "information_rows", poisoned)
+    monkeypatch.setattr(RowState, "weights", poisoned)
     with pytest.raises(NonFiniteLikelihood):
         fit_lem(panel_dataset(seed=37, n_subjects=200))
+
+
+@pytest.mark.parametrize("rep", range(4))
+def test_fit_that_stalls_raises_no_convergence_early(rep):
+    # 34-45 rows: the solver drives varrho toward the boundary, where accepted
+    # steps stop lowering the objective; it stops there, not at the iteration cap
+    cfg = preset("sim3", seed=9, n_subjects=20)
+    rng = substream(cfg.seed, rep)
+    d = apply_missingness(gen_outcomes(gen_covariates(cfg, rng), cfg, rng), cfg, rng)
+    with pytest.raises(NoConvergence) as excinfo:
+        fit_lem(d)
+    assert not excinfo.value.result.converged
+    assert excinfo.value.result.iterations < SOLVER_MAX_ITER
 
 
 @pytest.fixture(scope="module")
@@ -355,7 +372,6 @@ def test_refit_from_perturbed_start_reaches_same_solution(panel_fit):
     rng = np.random.default_rng(6)
     start = fit.theta_hat.to_array() + rng.uniform(-0.1, 0.1, size=fit.theta_hat.dim)
     from lem.optim import minimize_bfgs
-    from lem.fit import _objective
 
     res = minimize_bfgs(*_objective(d, "logistic"), start, tol=1e-8, max_iter=500)
     np.testing.assert_allclose(res.argmin, fit.theta_hat.to_array(), atol=1e-5)
@@ -480,18 +496,49 @@ def test_bread_agrees_with_finite_difference_bread(panel_fit):
 def test_solver_hessian_agrees_with_the_exact_bread(name):
     # the same information rows summed by one loop and pair layout: with the
     # exact kernel's pre-rounded slices, and without them for the solver
-    from lem.fit import _objective
-
     cfg = preset(name, seed=3)
     rng = substream(cfg.seed, 0)
     d = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
     if cfg.missingness != "none":
         d = apply_missingness(d, cfg, rng)
     theta = fit_lem(d).theta_hat
-    _, hess = _objective(d, theta.rho_map)
-    hessian = hess(theta.to_array())
+    fun, hess = _objective(d, theta.rho_map)
+    state = fun(theta.to_array())[2]
+    hessian = hess(state)
     bread = score_jacobian(theta, d)
     assert np.abs(hessian - bread).max() <= 1e-12 * np.abs(bread).max()
+    # built from one evaluation's row state, both equal the stand-alone paths bit for bit
+    np.testing.assert_array_equal(hessian, gram(*information_rows(theta, d)))
+    np.testing.assert_array_equal(score_jacobian(theta, d, _state=state), bread)
+
+
+def test_fit_covariances_equal_the_stand_alone_estimators():
+    # y in [8, 16) is fitted unscaled, so the covariances the fit builds from
+    # the solver's last row state equal the stand-alone ones at theta_hat
+    d = panel_dataset(seed=39, n_subjects=200)
+    d = dataclasses.replace(d, y=np.ldexp(d.y, 4 - np.frexp(np.abs(d.y).max())[1]))
+    fit = fit_lem(d, FitOptions(compute_model_cov=True))
+    theta = fit.theta_hat
+    np.testing.assert_array_equal(fit.cov_robust, sandwich_cov(theta, d, score_jacobian(theta, d)))
+    with pytest.warns(UserWarning, match="model-based covariance"):
+        np.testing.assert_array_equal(fit.cov_model, fisher_cov(theta, d))
+
+
+def test_sandwich_from_a_row_state_warns_as_the_stand_alone_call(panel_fit):
+    # fit_lem passes the solver's score rows and pooled score: away from a
+    # score root that path warns as the stand-alone call does, with the same result
+    d, fit = panel_fit
+    fun, _ = _objective(d, "logistic")
+    vec = fit.theta_hat.to_array() + 1e-3
+    theta = Theta.from_array(vec, d.dims)
+    _, neg_score, state = fun(vec)
+    bread = score_jacobian(theta, d)
+    with pytest.warns(UserWarning, match="away from a score root") as alone:
+        expected = sandwich_cov(theta, d, bread)
+    with pytest.warns(UserWarning, match="away from a score root") as shared:
+        got = sandwich_cov(theta, d, bread, _point=(state.score, -neg_score))
+    assert [str(w.message) for w in shared] == [str(w.message) for w in alone]
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_bread_bit_equal_under_subject_relabeling(panel_fit):
@@ -509,36 +556,42 @@ def test_bread_bit_equal_under_subject_relabeling(panel_fit):
 
 
 def test_fit_computes_bread_once(monkeypatch):
-    import lem.fit
+    # one bread and one sandwich, from the solver's last row state: the
+    # score rows are not computed again
+    calls = {"score_jacobian": 0, "sandwich_cov": 0, "score_rows": 0}
 
-    calls = []
-    original = lem.fit.score_jacobian
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
 
-    def counted(theta, dataset):
-        calls.append(1)
-        return original(theta, dataset)
-
-    monkeypatch.setattr(lem.fit, "score_jacobian", counted)
+    for name in calls:
+        monkeypatch.setattr(lem.fit, name, counted(name, getattr(lem.fit, name)))
     fit = fit_lem(panel_dataset(seed=36, n_subjects=200), FitOptions(compute_model_cov=True))
     assert fit.cov_model is not None
-    assert len(calls) == 1
+    assert calls == {"score_jacobian": 1, "sandwich_cov": 1, "score_rows": 0}
 
 
 def test_fit_evaluates_the_likelihood_only_inside_the_solver(monkeypatch):
-    # the solver's final value and gradient are the pooled ones at theta_hat
-    import lem.fit
-
-    calls = []
+    # the solver's final value and gradient are the pooled ones at theta_hat,
+    # and the row states of its evaluations do not outlive the fit
+    calls, states = [], []
     original = lem.fit.pooled_negloglik_and_score
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return original(*args, **kwargs)
+        out = original(*args, **kwargs)
+        states.append(weakref.ref(out[2]))
+        return out
 
     monkeypatch.setattr(lem.fit, "pooled_negloglik_and_score", counted)
     fit = fit_lem(panel_dataset(seed=36, n_subjects=200))
     assert fit.optim.n_evals > 0
     assert len(calls) == fit.optim.n_evals
+    assert fit.optim.state is None
+    gc.collect()
+    assert all(state() is None for state in states)
 
 
 def test_sandwich_warns_only_away_from_a_score_root(panel_fit):

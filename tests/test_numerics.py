@@ -284,14 +284,14 @@ def gram_cases():
         for n in (1, block - 1, block, block + 1, 7 * block + 3):
             # columns of very different scales, so the grids differ per entry
             m = rng.normal(size=(n, p)) * np.exp2(rng.integers(-30, 30, size=p))
-            weights = rng.normal(size=(n, 4, 4))
-            weights = weights + weights.transpose(0, 2, 1)
+            weights = rng.normal(size=(4, 4, n))
+            weights = weights + weights.transpose(1, 0, 2)
             if n > 1:
                 # two huge first rows set every grid and cancel in half the
                 # entries, which then depend on how the grid rounds the other rows
                 m[0] *= 2.0 ** 40
                 m[1] = m[0] * (-1.0) ** np.arange(p)
-                weights[1] = weights[0]
+                weights[..., 1] = weights[..., 0]
             yield case, width, m, (() if case == "unweighted" else (GROUPS, weights))
 
 
@@ -315,7 +315,7 @@ def test_exact_gram_agrees_with_fsum_oracle():
             for k in range(p):
                 right, r_bound = m[:, k], np.abs(m[:, k]).max()
                 if args:
-                    w = args[1][:, GROUPS[j], GROUPS[k]]
+                    w = args[1][GROUPS[j], GROUPS[k]]
                     right, r_bound = right * w, r_bound * np.abs(w).max()
                 ref = math.fsum((m[:, j] * right).tolist())
                 bound = 2.0 ** -47 * n * np.abs(m[:, j]).max() * r_bound + 2.0 ** -51 * abs(ref)
@@ -337,12 +337,13 @@ def gram_inputs(draw):
     if not draw(st.booleans()):
         return (m,)
     groups = np.array(draw(st.lists(st.integers(0, 2), min_size=p, max_size=p)))
-    weights = draw(gram_entries((n, 3, 3)))
-    return m, groups, weights + weights.transpose(0, 2, 1)
+    weights = draw(gram_entries((3, 3, n)))
+    return m, groups, weights + weights.transpose(1, 0, 2)
 
 
 def permuted(args, perm):
-    return tuple(a[perm] if i != 1 else a for i, a in enumerate(args))
+    """The rows of m, and the last (row) axis of the weights, taken in order ``perm``."""
+    return tuple(a[perm] if i == 0 else a[..., perm] if i == 2 else a for i, a in enumerate(args))
 
 
 @given(gram_inputs(), st.data())
@@ -369,13 +370,13 @@ def test_exact_gram_non_finite_input_gives_non_finite_row_and_column(args, data)
 
 
 def products(args):
-    """The (n, p, p) products m[:, j] * m[:, k] * weights[:, groups[j], groups[k]]."""
+    """The (n, p, p) products m[:, j] * m[:, k] * weights[groups[j], groups[k]]."""
     m = args[0]
     products = m[:, :, None] * m[:, None, :]
     if len(args) == 1:
         return products
     groups, weights = args[1:]
-    return products * weights[:, groups[:, None], groups[None, :]]
+    return products * np.moveaxis(weights[groups[:, None], groups[None, :]], -1, 0)
 
 
 @given(gram_inputs())
@@ -386,7 +387,7 @@ def test_gram_agrees_with_exact_gram_within_the_oracle_bounds(args):
     n = m.shape[0]
     got, exact = gram(*args), exact_gram(*args)
     biggest = np.abs(m).max(axis=0)
-    right = biggest if len(args) == 1 else biggest * np.abs(args[2]).max(axis=0)[args[1][:, None], args[1]]
+    right = biggest if len(args) == 1 else biggest * np.abs(args[2]).max(axis=-1)[args[1][:, None], args[1]]
     magnitudes = np.abs(products(args)).sum(axis=0)
     bound = ((n + 2) * 2.0 ** -52 * magnitudes
              + 2.0 ** -47 * n * biggest[:, None] * right + 2.0 ** -51 * np.abs(exact))
@@ -410,7 +411,7 @@ def test_exact_gram_peak_memory_is_a_small_multiple_of_the_input():
     rng = np.random.default_rng(18)
     m = rng.normal(size=(150_000, 17))
     # the bread's call: four coordinate groups and one 4 x 4 weight per row
-    bread_args = (np.repeat([0, 1, 2, 3], [10, 5, 1, 1]), rng.normal(size=(150_000, 4, 4)))
+    bread_args = (np.repeat([0, 1, 2, 3], [10, 5, 1, 1]), rng.normal(size=(4, 4, 150_000)))
     for args in ((), bread_args):
         tracemalloc.start()
         try:

@@ -6,8 +6,9 @@ from lem.optim import ARMIJO_C1, minimize_bfgs
 
 
 def joint(f, g):
-    """The solver's objective: value and gradient from one call."""
-    return lambda x: (f(x), g(x))
+    """The solver's objective: value, gradient and state (here the point
+    itself, so Hessians written as functions of x serve as ``hess``)."""
+    return lambda x: (f(x), g(x), x)
 
 
 def quadratic_problem(center):
@@ -155,6 +156,18 @@ def test_levenberg_shift_turns_an_ascent_direction_into_descent():
     np.testing.assert_allclose(res.argmin, [0.0, 1.0], atol=1e-9)
 
 
+def test_accepted_step_that_does_not_lower_the_objective_stops_unconverged():
+    # an objective flat to rounding with a gradient that is not zero: at 1e13
+    # the Armijo decrease of 1e-4 rounds away, so the full step is accepted
+    # and leaves f unchanged, and the solver stops instead of stepping on
+    records = []
+    res = minimize_bfgs(lambda x: (1e13, np.array([-1.0]), x), lambda x: np.eye(1),
+                        np.array([0.0]), tol=1e-8, callback=records.append)
+    assert not res.converged
+    assert (res.iterations, res.n_evals, records) == (0, 2, [])
+    np.testing.assert_array_equal(res.argmin, [0.0])
+
+
 def test_max_iter_returns_best_point_unconverged():
     f, g, h = rosenbrock_problem()
     res = minimize_bfgs(joint(f, g), h, np.array([-1.2, 1.0]), tol=1e-12, max_iter=3)
@@ -225,7 +238,7 @@ def test_nonfinite_start_rejected():
 def test_dimension_mismatch_rejected():
     # the objective is defined at the start, but its gradient has three entries
     def fun(x):
-        return 0.0, np.zeros(3)
+        return 0.0, np.zeros(3), x
 
     with pytest.raises(ValueError):
         minimize_bfgs(fun, lambda x: np.eye(3), np.zeros(2), tol=1e-8)
@@ -237,14 +250,16 @@ def test_each_point_and_each_iteration_evaluated_once():
 
     def fun(x):
         points.append(x.copy())
-        return f(x), g(x)
+        return f(x), g(x), x
 
-    def hess(x):
-        hessians.append(x.copy())
-        return h(x)
+    def hess(state):
+        hessians.append(state.copy())
+        return h(state)
 
     res = minimize_bfgs(fun, hess, np.array([-1.2, 1.0]), tol=1e-8)
     assert res.converged
     assert len(points) == res.n_evals
     assert len({x.tobytes() for x in points}) == len(points)
     assert len(hessians) == res.iterations
+    # each Hessian comes from the state of an evaluated point, not a new evaluation
+    assert {x.tobytes() for x in hessians} <= {x.tobytes() for x in points}
