@@ -17,10 +17,8 @@ from .data import (
     LongDataset,
     ObsRow,
     OverlapReport,
-    ValidationReport,
     check_overlap,
     load_csv,
-    validate,
     write_csv,
 )
 from .errors import LemError
@@ -69,8 +67,8 @@ from .simulate import (
 )
 
 __all__ = [
-    "DesignSpec", "LongDataset", "ObsRow", "OverlapReport", "ValidationReport",
-    "check_overlap", "load_csv", "validate", "write_csv",
+    "DesignSpec", "LongDataset", "ObsRow", "OverlapReport",
+    "check_overlap", "load_csv", "write_csv",
     "LemError",
     "FitOptions", "FitRecord", "LemFit", "PredictionBand", "WaldResult", "fisher_cov",
     "fit_lem", "fit_to_dict", "initialize", "load_fit_json", "ncs_basis",

@@ -24,7 +24,6 @@ from . import __version__
 from .data import DesignSpec, load_csv
 from .errors import (
     LemError,
-    LineSearchFailure,
     NoConvergence,
     NonFiniteLikelihood,
     SingularMatrix,
@@ -41,7 +40,7 @@ from .fit import (
 from .gee import fit_gee_independence
 from .simulate import SimConfig, preset, run_study
 
-NUMERICAL_ERRORS = (NoConvergence, NonFiniteLikelihood, SingularMatrix, LineSearchFailure)
+NUMERICAL_ERRORS = (NoConvergence, NonFiniteLikelihood, SingularMatrix)
 
 
 def _atomic_write(path, text):

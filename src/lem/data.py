@@ -254,19 +254,6 @@ class OverlapReport:
     treated_range: tuple
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    rank_x: int
-    rank_z: int
-    rank_w: int
-    full_rank_x: bool
-    full_rank_z: bool
-    full_rank_w: bool
-    n_rows_untreated: int
-    n_rows_treated: int
-    cluster_size_counts: dict
-
-
 def _parse_cell(raw, row_number, column):
     try:
         return float(raw)
@@ -488,26 +475,6 @@ def matrix_rank(mat):
     if sv.size == 0:
         return 0
     return int((sv > RANK_TOL * sv[0]).sum())
-
-
-def validate(dataset):
-    """Report-only design diagnostics: ranks, arm counts, cluster sizes."""
-    jx, jz, jw = dataset.dims
-    rank_x = matrix_rank(dataset.x)
-    rank_z = matrix_rank(dataset.z)
-    rank_w = matrix_rank(dataset.w)
-    sizes, counts = np.unique(dataset.cluster_sizes(), return_counts=True)
-    return ValidationReport(
-        rank_x=rank_x,
-        rank_z=rank_z,
-        rank_w=rank_w,
-        full_rank_x=rank_x == jx,
-        full_rank_z=rank_z == jz,
-        full_rank_w=rank_w == jw,
-        n_rows_untreated=int((dataset.a == 0.0).sum()),
-        n_rows_treated=int((dataset.a == 1.0).sum()),
-        cluster_size_counts={int(s): int(c) for s, c in zip(sizes, counts)},
-    )
 
 
 def subset_rows(dataset, keep):

@@ -22,23 +22,6 @@ class SingularMatrix(LemError):
 
 
 # ---------------------------------------------------------------------------
-# optimization
-# ---------------------------------------------------------------------------
-
-class LineSearchFailure(LemError):
-    """The backtracking line search found no step with sufficient decrease.
-
-    Carries the best point reached so far in ``result`` (an
-    :class:`~lem.optim.OptimResult` with ``converged=False``) so callers can
-    decide whether the stall happened close enough to a score root.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
-# ---------------------------------------------------------------------------
 # data ingestion / validation
 # ---------------------------------------------------------------------------
 

@@ -38,7 +38,6 @@ from .data import RANK_TOL, check_overlap, is_number, matrix_rank
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    LineSearchFailure,
     NoConvergence,
     NonFiniteLikelihood,
     SingularDesign,
@@ -247,9 +246,9 @@ def _objective(dataset, rho_map):
 def fit_lem(dataset, opts=None):
     """Solve the pooled estimating equations and attach robust covariance.
 
-    Warnings (overlap failure, line-search stall at numerical precision,
-    single cluster, ...) are collected machine-readably on the returned fit;
-    only structural errors abort.
+    Warnings (overlap failure, a solver stop within the score-root criterion
+    short of the gradient tolerance, single cluster, ...) are collected
+    machine-readably on the returned fit; only structural errors abort.
 
     The solver's tolerances are absolute, so y is fitted divided by the power
     of two 2**k that puts max|y| in [8, 16); ``optim`` is in those units.  The
@@ -272,12 +271,8 @@ def fit_lem(dataset, opts=None):
     k = int(np.frexp(np.abs(dataset.y).max())[1]) - 4
     design = PreparedDesign.of(dataset, k)
     theta0 = _two_step(design, replace(initialize(design), rho_map=opts.rho_map))
-    try:
-        result = minimize_bfgs(*_objective(design, opts.rho_map), theta0.to_array(),
-                               tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
-    except LineSearchFailure as exc:
-        result = exc.result
-        fit_warnings.append(f"line search stalled: {exc}")
+    result = minimize_bfgs(*_objective(design, opts.rho_map), theta0.to_array(),
+                           tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
     # the final point's row state feeds the covariance; the fit does not keep it
     state, result = result.state, replace(result, state=None)
 
@@ -346,9 +341,11 @@ def score_jacobian(theta, dataset, *, _state=None):
     """Observed information: the negative Hessian of the pooled log-likelihood,
     which is the Jacobian of the pooled negative score.
 
-    Assembled analytically from :func:`lem.likelihood.information_rows` by the
-    exact weighted Gram kernel (BLAS products of error-free slices), so it is
-    bit-invariant under row permutation and doubles exactly under duplication.
+    Assembled analytically from the design's ``coords`` and ``groups``
+    (:class:`lem.likelihood.PreparedDesign`) and the row state's information
+    weights (:meth:`lem.likelihood.RowState.weights`) by the exact weighted
+    Gram kernel (BLAS products of error-free slices), so it is bit-invariant
+    under row permutation and doubles exactly under duplication.
     The private ``_state`` is the RowState at theta when the caller has it.
     """
     design = PreparedDesign.of(dataset)

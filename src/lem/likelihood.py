@@ -156,10 +156,18 @@ def parameter_names(dataset):
 
 @dataclass(frozen=True)
 class PreparedDesign:
-    """One fit's theta-free arrays: the rows (y divided by 2**k), the
-    ``coords`` and ``groups`` of :func:`information_rows` and the subject
-    starts, with a LongDataset's ``n_rows`` and ``dims``: it stands in for
-    the dataset wherever the likelihood's rows are read."""
+    """One fit's theta-free arrays: the rows (y divided by 2**k) and the
+    subject starts, with a LongDataset's ``n_rows`` and ``dims``: it stands
+    in for the dataset wherever the likelihood's rows are read.
+
+    A row's loglik depends on theta only through the coordinates
+    (r, c, log sigma_y, varrho), each linear in theta (module docstring).
+    ``coords`` (n, dim) holds each parameter's derivative of the one
+    coordinate it enters (-x for beta, -a*w for eta, z for alpha, 1 for
+    log sigma_y and varrho) and ``groups`` (dim,) numbers that coordinate
+    0-3, so that the observed information is
+    ``exact_gram(coords, groups, RowState(theta, design).weights())``.
+    """
 
     y: np.ndarray
     a: np.ndarray
@@ -185,20 +193,31 @@ class PreparedDesign:
                    coords, groups, dataset.n_rows, dataset.dims)
 
 
-# extreme trial points from the line search may overflow; the pooled wrapper
-# and the fit turn non-finite results into NonFiniteLikelihood
+# extreme trial points from the line search may overflow to inf or nan; the
+# pooled wrapper turns a non-finite value or score into NonFiniteLikelihood,
+# which the fit's objective turns into +inf
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore", under="ignore")
 
 
 def _scalars(theta):
-    """sigma_y, rho, sqrt(1 - rho^2) and the first two derivatives of rho in varrho."""
+    """sigma_y, rho, sqrt(1 - rho^2) and the first two derivatives of rho in varrho.
+
+    sigma_y and sqrt(1 - rho^2) are numpy scalars, bit for bit the Python
+    floats where those are finite: sigma_y past the float range, its square
+    and a division by sqrt(1 - rho^2) = 0 then give inf (quietly under
+    _QUIET) where Python floats raise OverflowError or ZeroDivisionError.
+    """
     v, rho = theta.varrho, theta.rho
-    sq = math.sqrt(max(1.0 - rho * rho, 0.0))
+    try:
+        sigma = np.float64(theta.sigma_y)
+    except OverflowError:
+        sigma = np.float64(math.inf)
+    sq = np.float64(math.sqrt(max(1.0 - rho * rho, 0.0)))
     if theta.rho_map == "logistic":
         d1 = 0.5 * (1.0 - rho * rho)
-        return theta.sigma_y, rho, sq, d1, -rho * d1
+        return sigma, rho, sq, d1, -rho * d1
     v2 = 1.0 + v * v  # the arctan map
-    return theta.sigma_y, rho, sq, 2.0 / (math.pi * v2), -4.0 * v / (math.pi * v2 * v2)
+    return sigma, rho, sq, 2.0 / (math.pi * v2), -4.0 * v / (math.pi * v2 * v2)
 
 
 class RowState:
@@ -241,7 +260,9 @@ class RowState:
         return score
 
     def weights(self):
-        """Order 2: the information weights (4, 4, n) of :func:`information_rows`."""
+        """Order 2: the information weights, column-major (4, 4, n): minus each
+        row's Hessian in the coordinates (r, c, log sigma_y, varrho) that
+        :class:`PreparedDesign` describes."""
         u, c, t = self.u, self.c, self.t
         sigma, rho, sq, d1, d2 = _scalars(self.theta)
         with np.errstate(**_QUIET):
@@ -315,19 +336,3 @@ def pooled_negloglik_and_score(theta, dataset, *, _keep_rows=False):
 def score_rows(theta, dataset):
     """Per-row loglik score matrix (n, dim); building block for the sandwich."""
     return RowState(theta, dataset).scores(dataset)
-
-
-def information_rows(theta, dataset):
-    """Per-row factors of the observed information, the negative Hessian of
-    the pooled log-likelihood: ``exact_gram(coords, groups, weights)``.
-
-    A row's loglik depends on theta only through the coordinates
-    ``(r, c, log sigma_y, varrho)``, each linear in theta.  ``coords`` (n, dim)
-    holds each parameter's derivative of the one coordinate it enters
-    (-x for beta, -a*w for eta, z for alpha, 1 for log sigma_y and varrho),
-    ``groups`` (dim,) numbers that coordinate 0-3, and ``weights`` (4, 4, n),
-    column-major, is minus each row's Hessian in the coordinates (module
-    docstring).
-    """
-    design = PreparedDesign.of(dataset)
-    return design.coords, design.groups, RowState(theta, design).weights()

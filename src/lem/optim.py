@@ -17,7 +17,8 @@ of the objective itself, where no line search can tell better from worse.
 There the full step is taken and kept only if it lowers the gradient's
 infinity norm; otherwise the solver stops unconverged at the best point.
 Elsewhere an accepted step that does not lower the objective (a step so short
-that the objective rounds to its old value) stops it the same way.
+that the objective rounds to its old value) stops it the same way, and so does
+a line search that finds no sufficient decrease.
 
 The entry point keeps the name ``minimize_bfgs`` from the quasi-Newton solver
 it replaced, because the benchmark traces it under that name.
@@ -31,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import LineSearchFailure
 
 ARMIJO_C1 = 1e-4
 # first Levenberg shift of the unit-diagonal Hessian, and its growth factor
@@ -65,7 +64,7 @@ def _backtrack(phi, f0, d0, max_trials=40):
     ``a`` is replaced by the minimizer of the quadratic through f0, d0 and the
     objective at ``a``, clipped to [a/10, a/2] (section 3.5), or by a/2 when
     that quadratic has no minimum.  Returns the accepted step and what ``phi``
-    returned there; raises LineSearchFailure after ``max_trials`` rejected steps.
+    returned there, or None after ``max_trials`` rejected steps.
     """
     a = 1.0
     for _ in range(max_trials):
@@ -78,7 +77,7 @@ def _backtrack(phi, f0, d0, max_trials=40):
             a = min(max(-0.5 * d0 * a * a / curvature, 0.1 * a), 0.5 * a)
         else:
             a *= 0.5
-    raise LineSearchFailure(f"no sufficient decrease after {max_trials} step reductions")
+    return None
 
 
 def _newton_direction(hess, grad):
@@ -119,11 +118,9 @@ def minimize_bfgs(fun, hess, start, tol=1e-8, max_iter=500, callback=None):
 
     Convergence is declared when the gradient infinity norm drops to ``tol``.
     Hitting ``max_iter``, a full step near the minimum that does not lower
-    the gradient norm, or an accepted step elsewhere that does not lower the
-    objective (module docstring), returns the best point with
-    ``converged=False``.  A failed line search raises
-    :class:`LineSearchFailure` with the best point so far attached as
-    ``exc.result``.
+    the gradient norm, a line search that finds no sufficient decrease, or an
+    accepted step elsewhere that does not lower the objective (module
+    docstring), returns the best point with ``converged=False``.
 
     ``callback``, if given, is invoked after each accepted step with a dict
     holding ``k, x, f, f_prev, alpha, dphi0, gnorm`` (used by tests to assert
@@ -156,14 +153,12 @@ def minimize_bfgs(fun, hess, start, tol=1e-8, max_iter=500, callback=None):
         dphi0 = float(g @ p)
         near_root = -0.5 * dphi0 <= ROUNDING_ULPS * np.finfo(float).eps * (1.0 + abs(f))
         if near_root:
-            alpha, point = 1.0, evaluate(x + p)
+            step = 1.0, evaluate(x + p)
         else:
-            try:
-                alpha, point = _backtrack(lambda a: evaluate(x + a * p), f, dphi0)
-            except LineSearchFailure as exc:
-                exc.result = OptimResult(x, f, g, k, False, evals, state)
-                raise
-        f_new, g_new, state_new = point
+            step = _backtrack(lambda a: evaluate(x + a * p), f, dphi0)
+            if step is None:
+                return OptimResult(x, f, g, k, False, evals, state)
+        alpha, (f_new, g_new, state_new) = step
         x_new = x + alpha * p
         gnorm_new = float(np.abs(g_new).max())
         # near the root the full step is kept only if it lowers the gradient,

@@ -22,10 +22,12 @@ deleted leaves the study entirely.
 
 Replicates are embarrassingly parallel.  Each replicate owns a Philox
 substream keyed by (seed, replicate index), so serial and process-parallel
-runs produce bit-identical summaries; aggregation is an ordered fold.  Each
-worker process runs BLAS on one thread (a replicate's products are too small
-to gain from more, and one BLAS thread per core per worker oversubscribes the
-cores); the parent process and serial runs keep their BLAS thread count.
+runs produce bit-identical summaries; aggregation is an ordered fold.  Every
+replicate runs BLAS on one thread: in a worker process for good (a
+replicate's products are too small to gain from more, and one BLAS thread
+per core per worker oversubscribes the cores), and in a serial run for the
+run's duration, because a BLAS product's last bits can depend on its thread
+count.  A fit outside ``run_study`` (``lem fit``) keeps the process's count.
 """
 
 from __future__ import annotations
@@ -320,15 +322,19 @@ def _run_replicate(args):
     return out
 
 
-# thread-count setters of OpenBLAS builds: numpy's and scipy's wheels, then plain OpenBLAS
+# thread-count setters of OpenBLAS builds: numpy's and scipy's wheels, then plain
+# OpenBLAS; each has the getter named with "_get_" for "_set_"
 _OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                      "openblas_set_num_threads")
 
 
 def _one_blas_thread():
-    """Pool initializer: every OpenBLAS mapped into this worker runs on one thread.
+    """Run every OpenBLAS mapped into this process on one thread; returns a
+    function that restores each library's previous thread count.
 
-    Does nothing without a maps file, an OpenBLAS library or a setter symbol.
+    The pool initializer and the serial path of :func:`run_study`, so that
+    both fit under one BLAS setting.  Changes nothing without a maps file, an
+    OpenBLAS library or a setter symbol.
     """
     import ctypes
 
@@ -336,16 +342,21 @@ def _one_blas_thread():
         with open("/proc/self/maps") as maps:
             paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()})
     except OSError:
-        return
+        paths = []
+    previous = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        setter = next((getattr(lib, name) for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
-        if setter is not None:
+        name = next((name for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
+        if name is not None:
+            setter, getter = getattr(lib, name), getattr(lib, name.replace("_set_", "_get_"))
             setter.argtypes, setter.restype = (ctypes.c_int,), None
+            getter.argtypes, getter.restype = (), ctypes.c_int
+            previous.append((setter, getter()))
             setter(1)
+    return lambda: [setter(count) for setter, count in previous]
 
 
 def _usable_cpus():
@@ -360,9 +371,10 @@ def run_study(cfg, n_reps, threads=1):
 
     Replicates that fail to converge are counted and excluded from the
     aggregation.  With ``threads > 1`` replicates run in worker processes,
-    no more than there are replicates or usable CPUs, each with BLAS on one
-    thread; the calling process keeps its own BLAS thread count, and results
-    are identical to a serial run.  ``threads`` below 1 raises ValueError.
+    no more than there are replicates or usable CPUs; with ``threads=1`` they
+    run in this process.  Either way BLAS runs on one thread, which the
+    serial path restores to its previous count on return, so results are
+    identical across ``threads``.  ``threads`` below 1 raises ValueError.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
@@ -377,7 +389,11 @@ def run_study(cfg, n_reps, threads=1):
             chunk = max(1, n_reps // (8 * workers))
             results = list(pool.map(_run_replicate, jobs, chunksize=chunk))
     else:
-        results = [_run_replicate(job) for job in jobs]
+        restore = _one_blas_thread()
+        try:
+            results = [_run_replicate(job) for job in jobs]
+        finally:
+            restore()
 
     truth = np.asarray(cfg.beta)
     coef_names = [f"beta_{i}" for i in range(truth.size)]

@@ -12,7 +12,6 @@ from lem.data import (
     load_csv,
     matrix_rank,
     subset_rows,
-    validate,
     write_csv,
 )
 from lem.errors import (
@@ -177,20 +176,6 @@ def test_overlap_one_arm_empty():
         check_overlap(simple_dataset([1.0, 2.0], [1, 1]))
 
 
-def test_validate_flags_duplicated_column():
-    n = 30
-    rng = np.random.default_rng(1)
-    col = rng.normal(size=n)
-    x = np.column_stack([np.ones(n), col, col])
-    ones = np.ones((n, 1))
-    d = LongDataset.from_arrays(y=rng.normal(size=n), a=(rng.random(n) < 0.5).astype(float),
-                                x=x, z=ones, w=ones)
-    rep = validate(d)
-    assert not rep.full_rank_x
-    assert rep.rank_x == 2
-    assert rep.full_rank_z
-
-
 @pytest.mark.parametrize("shape", [(6, 3), (0, 3), (4, 0), (0, 0)])
 def test_matrix_rank_zero_for_zero_and_empty_matrices(shape):
     assert matrix_rank(np.zeros(shape)) == 0
@@ -210,14 +195,6 @@ def test_matrix_rank_invariant_to_column_scaling():
         m = rng.normal(size=(120, rank)) @ rng.normal(size=(rank, 6))
         for _ in range(5):
             assert matrix_rank(m * 10.0 ** rng.uniform(0.0, 8.0, size=6)) == rank
-
-
-def test_validate_cluster_sizes_degenerate():
-    d = simple_dataset([1.0, 2.0, 3.0], [0, 1, 0])
-    rep = validate(d)
-    assert rep.cluster_size_counts == {1: 3}
-    assert rep.n_rows_untreated == 2
-    assert rep.n_rows_treated == 1
 
 
 def test_subset_rows_drops_empty_subjects():

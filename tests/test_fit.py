@@ -46,7 +46,7 @@ from lem.fit import (
     wald,
 )
 from lem.gee import fit_gee_independence
-from lem.likelihood import RowState, Theta, information_rows, pooled_negloglik_and_score
+from lem.likelihood import PreparedDesign, RowState, Theta, pooled_negloglik_and_score
 from lem.numerics import gram
 from lem.simulate import (
     SimConfig,
@@ -335,6 +335,23 @@ def test_fit_that_stalls_raises_no_convergence_early(rep):
     assert excinfo.value.result.iterations < SOLVER_MAX_ITER
 
 
+def test_fit_whose_line_search_tries_a_sigma_y_past_the_float_range_raises_no_convergence():
+    # 20 rows, w covariates at scale 4e-8 and y at 1e-9: a line-search trial
+    # reaches log_sigma_y where exp overflows a float; the trial is +inf, not
+    # an OverflowError, and the fit ends unconverged
+    rng = np.random.default_rng(205)
+    visits = rng.integers(1, 4, size=9)
+    while visits.sum() != 20:
+        visits = rng.integers(1, 4, size=9)
+    z = np.hstack([np.ones((20, 1)), rng.normal(size=(20, 2))])
+    w = np.hstack([np.ones((20, 1)), 4e-8 * rng.normal(size=(20, 3))])
+    a = (rng.random(20) < 0.5).astype(float)
+    d = LongDataset.from_arrays(y=1e-9 * rng.normal(size=20), a=a, x=np.ones((20, 1)), z=z, w=w,
+                                subject_ids=np.repeat(np.arange(9), visits))
+    with pytest.raises(NoConvergence):
+        fit_lem(d)
+
+
 @pytest.fixture(scope="module")
 def small_panel_fit():
     d = panel_dataset(seed=3, n_subjects=100)
@@ -508,7 +525,9 @@ def test_solver_hessian_agrees_with_the_exact_bread(name):
     bread = score_jacobian(theta, d)
     assert np.abs(hessian - bread).max() <= 1e-12 * np.abs(bread).max()
     # built from one evaluation's row state, both equal the stand-alone paths bit for bit
-    np.testing.assert_array_equal(hessian, gram(*information_rows(theta, d)))
+    design = PreparedDesign.of(d)
+    np.testing.assert_array_equal(hessian, gram(design.coords, design.groups,
+                                                RowState(theta, design).weights()))
     np.testing.assert_array_equal(score_jacobian(theta, d, _state=state), bread)
 
 

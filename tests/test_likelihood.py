@@ -230,6 +230,43 @@ def test_pooled_overflow_raises():
         pooled_negloglik_and_score(theta, d)
 
 
+def sim1_cohort_at_truth(**point):
+    from lem.simulate import preset, gen_covariates, gen_outcomes, substream
+
+    cfg = preset("sim1", seed=4, n_subjects=100)
+    rng = substream(cfg.seed, 0)
+    d = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
+    truth = Theta(beta=cfg.beta, eta=cfg.eta, alpha=cfg.alpha,
+                  log_sigma_y=0.0, varrho=varrho_of_rho(cfg.rho))
+    return replace(truth, **point), d
+
+
+def test_pooled_at_a_sigma_y_past_the_float_range_is_its_ieee_limit():
+    # exp(800) overflows a float: sigma_y is inf, every u = r / sigma_y is 0,
+    # and the outcome block's score vanishes
+    theta, d = sim1_cohort_at_truth(log_sigma_y=800.0)
+    nll, neg_score = pooled_negloglik_and_score(theta, d)
+    assert np.isfinite(nll) and np.isfinite(neg_score).all()
+    jx, _, jw = d.dims
+    assert (neg_score[:jx + jw] == 0.0).all()
+    assert neg_score[-2] == d.n_rows  # minus the sum of u^2 - 1
+
+
+def test_information_where_sigma_y_squared_overflows_is_finite():
+    # sigma_y = exp(400) is a float, its square is not
+    theta, d = sim1_cohort_at_truth(log_sigma_y=400.0)
+    assert np.isfinite(score_jacobian(theta, d)).all()
+
+
+@pytest.mark.parametrize("varrho", [-80.0, 80.0])
+def test_information_at_rho_one_raises_non_finite(varrho):
+    # rho rounds to +-1 and sqrt(1 - rho^2) to 0
+    theta, d = sim1_cohort_at_truth(varrho=varrho)
+    assert abs(theta.rho) == 1.0
+    with pytest.raises(NonFiniteLikelihood):
+        score_jacobian(theta, d)
+
+
 def test_pooled_sane_at_generator_truth():
     from lem.simulate import SimConfig, gen_covariates, gen_outcomes, substream
 

@@ -80,15 +80,15 @@ def test_treatment_marginal_probability_at_alpha_zero():
 
 
 def test_generated_dataset_passes_validation():
-    from lem.data import validate
+    from lem.data import matrix_rank
 
     cfg = SimConfig(n_subjects=400, seed=12)
     rng = substream(cfg.seed, 0)
     d = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
-    rep = validate(d)
-    assert rep.full_rank_x and rep.full_rank_z and rep.full_rank_w
-    assert rep.n_rows_untreated >= 1 and rep.n_rows_treated >= 1
-    assert rep.cluster_size_counts == {3: 400}
+    for block in (d.x, d.z, d.w):
+        assert matrix_rank(block) == block.shape[1]
+    assert (d.a == 0.0).any() and (d.a == 1.0).any()
+    assert (d.cluster_sizes() == 3).all() and d.n_subjects == 400
 
 
 def test_saturated_probit_all_treated():
@@ -243,6 +243,19 @@ def test_study_workers_run_one_blas_thread_and_the_parent_keeps_its_count():
     assert in_worker == {path: 1 for path in before}
     run_study(small_cfg(), 2, threads=2)
     assert openblas_thread_counts() == before
+
+
+def test_serial_study_matches_the_pool_at_a_large_cohort_and_restores_blas_threads():
+    """At 60k rows the start's least squares gives different last bits on one
+    BLAS thread than on several, so a serial study matches the pool's
+    one-thread workers only if it runs on one thread too.  On a one-core host
+    both sides run one thread anyway and this passes trivially.  A fit outside
+    run_study (``lem fit``) still depends on the process's BLAS thread count."""
+    cfg = preset("sim1", seed=3, n_subjects=20_000)
+    before = openblas_thread_counts()
+    serial = run_study(cfg, 1, threads=1)
+    assert openblas_thread_counts() == before
+    assert serial.to_csv() == run_study(cfg, 1, threads=2).to_csv()
 
 
 def test_study_starts_no_more_workers_than_replicates(monkeypatch):
