@@ -385,16 +385,19 @@ def sandwich_cov(theta_hat, dataset, bread=None, *, _point=None):
     (without failing) away from a score root; raises NonFiniteLikelihood on a
     non-finite score and SingularMatrix on a numerically singular bread.
     The private ``_point`` is the score rows and the pooled score at
-    theta_hat when the caller has them.
+    theta_hat when the caller has them; that caller judges the score root
+    itself (``fit_lem`` records an accepted point in ``LemFit.warnings``), so
+    it gets no warning.
     """
-    if _point is None:
+    warn = _point is None
+    if warn:
         rows = score_rows(theta_hat, dataset)
         _point = rows, exact_sum(rows)  # bit-identical to the pooled score
     rows, score = _point
     gnorm = float(np.abs(score).max())
     if not np.isfinite(gnorm):
         raise NonFiniteLikelihood("pooled score is not finite")
-    if gnorm > 1e-4:
+    if warn and gnorm > 1e-4:
         _warnings.warn(
             f"sandwich_cov called away from a score root (|score| = {gnorm:.3e})",
             stacklevel=2,

@@ -23,11 +23,13 @@ deleted leaves the study entirely.
 Replicates are embarrassingly parallel.  Each replicate owns a Philox
 substream keyed by (seed, replicate index), so serial and process-parallel
 runs produce bit-identical summaries; aggregation is an ordered fold.  Every
-replicate runs BLAS on one thread: in a worker process for good (a
-replicate's products are too small to gain from more, and one BLAS thread
-per core per worker oversubscribes the cores), and in a serial run for the
-run's duration, because a BLAS product's last bits can depend on its thread
-count.  A fit outside ``run_study`` (``lem fit``) keeps the process's count.
+replicate runs BLAS on one thread, because a BLAS product's last bits can
+depend on its thread count, a replicate's products are too small to gain
+from more, and one BLAS thread per core per worker oversubscribes the cores.
+``run_study`` sets one thread in the calling process for the study's
+duration, before it starts any worker, so forked workers inherit it; it
+restores the caller's count on return.  A fit outside ``run_study``
+(``lem fit``) keeps the process's count.
 """
 
 from __future__ import annotations
@@ -330,11 +332,16 @@ _OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_nu
 
 def _one_blas_thread():
     """Run every OpenBLAS mapped into this process on one thread; returns a
-    function that restores each library's previous thread count.
+    function that restores the previous thread count of each library it changed.
 
-    The pool initializer and the serial path of :func:`run_study`, so that
-    both fit under one BLAS setting.  Changes nothing without a maps file, an
-    OpenBLAS library or a setter symbol.
+    A library whose count already reads 1 is left alone: calling a setter,
+    even with the count a library has, made a freshly forked worker's first
+    sim3 replicate take 57-134 ms instead of 21-27 ms on a 2-core host.
+    :func:`run_study` calls this before it starts its pool, so the pool's
+    initializer, which calls it again, finds every count at 1 in a forked
+    worker and calls no setter; a spawned or forkserver worker does not
+    inherit the count and pays for the setter.  Changes nothing without a
+    maps file, an OpenBLAS library or a setter symbol.
     """
     import ctypes
 
@@ -354,8 +361,10 @@ def _one_blas_thread():
             setter, getter = getattr(lib, name), getattr(lib, name.replace("_set_", "_get_"))
             setter.argtypes, setter.restype = (ctypes.c_int,), None
             getter.argtypes, getter.restype = (), ctypes.c_int
-            previous.append((setter, getter()))
-            setter(1)
+            count = getter()
+            if count != 1:
+                previous.append((setter, count))
+                setter(1)
     return lambda: [setter(count) for setter, count in previous]
 
 
@@ -372,9 +381,10 @@ def run_study(cfg, n_reps, threads=1):
     Replicates that fail to converge are counted and excluded from the
     aggregation.  With ``threads > 1`` replicates run in worker processes,
     no more than there are replicates or usable CPUs; with ``threads=1`` they
-    run in this process.  Either way BLAS runs on one thread, which the
-    serial path restores to its previous count on return, so results are
-    identical across ``threads``.  ``threads`` below 1 raises ValueError.
+    run in this process.  Either way BLAS runs on one thread, so results are
+    identical across ``threads``: the setting is made in this process before
+    any worker starts, so forked workers inherit it, and undone on return.
+    ``threads`` below 1 raises ValueError.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
@@ -382,18 +392,18 @@ def run_study(cfg, n_reps, threads=1):
         raise ValueError("threads must be at least 1")
 
     jobs = [(cfg, rep) for rep in range(n_reps)]
-    if threads > 1:
-        # the pool starts all of its workers at once: no more than there are jobs or CPUs
-        workers = min(threads, n_reps, _usable_cpus())
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            chunk = max(1, n_reps // (8 * workers))
-            results = list(pool.map(_run_replicate, jobs, chunksize=chunk))
-    else:
-        restore = _one_blas_thread()
-        try:
+    restore = _one_blas_thread()
+    try:
+        if threads > 1:
+            # the pool starts all of its workers at once: no more than there are jobs or CPUs
+            workers = min(threads, n_reps, _usable_cpus())
+            with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+                chunk = max(1, n_reps // (8 * workers))
+                results = list(pool.map(_run_replicate, jobs, chunksize=chunk))
+        else:
             results = [_run_replicate(job) for job in jobs]
-        finally:
-            restore()
+    finally:
+        restore()
 
     truth = np.asarray(cfg.beta)
     coef_names = [f"beta_{i}" for i in range(truth.size)]

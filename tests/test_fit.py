@@ -543,21 +543,37 @@ def test_fit_covariances_equal_the_stand_alone_estimators():
         np.testing.assert_array_equal(fit.cov_model, fisher_cov(theta, d))
 
 
-def test_sandwich_from_a_row_state_warns_as_the_stand_alone_call(panel_fit):
-    # fit_lem passes the solver's score rows and pooled score: away from a
-    # score root that path warns as the stand-alone call does, with the same result
+def test_sandwich_from_a_row_state_matches_the_stand_alone_call_without_warning(panel_fit):
+    # fit_lem passes the solver's score rows and pooled score and judges the
+    # score root itself: away from a root that path gives the stand-alone
+    # call's result, and only the stand-alone call warns
     d, fit = panel_fit
     fun, _ = _objective(d, "logistic")
     vec = fit.theta_hat.to_array() + 1e-3
     theta = Theta.from_array(vec, d.dims)
     _, neg_score, state = fun(vec)
     bread = score_jacobian(theta, d)
-    with pytest.warns(UserWarning, match="away from a score root") as alone:
+    with pytest.warns(UserWarning, match="away from a score root"):
         expected = sandwich_cov(theta, d, bread)
-    with pytest.warns(UserWarning, match="away from a score root") as shared:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = sandwich_cov(theta, d, bread, _point=(state.score, -neg_score))
-    assert [str(w.message) for w in shared] == [str(w.message) for w in alone]
     np.testing.assert_array_equal(got, expected)
+
+
+def test_fit_accepted_off_the_root_records_it_and_emits_no_warning(monkeypatch):
+    # two Newton iterations stop short of the gradient tolerance but within
+    # the score-root criterion: the fit records the acceptance and leaves
+    # sandwich_cov's "away from a score root" warning unraised
+    cfg = preset("sim1", seed=3, n_subjects=2000)
+    rng = substream(3, 0)
+    d = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
+    monkeypatch.setattr(lem.fit, "SOLVER_MAX_ITER", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_lem(d)
+    assert not fit.optim.converged
+    assert any("accepted with pooled score norm" in w for w in fit.warnings)
 
 
 def test_bread_bit_equal_under_subject_relabeling(panel_fit):

@@ -258,22 +258,68 @@ def test_serial_study_matches_the_pool_at_a_large_cohort_and_restores_blas_threa
     assert serial.to_csv() == run_study(cfg, 1, threads=2).to_csv()
 
 
+def test_nested_blas_settings_restore_the_original_counts():
+    """The inner call finds every count at 1, changes nothing and restores
+    nothing, so restoring in either order leaves the counts as they were.  On
+    a one-core host every count is 1 already and this passes trivially."""
+    import lem.simulate
+
+    before = openblas_thread_counts()
+    if not before:
+        pytest.skip("no OpenBLAS loaded")
+    outer = lem.simulate._one_blas_thread()
+    inner = lem.simulate._one_blas_thread()
+    assert openblas_thread_counts() == {path: 1 for path in before}
+    outer()
+    inner()
+    assert openblas_thread_counts() == before
+
+
+def test_a_pool_started_on_one_blas_thread_passes_it_to_its_workers():
+    """A forked worker inherits the parent's count, so run_study's pool needs
+    no setter call in its workers.  On a one-core host every count is 1
+    already and this passes trivially."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    import lem.simulate
+
+    before = openblas_thread_counts()
+    if not before:
+        pytest.skip("no OpenBLAS loaded")
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers inherit the parent's BLAS count only when forked")
+    restore = lem.simulate._one_blas_thread()
+    try:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            in_worker = pool.submit(openblas_thread_counts).result()
+    finally:
+        restore()
+    assert in_worker == {path: 1 for path in before}
+    assert openblas_thread_counts() == before
+
+
 def test_study_starts_no_more_workers_than_replicates(monkeypatch):
+    """The pool is made while this process runs BLAS on one thread, and the
+    counts are restored after the study.  On a one-core host every count is
+    1 already and the BLAS checks pass trivially."""
     import lem.simulate
 
     requested = []
     initializers = []
+    in_pool = []
+    before = openblas_thread_counts()
 
     class SerialPool:
-        """Records the worker count and the initializer, and maps in this process: starts nothing.
-
-        It does not call the initializer, so this process keeps its BLAS threads."""
+        """Records the worker count, the initializer and the BLAS counts, and
+        maps in this process: starts nothing and calls no initializer."""
 
         def __init__(self, max_workers, initializer=None):
             requested.append(max_workers)
             initializers.append(initializer)
 
         def __enter__(self):
+            in_pool.append(openblas_thread_counts())
             return self
 
         def __exit__(self, *exc):
@@ -287,6 +333,8 @@ def test_study_starts_no_more_workers_than_replicates(monkeypatch):
     pooled = run_study(small_cfg(), 2, threads=64)
     assert requested == [2]
     assert initializers == [lem.simulate._one_blas_thread]
+    assert in_pool == [{path: 1 for path in before}]
+    assert openblas_thread_counts() == before
     serial = run_study(small_cfg(), 2)
     assert pooled.to_csv() == serial.to_csv()
     assert pooled.to_table() == serial.to_table()
