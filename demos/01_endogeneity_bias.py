@@ -11,7 +11,7 @@ Run:  python demos/01_endogeneity_bias.py
 
 import numpy as np
 
-from lem import FitOptions, fit_gee_independence, fit_lem, wald
+from lem import fit_gee_independence, fit_lem, wald
 from lem.simulate import SimConfig, gen_covariates, gen_outcomes, substream
 
 truth = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
@@ -22,7 +22,7 @@ dataset = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
 print(f"simulated cohort: {dataset.n_subjects} subjects x {cfg.n_times} visits, "
       f"{dataset.a.mean():.0%} of rows treated\n")
 
-lem = fit_lem(dataset, FitOptions())
+lem = fit_lem(dataset)
 gee = fit_gee_independence(dataset, "adjusted")
 
 print(f"{'coefficient':>12} {'truth':>6} {'joint model':>16} {'adjusted GEE':>16}")

@@ -23,7 +23,6 @@ from .data import (
 )
 from .errors import LemError
 from .fit import (
-    FitOptions,
     FitRecord,
     LemFit,
     PredictionBand,
@@ -70,7 +69,7 @@ __all__ = [
     "DesignSpec", "LongDataset", "ObsRow", "OverlapReport",
     "check_overlap", "load_csv", "write_csv",
     "LemError",
-    "FitOptions", "FitRecord", "LemFit", "PredictionBand", "WaldResult", "fisher_cov",
+    "FitRecord", "LemFit", "PredictionBand", "WaldResult", "fisher_cov",
     "fit_lem", "fit_to_dict", "initialize", "load_fit_json", "ncs_basis",
     "predict_mean", "prediction_band", "sandwich_cov", "wald",
     "GeeFit", "fit_gee_independence",

@@ -4,8 +4,8 @@ Every command is deterministic given its inputs and seed, never mutates its
 input files, and writes a ``manifest.json`` (atomically) beside its outputs
 with enough information to replay the run.
 
-Exit codes: 0 success, 1 input/configuration error, 2 numerical failure
-(non-convergence, singular system, overflow).
+Exit codes: 0 success, 1 input/configuration or command-line usage error,
+2 numerical failure (non-convergence, singular system, overflow).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import (
     SingularMatrix,
 )
 from .fit import (
-    FitOptions,
     fit_lem,
     fit_to_dict,
     load_fit_json,
@@ -100,8 +99,7 @@ def cmd_fit(args):
     spec = DesignSpec.from_json(args.spec)
     dataset = load_csv(args.data, spec)
     if args.method == "lem":
-        fit = fit_lem(dataset, FitOptions(rho_map=args.rho_map,
-                                          compute_model_cov=args.model_cov))
+        fit = fit_lem(dataset, model_cov=args.model_cov)
     else:
         fit = fit_gee_independence(dataset, args.method.split("-", 1)[1])
     payload = fit_to_dict(fit)
@@ -111,7 +109,7 @@ def cmd_fit(args):
     _atomic_write(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _print_coef_table(payload)
     config_payload = {"data": os.path.abspath(args.data), "spec": spec.to_dict(),
-                      "method": args.method, "rho_map": args.rho_map}
+                      "method": args.method, "rho_map": "logistic"}
     _write_manifest(args.out, args.argv, config_payload, None, [out_path], started)
     return 0
 
@@ -199,8 +197,16 @@ def cmd_predict(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1; its subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lem",
         description="Endogeneity-corrected trend estimation for longitudinal data",
     )
@@ -213,7 +219,6 @@ def build_parser():
     p_fit.add_argument("--method", required=True,
                        choices=["lem", "gee-adjusted", "gee-excluded"])
     p_fit.add_argument("--out", default=".", help="output directory")
-    p_fit.add_argument("--rho-map", default="logistic", choices=["logistic", "arctan"])
     p_fit.add_argument("--model-cov", action="store_true",
                        help="also compute the model-based covariance")
     p_fit.set_defaults(func=cmd_fit)

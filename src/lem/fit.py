@@ -83,12 +83,6 @@ SCORE_ROOT_RTOL = 1e-6
 FIT_SCHEMA_VERSION = 1
 
 
-@dataclass
-class FitOptions:
-    rho_map: str = "logistic"
-    compute_model_cov: bool = False
-
-
 @dataclass(kw_only=True)
 class FitRecord:
     """Estimates and cluster-robust covariance of a fitted model, under any
@@ -219,10 +213,10 @@ def _two_step(dataset, theta0):
     rho = min(max(rho_sigma / sigma, -TWO_STEP_MAX_RHO), TWO_STEP_MAX_RHO)
     jx = dataset.x.shape[1]
     return replace(theta0, beta=coef[:jx], eta=coef[jx:-1], log_sigma_y=math.log(sigma),
-                   varrho=varrho_of_rho(rho, theta0.rho_map))
+                   varrho=varrho_of_rho(rho))
 
 
-def _objective(dataset, rho_map):
+def _objective(dataset):
     """The solver's two functions: of the parameter vector, the pooled negative
     log-likelihood and score with the point's RowState (+inf where not finite,
     so the line search shortens the step instead of aborting); of a RowState,
@@ -232,7 +226,7 @@ def _objective(dataset, rho_map):
 
     def fun(vec):
         try:
-            return pooled_negloglik_and_score(Theta.from_array(vec, design.dims, rho_map), design,
+            return pooled_negloglik_and_score(Theta.from_array(vec, design.dims), design,
                                               _keep_rows=True)
         except NonFiniteLikelihood:
             return math.inf, np.full(len(vec), np.nan), None
@@ -243,12 +237,14 @@ def _objective(dataset, rho_map):
     return fun, hess
 
 
-def fit_lem(dataset, opts=None):
+def fit_lem(dataset, *, model_cov=False):
     """Solve the pooled estimating equations and attach robust covariance.
 
     Warnings (overlap failure, a solver stop within the score-root criterion
     short of the gradient tolerance, single cluster, ...) are collected
     machine-readably on the returned fit; only structural errors abort.
+    ``model_cov`` adds ``cov_model``, the inverse observed information (else
+    None), with a warning where it ignores the dependence of repeated measures.
 
     The solver's tolerances are absolute, so y is fitted divided by the power
     of two 2**k that puts max|y| in [8, 16); ``optim`` is in those units.  The
@@ -258,7 +254,6 @@ def fit_lem(dataset, opts=None):
     SingularMatrix (rescaling cannot help); one that overflows or underflows
     after the map raises NonFiniteLikelihood.
     """
-    opts = opts or FitOptions()
     fit_warnings = []
     overlap = check_overlap(dataset)
     if not overlap.overlap:
@@ -270,13 +265,13 @@ def fit_lem(dataset, opts=None):
 
     k = int(np.frexp(np.abs(dataset.y).max())[1]) - 4
     design = PreparedDesign.of(dataset, k)
-    theta0 = _two_step(design, replace(initialize(design), rho_map=opts.rho_map))
-    result = minimize_bfgs(*_objective(design, opts.rho_map), theta0.to_array(),
+    theta0 = _two_step(design, initialize(design))
+    result = minimize_bfgs(*_objective(design), theta0.to_array(),
                            tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
     # the final point's row state feeds the covariance; the fit does not keep it
     state, result = result.state, replace(result, state=None)
 
-    theta_fitted = Theta.from_array(result.argmin, dataset.dims, opts.rho_map)
+    theta_fitted = Theta.from_array(result.argmin, dataset.dims)
     # the solver's value and gradient are the pooled ones at theta_fitted
     nll, score_norm = result.objective_value, result.gradient_inf_norm
     criterion = SCORE_ROOT_RTOL * (1.0 + abs(nll))
@@ -298,7 +293,7 @@ def fit_lem(dataset, opts=None):
     bread = score_jacobian(theta_fitted, design, _state=state)
     cov_robust = sandwich_cov(theta_fitted, design, bread, _point=(state.score, -result.gradient))
     cov_model = None
-    if opts.compute_model_cov:
+    if model_cov:
         cov_model, model_warns = _fisher_cov_impl(bread, dataset)
         fit_warnings.extend(model_warns)
 
@@ -329,7 +324,7 @@ def fit_lem(dataset, opts=None):
         n_subjects=dataset.n_subjects,
         n_rows=dataset.n_rows,
         warnings=fit_warnings,
-        theta_hat=Theta.from_array(estimates, dataset.dims, opts.rho_map),
+        theta_hat=Theta.from_array(estimates, dataset.dims),
         cov_model=cov_model,
         optim=result,
         negloglik=nll + dataset.n_rows * k * math.log(2.0),
@@ -551,7 +546,7 @@ def fit_to_dict(fit):
             dims={"j_x": fit.j_x, "j_z": theta.alpha.size, "j_w": theta.eta.size},
             sigma_y=theta.sigma_y,
             rho=theta.rho,
-            rho_map=theta.rho_map,
+            rho_map="logistic",   # the scale of varrho: rho = tanh(varrho / 2)
             convergence={
                 "converged": bool(fit.optim.converged),
                 "iterations": int(fit.optim.iterations),

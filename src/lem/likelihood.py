@@ -13,9 +13,9 @@ Per observation, with r = y - x'beta - (w'eta) a and sign s = (-1)^(1-a):
              + log Phi( s * (z'alpha + rho r / sigma_y) / sqrt(1 - rho^2) )
 
 Internally the parameter vector is unconstrained: sigma_y enters on the log
-scale and rho through a bijective map of an unconstrained coordinate
-("varrho").  The default map is the scaled logistic; the arctangent map is
-available for cross-checking.
+scale and rho through the scaled logistic map of an unconstrained coordinate
+varrho, rho = 2 / (1 + exp(-varrho)) - 1 = tanh(varrho / 2), whose inverse is
+varrho = 2 atanh(rho).
 
 The observed information (the sandwich bread) is analytic.  A row's loglik
 depends on theta only through four coordinates, each linear in theta:
@@ -29,8 +29,8 @@ where u = r / sigma_y, m is the argument of log Phi above, lambda =
 phi(m)/Phi(m) is the inverse Mills ratio and L2 = dlambda/dm =
 -lambda (m + lambda) (below the log Phi tail crossover, the derivative of the
 series form of lambda; see :func:`lem.numerics.inverse_mills_slope`).  varrho
-enters through rho by the chain rule, with d2rho/dvarrho2 = -rho * rho' for
-the logistic map and -4 varrho / (pi (1 + varrho^2)^2) for the arctan map.
+enters through rho by the chain rule, with rho' = drho/dvarrho = (1 - rho^2) / 2
+and d2rho/dvarrho2 = -rho rho'.
 
 The row pass, :class:`RowState`, computes each row's u, c, sign, m,
 log Phi(m), lambda, t = sign * lambda and loglik once, and keeps what its two
@@ -62,28 +62,17 @@ from .numerics import (
     log_std_normal_cdf,
 )
 
-RHO_MAPS = ("logistic", "arctan")
 
-
-def rho_of_varrho(varrho, rho_map="logistic"):
+def rho_of_varrho(varrho):
     """Map an unconstrained coordinate to a correlation in (-1, 1)."""
-    if rho_map == "logistic":
-        # 2/(1+exp(-v)) - 1 == tanh(v/2), strictly increasing
-        return math.tanh(0.5 * varrho)
-    if rho_map == "arctan":
-        return 2.0 * math.atan(varrho) / math.pi
-    raise ValueError(f"unknown rho map {rho_map!r}")
+    return math.tanh(0.5 * varrho)
 
 
-def varrho_of_rho(rho, rho_map="logistic"):
+def varrho_of_rho(rho):
     """Inverse of :func:`rho_of_varrho`; requires -1 < rho < 1."""
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must lie strictly inside (-1, 1)")
-    if rho_map == "logistic":
-        return 2.0 * math.atanh(rho)
-    if rho_map == "arctan":
-        return math.tan(0.5 * math.pi * rho)
-    raise ValueError(f"unknown rho map {rho_map!r}")
+    return 2.0 * math.atanh(rho)
 
 
 @dataclass(frozen=True)
@@ -99,16 +88,12 @@ class Theta:
     alpha: np.ndarray
     log_sigma_y: float
     varrho: float
-    rho_map: str = "logistic"
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        if self.rho_map not in RHO_MAPS:
-            raise ValueError(f"rho_map must be one of {RHO_MAPS}")
-        vec = self.to_array()
-        if not np.isfinite(vec).all():
+        if not np.isfinite(self.to_array()).all():
             raise ValueError("theta contains non-finite entries")
 
     @property
@@ -117,7 +102,7 @@ class Theta:
 
     @property
     def rho(self):
-        return rho_of_varrho(self.varrho, self.rho_map)
+        return rho_of_varrho(self.varrho)
 
     @property
     def dim(self):
@@ -129,20 +114,15 @@ class Theta:
         ])
 
     @classmethod
-    def from_array(cls, vec, dims, rho_map="logistic"):
+    def from_array(cls, vec, dims):
         """Unpack (beta, eta, alpha, log_sigma_y, varrho) given (J_X, J_Z, J_W)."""
         jx, jz, jw = dims
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (jx + jw + jz + 2,):
             raise ValueError(f"vector of length {vec.size} does not match dims {dims}")
-        return cls(
-            beta=vec[:jx].copy(),
-            eta=vec[jx:jx + jw].copy(),
-            alpha=vec[jx + jw:jx + jw + jz].copy(),
-            log_sigma_y=float(vec[-2]),
-            varrho=float(vec[-1]),
-            rho_map=rho_map,
-        )
+        return cls(beta=vec[:jx].copy(), eta=vec[jx:jx + jw].copy(),
+                   alpha=vec[jx + jw:jx + jw + jz].copy(),
+                   log_sigma_y=float(vec[-2]), varrho=float(vec[-1]))
 
 
 def parameter_names(dataset):
@@ -207,17 +187,14 @@ def _scalars(theta):
     and a division by sqrt(1 - rho^2) = 0 then give inf (quietly under
     _QUIET) where Python floats raise OverflowError or ZeroDivisionError.
     """
-    v, rho = theta.varrho, theta.rho
+    rho = theta.rho
     try:
         sigma = np.float64(theta.sigma_y)
     except OverflowError:
         sigma = np.float64(math.inf)
     sq = np.float64(math.sqrt(max(1.0 - rho * rho, 0.0)))
-    if theta.rho_map == "logistic":
-        d1 = 0.5 * (1.0 - rho * rho)
-        return sigma, rho, sq, d1, -rho * d1
-    v2 = 1.0 + v * v  # the arctan map
-    return sigma, rho, sq, 2.0 / (math.pi * v2), -4.0 * v / (math.pi * v2 * v2)
+    d1 = 0.5 * (1.0 - rho * rho)
+    return sigma, rho, sq, d1, -rho * d1
 
 
 class RowState:

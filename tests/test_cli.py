@@ -198,6 +198,26 @@ def test_fit_unidentified_parameter_exit_2(tmp_path, capsys):
     assert err.startswith("error (SingularMatrix)") and "varrho" in err and "rescale" not in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["fit", "--data", "x.csv"], "required: --spec, --method"),
+    (["simulate", "--preset", "sim1", "--reps", "abc"], "invalid int value: 'abc'"),
+    (["fit", "--data", "x.csv", "--spec", "s.json", "--method", "lem", "--rho-map", "arctan"],
+     "unrecognized arguments: --rho-map arctan"),
+])
+def test_usage_error_exit_1(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["fit", "--help"]])
+def test_help_and_version_exit_0(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+
+
 def test_simulate_deterministic_across_runs_and_threads(tmp_path):
     outs = []
     for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):

@@ -28,7 +28,6 @@ from lem.errors import (
 )
 from lem.fit import (
     SOLVER_MAX_ITER,
-    FitOptions,
     FitRecord,
     _objective,
     _probit,
@@ -390,15 +389,8 @@ def test_refit_from_perturbed_start_reaches_same_solution(panel_fit):
     start = fit.theta_hat.to_array() + rng.uniform(-0.1, 0.1, size=fit.theta_hat.dim)
     from lem.optim import minimize_bfgs
 
-    res = minimize_bfgs(*_objective(d, "logistic"), start, tol=1e-8, max_iter=500)
+    res = minimize_bfgs(*_objective(d), start, tol=1e-8, max_iter=500)
     np.testing.assert_allclose(res.argmin, fit.theta_hat.to_array(), atol=1e-5)
-
-
-def test_rho_map_choice_does_not_change_estimates(panel_fit):
-    d, fit = panel_fit
-    fit_atan = fit_lem(d, FitOptions(rho_map="arctan"))
-    np.testing.assert_allclose(fit_atan.theta_hat.beta, fit.theta_hat.beta, atol=1e-6)
-    assert fit_atan.theta_hat.rho == pytest.approx(fit.theta_hat.rho, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +511,7 @@ def test_solver_hessian_agrees_with_the_exact_bread(name):
     if cfg.missingness != "none":
         d = apply_missingness(d, cfg, rng)
     theta = fit_lem(d).theta_hat
-    fun, hess = _objective(d, theta.rho_map)
+    fun, hess = _objective(d)
     state = fun(theta.to_array())[2]
     hessian = hess(state)
     bread = score_jacobian(theta, d)
@@ -536,7 +528,7 @@ def test_fit_covariances_equal_the_stand_alone_estimators():
     # the solver's last row state equal the stand-alone ones at theta_hat
     d = panel_dataset(seed=39, n_subjects=200)
     d = dataclasses.replace(d, y=np.ldexp(d.y, 4 - np.frexp(np.abs(d.y).max())[1]))
-    fit = fit_lem(d, FitOptions(compute_model_cov=True))
+    fit = fit_lem(d, model_cov=True)
     theta = fit.theta_hat
     np.testing.assert_array_equal(fit.cov_robust, sandwich_cov(theta, d, score_jacobian(theta, d)))
     with pytest.warns(UserWarning, match="model-based covariance"):
@@ -548,7 +540,7 @@ def test_sandwich_from_a_row_state_matches_the_stand_alone_call_without_warning(
     # score root itself: away from a root that path gives the stand-alone
     # call's result, and only the stand-alone call warns
     d, fit = panel_fit
-    fun, _ = _objective(d, "logistic")
+    fun, _ = _objective(d)
     vec = fit.theta_hat.to_array() + 1e-3
     theta = Theta.from_array(vec, d.dims)
     _, neg_score, state = fun(vec)
@@ -603,7 +595,7 @@ def test_fit_computes_bread_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(lem.fit, name, counted(name, getattr(lem.fit, name)))
-    fit = fit_lem(panel_dataset(seed=36, n_subjects=200), FitOptions(compute_model_cov=True))
+    fit = fit_lem(panel_dataset(seed=36, n_subjects=200), model_cov=True)
     assert fit.cov_model is not None
     assert calls == {"score_jacobian": 1, "sandwich_cov": 1, "score_rows": 0}
 

@@ -31,7 +31,7 @@ def make_dataset(rng, n=60, jx=3, jz=3, jw=2, subjects=None):
     return LongDataset.from_arrays(y=y, a=a, x=x, z=z, w=w, subject_ids=subjects)
 
 
-def random_theta(rng, dims=(3, 3, 2), rho_map="logistic"):
+def random_theta(rng, dims=(3, 3, 2)):
     jx, jz, jw = dims
     return Theta(
         beta=rng.uniform(-1.5, 1.5, size=jx),
@@ -39,7 +39,6 @@ def random_theta(rng, dims=(3, 3, 2), rho_map="logistic"):
         alpha=rng.uniform(-1.5, 1.5, size=jz),
         log_sigma_y=rng.uniform(-0.5, 0.5),
         varrho=rng.uniform(-1.5, 1.5),
-        rho_map=rho_map,
     )
 
 
@@ -62,11 +61,6 @@ def test_rho_map_saturation():
 @given(st.floats(-0.999, 0.999))
 def test_rho_roundtrip_logistic(rho):
     assert rho_of_varrho(varrho_of_rho(rho)) == pytest.approx(rho, abs=1e-12)
-
-
-@given(st.floats(-0.999, 0.999))
-def test_rho_roundtrip_arctan(rho):
-    assert rho_of_varrho(varrho_of_rho(rho, "arctan"), "arctan") == pytest.approx(rho, abs=1e-12)
 
 
 def test_rho_map_strictly_increasing():
@@ -131,19 +125,18 @@ def fd_score(theta, row, rel_step=1e-6):
         up, dn = vec.copy(), vec.copy()
         up[k] += h
         dn[k] -= h
-        f_up = obs_loglik(Theta.from_array(up, dims, theta.rho_map), row)
-        f_dn = obs_loglik(Theta.from_array(dn, dims, theta.rho_map), row)
+        f_up = obs_loglik(Theta.from_array(up, dims), row)
+        f_dn = obs_loglik(Theta.from_array(dn, dims), row)
         grad[k] = (f_up - f_dn) / (2 * h)
     return grad
 
 
-@pytest.mark.parametrize("rho_map", ["logistic", "arctan"])
-def test_score_matches_finite_differences(rho_map):
+def test_score_matches_finite_differences():
     rng = np.random.default_rng(11)
     d = make_dataset(rng, n=5)
-    cases = [(random_theta(rng, rho_map=rho_map), d) for _ in range(8)]
+    cases = [(random_theta(rng), d) for _ in range(8)]
     # the Mills-series regime of lambda, below the tail crossover of log Phi
-    tails = [tail_case(rng, rho_map) for _ in range(3)]
+    tails = [tail_case(rng) for _ in range(3)]
     assert all((probit_argument(theta, d) < TAIL_CROSSOVER).any() for theta, d in tails)
     for theta, d in cases + tails:
         for i in range(d.n_rows):
@@ -179,11 +172,10 @@ def test_pooled_single_row_equals_observation():
     np.testing.assert_allclose(neg_score, -obs_score(theta, d.row(0)), rtol=1e-12)
 
 
-@pytest.mark.parametrize("rho_map", ["logistic", "arctan"])
-def test_rows_of_one_pass_agree_bit_for_bit(rho_map):
+def test_rows_of_one_pass_agree_bit_for_bit():
     # one row's score is the same function of the row alone or in a ragged dataset,
     # and the pooled score is the exact sum of the rows (sandwich_cov relies on it)
-    theta, d = tail_case(np.random.default_rng(23), rho_map)
+    theta, d = tail_case(np.random.default_rng(23))
     rows = score_rows(theta, d)
     for i in range(d.n_rows):
         np.testing.assert_array_equal(obs_score(theta, d.row(i)), rows[i])
@@ -281,22 +273,6 @@ def test_pooled_sane_at_generator_truth():
     assert np.abs(neg_score).max() < 50.0 * math.sqrt(d.n_rows)
 
 
-def test_logistic_and_arctan_maps_agree_on_rho():
-    rng = np.random.default_rng(8)
-    d = make_dataset(rng, n=30)
-    rho = 0.42
-    base = random_theta(rng)
-    t_log = Theta(beta=base.beta, eta=base.eta, alpha=base.alpha,
-                  log_sigma_y=base.log_sigma_y, varrho=varrho_of_rho(rho, "logistic"),
-                  rho_map="logistic")
-    t_atan = Theta(beta=base.beta, eta=base.eta, alpha=base.alpha,
-                   log_sigma_y=base.log_sigma_y, varrho=varrho_of_rho(rho, "arctan"),
-                   rho_map="arctan")
-    nll1 = pooled_negloglik_and_score(t_log, d)[0]
-    nll2 = pooled_negloglik_and_score(t_atan, d)[0]
-    assert nll1 == pytest.approx(nll2, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # observed information (the sandwich bread)
 # ---------------------------------------------------------------------------
@@ -320,13 +296,13 @@ def probit_argument(theta, d):
     return (2.0 * d.a - 1.0) * (d.z @ theta.alpha + rho * u) / math.sqrt(1.0 - rho * rho)
 
 
-def tail_case(rng, rho_map):
+def tail_case(rng):
     """A theta with |alpha[1]| >= 0.5 and its tail_dataset."""
     alpha = rng.uniform(-1.5, 1.5, size=3)
     alpha[1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
     theta = Theta(beta=rng.uniform(-1.5, 1.5, size=3), eta=rng.uniform(-1.5, 1.5, size=2),
                   alpha=alpha, log_sigma_y=rng.uniform(-0.5, 0.5),
-                  varrho=varrho_of_rho(rng.uniform(-0.9, 0.9), rho_map), rho_map=rho_map)
+                  varrho=varrho_of_rho(rng.uniform(-0.9, 0.9)))
     d = tail_dataset(rng, theta)
     m = probit_argument(theta, d)
     assert (m[:6] < -12.0).all()
@@ -335,15 +311,14 @@ def tail_case(rng, rho_map):
     return theta, d
 
 
-@pytest.mark.parametrize("rho_map", ["logistic", "arctan"])
-def test_information_matches_finite_differences_of_score(rho_map):
+def test_information_matches_finite_differences_of_score():
     rng = np.random.default_rng(21)
     dims = (3, 3, 2)
     for _ in range(6):
-        theta, d = tail_case(rng, rho_map)
+        theta, d = tail_case(rng)
 
         def neg_score(vec):
-            return pooled_negloglik_and_score(Theta.from_array(vec, dims, rho_map), d)[1]
+            return pooled_negloglik_and_score(Theta.from_array(vec, dims), d)[1]
 
         fd = fd_jacobian(neg_score, theta.to_array())
         bread = score_jacobian(theta, d)
