@@ -14,7 +14,7 @@ Run:  python demos/04_age_trend_bands.py
 
 import numpy as np
 
-from lem import LongDataset, fit_gee_independence, fit_lem, ncs_basis, prediction_band
+from lem import LongDataset, contrast, fit_gee_independence, fit_lem, ncs_basis
 from lem.numerics import cholesky
 from lem.simulate import substream
 
@@ -68,7 +68,7 @@ print(f"cohort: {n_subjects} subjects, treatment prevalence "
 fit = fit_lem(dataset)
 grid = np.linspace(52.0, 86.0, 35)
 rows = np.hstack([np.ones((grid.size, 1)), ncs_basis(grid, knots)])
-band = prediction_band(fit, rows, grid=grid, level=0.95)
+band = contrast(fit, rows, level=0.95)
 truth = rows @ beta_true
 
 covered = ((band.lower <= truth) & (truth <= band.upper)).mean()

@@ -23,18 +23,17 @@ from .data import (
 )
 from .errors import LemError
 from .fit import (
+    Contrast,
     FitRecord,
     LemFit,
-    PredictionBand,
     WaldResult,
+    contrast,
     fisher_cov,
     fit_lem,
     fit_to_dict,
     initialize,
     load_fit_json,
     ncs_basis,
-    predict_mean,
-    prediction_band,
     sandwich_cov,
     wald,
 )
@@ -69,9 +68,9 @@ __all__ = [
     "DesignSpec", "LongDataset", "ObsRow", "OverlapReport",
     "check_overlap", "load_csv", "write_csv",
     "LemError",
-    "FitRecord", "LemFit", "PredictionBand", "WaldResult", "fisher_cov",
+    "Contrast", "FitRecord", "LemFit", "WaldResult", "contrast", "fisher_cov",
     "fit_lem", "fit_to_dict", "initialize", "load_fit_json", "ncs_basis",
-    "predict_mean", "prediction_band", "sandwich_cov", "wald",
+    "sandwich_cov", "wald",
     "GeeFit", "fit_gee_independence",
     "Theta", "obs_loglik", "obs_score", "pooled_negloglik_and_score",
     "rho_of_varrho", "varrho_of_rho",

@@ -28,14 +28,7 @@ from .errors import (
     NonFiniteLikelihood,
     SingularMatrix,
 )
-from .fit import (
-    fit_lem,
-    fit_to_dict,
-    load_fit_json,
-    ncs_basis,
-    prediction_band,
-    z_quantile,
-)
+from .fit import contrast, fit_lem, fit_to_dict, load_fit_json, ncs_basis
 from .gee import fit_gee_independence
 from .simulate import SimConfig, preset, run_study
 
@@ -78,19 +71,17 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _print_coef_table(fit_dict, level=0.95):
-    zq = z_quantile(level)
-    names = fit_dict["param_names"]
-    est = fit_dict["estimates"]
-    se = fit_dict["se_robust"]
+def _print_coef_table(fit, fit_dict):
+    names = fit.param_names
+    table = contrast(fit, np.eye(len(names)))
     width = max(len(n) for n in names)
     print(f"{'parameter'.ljust(width)}  {'estimate':>12}  {'robust_se':>12}  "
           f"{'ci_low':>12}  {'ci_high':>12}")
-    for n, e, s in zip(names, est, se):
-        print(f"{n.ljust(width)}  {e:>12.6f}  {s:>12.6f}  {e - zq * s:>12.6f}  {e + zq * s:>12.6f}")
+    for n, e, s, lo, hi in zip(names, table.estimate, table.se, table.lower, table.upper):
+        print(f"{n.ljust(width)}  {e:>12.6f}  {s:>12.6f}  {lo:>12.6f}  {hi:>12.6f}")
     if fit_dict.get("sigma_y") is not None:
         print(f"sigma_y = {fit_dict['sigma_y']:.6f}, rho = {fit_dict['rho']:.6f}")
-    for msg in fit_dict.get("warnings", []):
+    for msg in fit.warnings:
         print(f"warning: {msg}")
 
 
@@ -107,9 +98,11 @@ def cmd_fit(args):
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "fit.json")
     _atomic_write(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _print_coef_table(payload)
+    _print_coef_table(fit, payload)
     config_payload = {"data": os.path.abspath(args.data), "spec": spec.to_dict(),
                       "method": args.method, "rho_map": "logistic"}
+    if args.model_cov:   # only here, so the hash of every other run is unchanged
+        config_payload["model_cov"] = True
     _write_manifest(args.out, args.argv, config_payload, None, [out_path], started)
     return 0
 
@@ -147,10 +140,17 @@ def _finite(values, what):
 
 
 def _parse_grid(spec_text):
-    """Grid values: either 'start:stop:count' or a CSV of design rows."""
+    """The grid and its design rows from a CSV of complete design rows (leading
+    intercept included; the grid is the row number), or the grid alone from
+    'start:stop:count'."""
     if os.path.exists(spec_text):
-        rows = np.loadtxt(spec_text, delimiter=",", skiprows=1, ndmin=2)
-        return None, _finite(rows, "grid CSV cells")
+        with open(spec_text, "r", encoding="utf-8-sig") as fh:
+            lines = fh.read().splitlines()[1:]
+        # loadtxt skips empty and '#' lines, and only warns when none is left
+        if not any(line.split("#", 1)[0] for line in lines):
+            raise ValueError(f"grid CSV {spec_text!r} has no data rows")
+        rows = _finite(np.loadtxt(lines, delimiter=",", ndmin=2), "grid CSV cells")
+        return np.arange(rows.shape[0], dtype=float), rows
     parts = spec_text.split(":")
     if len(parts) != 3:
         raise ValueError(
@@ -166,27 +166,22 @@ def _parse_grid(spec_text):
 def cmd_predict(args):
     started = _now()
     fit = load_fit_json(args.fit)
-    grid, rows = _parse_grid(args.grid)
-    if rows is not None:
-        # CSV form supplies complete design rows (leading intercept included)
-        xrows = rows
-        grid_values = np.arange(rows.shape[0], dtype=float)
-    else:
+    grid, xrows = _parse_grid(args.grid)
+    if xrows is None:
         if args.knots:
             knots = _finite([float(v) for v in args.knots.split(",")], "knots")
             basis = ncs_basis(grid, knots)
         else:
             basis = grid[:, None]
         xrows = np.hstack([np.ones((grid.size, 1)), basis])
-        grid_values = grid
     if xrows.shape[1] != fit.j_x:
         raise ValueError(
             f"prediction rows have {xrows.shape[1]} columns but the fit expects {fit.j_x}"
         )
-    band = prediction_band(fit, xrows, grid=grid_values, level=args.level)
+    band = contrast(fit, xrows, level=args.level)
 
     lines = ["grid,estimate,lower,upper"]
-    for g, e, lo, hi in zip(band.grid, band.estimate, band.lower, band.upper):
+    for g, e, lo, hi in zip(grid, band.estimate, band.lower, band.upper):
         lines.append(f"{float(g)!r},{float(e)!r},{float(lo)!r},{float(hi)!r}")
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)

@@ -6,8 +6,10 @@ and a probit) followed by Heckman's two-step estimate, which falls back to
 the rho = 0 start when the probit's generalized residual is collinear with
 the outcome design; damped Newton solution of the pooled estimating
 equations, cluster-robust sandwich covariance (subjects are the clusters),
-optional model-based covariance, Wald inference and spline-basis trend
-prediction with pointwise bands.
+optional model-based covariance, and linear inference: :func:`contrast`
+gives each row of weights its estimate, robust SE, pointwise CI and p-value,
+over the trend block (a natural-cubic-spline trend band) or the whole vector
+(the treatment-effect curve w'eta), and :func:`wald` is its one-parameter case.
 
 Each point the solver (:func:`lem.optim.minimize_bfgs`, a Newton method
 whose older name the benchmark traces) tries costs one pooled evaluation,
@@ -106,9 +108,6 @@ class FitRecord:
     def se_robust(self):
         return np.sqrt(np.diag(self.cov_robust))
 
-    def beta_block_cov(self):
-        return self.cov_robust[:self.j_x, :self.j_x]
-
 
 @dataclass(kw_only=True)
 class LemFit(FitRecord):
@@ -122,13 +121,17 @@ class LemFit(FitRecord):
 
 
 @dataclass(frozen=True)
-class PredictionBand:
-    """Pointwise confidence band over a predictor grid."""
+class Contrast:
+    """Linear combinations of a fit's estimates, one per row of weights: each
+    estimate with its robust SE, symmetric CI at ``level`` and two-sided
+    p-value against zero."""
 
-    grid: np.ndarray
     estimate: np.ndarray
+    se: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    p_value: np.ndarray
+    level: float
 
 
 @dataclass(frozen=True)
@@ -433,9 +436,34 @@ def z_quantile(level):
     return float(ndtri(0.5 + 0.5 * level))
 
 
-def wald(fit, index, level=0.95):
-    """Point estimate, robust SE, symmetric CI and two-sided p-value."""
+def contrast(fit, rows, level=0.95):
+    """Each row's weighted sum of the estimates of any FitRecord (a LemFit, a
+    GeeFit or a loaded ``fit.json``), with its delta-method robust SE, CI and p-value.
+
+    Rows of width ``j_x`` weigh beta (a design row x gives the untreated mean
+    x'beta); rows as wide as the estimates weigh all of them ([0, w, 0] gives
+    the treatment effect w'eta at the modifiers w).  Each row is reduced on its
+    own, as ``row @ estimates`` and ``row @ cov @ row``.  A negative variance,
+    which a loaded record can hold, gives SE 0; at SE 0 the p-value is 1 for a
+    zero estimate and 0 otherwise."""
     zq = z_quantile(level)
+    rows = np.asarray(rows, dtype=float)
+    width = rows.shape[1] if rows.ndim == 2 else None
+    if width not in (fit.j_x, len(fit.estimates)):
+        raise DimensionMismatch(f"contrast rows must form a matrix of {fit.j_x} or "
+                                f"{len(fit.estimates)} columns, got shape {rows.shape}")
+    est, cov = fit.estimates[:width], fit.cov_robust[:width, :width]
+    estimate, var = np.array([(row @ est, row @ cov @ row) for row in rows]).reshape(-1, 2).T
+    se = np.sqrt(np.maximum(var, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = 2.0 * std_normal_cdf(-np.abs(estimate) / se)
+    return Contrast(estimate=estimate, se=se, lower=estimate - zq * se, upper=estimate + zq * se,
+                    p_value=np.where(se > 0, p, estimate == 0.0), level=level)
+
+
+def wald(fit, index, level=0.95):
+    """Point estimate, robust SE, symmetric CI and two-sided p-value of one
+    parameter, given by name or index: the contrast of its unit vector."""
     names = fit.param_names
     if isinstance(index, str) and index in names:
         idx = names.index(index)
@@ -443,20 +471,10 @@ def wald(fit, index, level=0.95):
         idx = int(index) % len(names)
     else:
         raise IndexOutOfRange(f"{index!r} is neither a parameter name nor an index in [-{len(names)}, {len(names)})")
-    est = float(fit.estimates[idx])
-    se = float(math.sqrt(max(fit.cov_robust[idx, idx], 0.0)))
-    if se > 0:
-        p = 2.0 * std_normal_cdf(-abs(est) / se)
-    else:
-        p = 1.0 if est == 0.0 else 0.0
-    return WaldResult(
-        estimate=est,
-        se=se,
-        ci=(est - zq * se, est + zq * se),
-        p_value=float(p),
-        level=level,
-        name=names[idx],
-    )
+    c = contrast(fit, np.eye(1, len(names), idx), level)
+    return WaldResult(estimate=float(c.estimate[0]), se=float(c.se[0]),
+                      ci=(float(c.lower[0]), float(c.upper[0])), p_value=float(c.p_value[0]),
+                      level=level, name=names[idx])
 
 
 def ncs_basis(x, knots):
@@ -489,34 +507,6 @@ def ncs_basis(x, knots):
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return basis[0]
     return basis
-
-
-def predict_mean(fit, xrow):
-    """Mean prediction for the untreated state: x'beta with delta-method SE.
-
-    Accepts any FitRecord (a LemFit, a GeeFit or a loaded ``fit.json``), or
-    any object exposing ``beta`` and ``beta_block_cov()``.
-    """
-    xrow = np.asarray(xrow, dtype=float)
-    beta = np.asarray(fit.beta, dtype=float)
-    if xrow.shape != beta.shape:
-        raise DimensionMismatch(f"xrow has shape {xrow.shape}, expected {beta.shape}")
-    est = float(xrow @ beta)
-    var = float(xrow @ fit.beta_block_cov() @ xrow)
-    return est, math.sqrt(max(var, 0.0))
-
-
-def prediction_band(fit, xrows, grid=None, level=0.95):
-    """Pointwise Wald band for x'beta over a grid of design rows."""
-    zq = z_quantile(level)
-    xrows = np.asarray(xrows, dtype=float)
-    if xrows.ndim != 2:
-        raise DimensionMismatch(f"design rows must form a matrix, got shape {xrows.shape}")
-    grid = np.arange(xrows.shape[0], dtype=float) if grid is None else np.asarray(grid, dtype=float)
-    if grid.shape != xrows.shape[:1]:
-        raise DimensionMismatch(f"grid of shape {grid.shape} for {xrows.shape[0]} design rows")
-    est, se = np.array([predict_mean(fit, row) for row in xrows]).reshape(-1, 2).T
-    return PredictionBand(grid=grid, estimate=est, lower=est - zq * se, upper=est + zq * se)
 
 
 # ---------------------------------------------------------------------------

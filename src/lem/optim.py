@@ -6,8 +6,9 @@ Cholesky factorization of H scaled to unit diagonal; when H is not positive
 definite, a Levenberg shift mu * I is added, growing geometrically until the
 factorization succeeds (modified Newton; Nocedal & Wright, *Numerical
 Optimization*, 2nd ed., section 3.4).  The step along p backtracks from the
-full Newton step to the first with sufficient (Armijo) decrease: a Newton
-direction needs no curvature condition, which serves quasi-Newton updates.
+full Newton step to the first with sufficient (Armijo) decrease.  There is no
+curvature (Wolfe) condition: it exists to keep a quasi-Newton update positive
+definite, and this solver computes each Hessian afresh.
 The objective returns its value, gradient and state together, so the
 accepted step, the line search's last trial, comes with its gradient, and
 its state gives the next Hessian.

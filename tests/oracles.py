@@ -2,9 +2,10 @@
 
 Finite-difference derivatives, a three-regime log Phi that
 ``lem.numerics.log_std_normal_cdf`` must agree with, the Fisher-scoring
-probit that the Newton probit start ``lem.fit._probit`` must agree with, and
-the row-by-row CSV reader and writer that the column-wise
-``lem.data.load_csv`` and ``write_csv`` must match exactly.
+probit that the Newton probit start ``lem.fit._probit`` must agree with, the
+one-row trend prediction that ``lem.fit.contrast`` must match exactly on
+rows of width j_x, and the row-by-row CSV reader and writer that the
+column-wise ``lem.data.load_csv`` and ``write_csv`` must match exactly.
 """
 
 import csv
@@ -79,6 +80,13 @@ def probit_fisher_scoring(z, a, max_iter=50, tol=1e-10):
         if np.abs(score).max() <= tol * len(a):
             break
     return alpha
+
+
+def predict_mean(fit, xrow):
+    """x'beta for one design row, with its delta-method robust SE."""
+    jx = fit.j_x
+    var = float(xrow @ fit.cov_robust[:jx, :jx] @ xrow)
+    return float(xrow @ fit.estimates[:jx]), math.sqrt(max(var, 0.0))
 
 
 def _parse_cell(raw, row_number, column):

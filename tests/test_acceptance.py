@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from lem.data import LongDataset
-from lem.fit import fit_lem, fisher_cov, ncs_basis, prediction_band, sandwich_cov
+from lem.fit import contrast, fit_lem, fisher_cov, ncs_basis, sandwich_cov
 from lem.gee import fit_gee_independence
 from lem.likelihood import Theta, obs_loglik, obs_score
 from lem.numerics import cholesky
@@ -295,7 +295,7 @@ def test_criterion_7_spline_trend_demo():
     grid = np.linspace(52.0, 86.0, 35)
     rows = np.hstack([np.ones((grid.size, 1)), ncs_basis(grid, knots)])
     truth = rows @ beta_true
-    band = prediction_band(fit, rows, grid=grid, level=0.95)
+    band = contrast(fit, rows, level=0.95)
     covered = (band.lower <= truth) & (truth <= band.upper)
     frac = covered.mean()
 

@@ -8,7 +8,7 @@ import pytest
 import lem.cli as cli
 from lem.data import DesignSpec, load_csv, write_csv
 from lem.errors import NoConvergence
-from lem.fit import prediction_band
+from lem.fit import contrast
 from lem.gee import fit_gee_independence
 from lem.simulate import SimConfig, gen_covariates, gen_outcomes, preset, substream
 
@@ -387,9 +387,24 @@ def test_predict_from_a_gee_fit_file_equals_the_in_process_band(sim_csv, tmp_pat
     assert cli.main(["predict", "--fit", str(out_dir / "fit.json"), "--grid", str(grid),
                      "--out", str(out)]) == 0
     fit = fit_gee_independence(load_csv(data, DesignSpec.from_dict(SPEC_DICT)), method.split("-", 1)[1])
-    band = prediction_band(fit, np.loadtxt(grid, delimiter=",", skiprows=1))
+    band = contrast(fit, np.loadtxt(grid, delimiter=",", skiprows=1))
     np.testing.assert_array_equal(np.loadtxt(out, delimiter=",", skiprows=1),
-                                  np.column_stack([band.grid, band.estimate, band.lower, band.upper]))
+                                  np.column_stack([np.arange(3.0), band.estimate, band.lower, band.upper]))
+
+
+def test_fit_model_cov_enters_the_config_hash_only_when_given(sim_csv, tmp_path):
+    data, spec = sim_csv
+    hashes = []
+    for extra in ([], ["--model-cov"]):
+        out = tmp_path / f"out{len(extra)}"
+        assert cli.main(["fit", "--data", data, "--spec", spec, "--method", "lem",
+                         "--out", str(out), *extra]) == 0
+        hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
+    assert hashes[0] != hashes[1]
+    # the default run keeps the hash that manifests written before the key existed carry
+    assert hashes[0] == cli._config_hash({"data": os.path.abspath(data), "method": "lem",
+                                          "spec": DesignSpec.from_dict(SPEC_DICT).to_dict(),
+                                          "rho_map": "logistic"})
 
 
 def test_config_hash_of_a_preset_is_pinned():
@@ -422,6 +437,18 @@ def test_predict_level_outside_the_unit_interval_exit_1(lem_fit_json, tmp_path, 
     out = tmp_path / "band.csv"
     assert cli.main(["predict", "--fit", lem_fit_json, "--grid=-2:2:9",
                      "--knots=-1,-0.5,0,0.5,1", "--level", level, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["c0,c1,c2,c3,c4\n", "c0,c1,c2,c3,c4\n\n# no rows\n"],
+                         ids=["header-only", "blank-and-comment"])
+def test_predict_grid_csv_without_data_rows_exit_1(lem_fit_json, tmp_path, capsys, text):
+    (tmp_path / "rows.csv").write_text(text)
+    out = tmp_path / "band.csv"
+    assert cli.main(["predict", "--fit", lem_fit_json, "--grid", str(tmp_path / "rows.csv"),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (ValueError): grid CSV ") and err.endswith("has no data rows\n")
     assert not out.exists()
 
 

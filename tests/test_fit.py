@@ -32,14 +32,13 @@ from lem.fit import (
     _objective,
     _probit,
     _two_step,
+    contrast,
     fisher_cov,
     fit_lem,
     fit_to_dict,
     initialize,
     load_fit_json,
     ncs_basis,
-    predict_mean,
-    prediction_band,
     sandwich_cov,
     score_jacobian,
     wald,
@@ -55,7 +54,7 @@ from lem.simulate import (
     preset,
     substream,
 )
-from oracles import fd_jacobian, probit_fisher_scoring
+from oracles import fd_jacobian, predict_mean, probit_fisher_scoring
 
 
 def panel_dataset(seed=0, n_subjects=500, rho=0.5, eta=(0.0, 0.2, 0.2, 0.2, 0.2),
@@ -438,14 +437,10 @@ def test_sandwich_is_symmetric_psd(panel_fit):
 
 def test_linear_combination_variance_from_beta_block(panel_fit):
     _, fit = panel_fit
-    rng = np.random.default_rng(8)
-    vbb = fit.beta_block_cov()
-    for _ in range(5):
-        c = rng.normal(size=5)
-        var = float(c @ vbb @ c)
-        # same contraction through the full covariance with zero padding
-        cfull = np.concatenate([c, np.zeros(fit.theta_hat.dim - 5)])
-        assert var == pytest.approx(float(cfull @ fit.cov_robust @ cfull), rel=1e-12)
+    c = np.random.default_rng(8).normal(size=(5, 5))
+    # the same contrasts through the full covariance with zero padding
+    cfull = np.hstack([c, np.zeros((5, fit.theta_hat.dim - 5))])
+    np.testing.assert_allclose(contrast(fit, c).se, contrast(fit, cfull).se, rtol=1e-12)
 
 
 def test_fisher_agrees_with_sandwich_cross_sectionally(cross_sectional_fit):
@@ -763,49 +758,110 @@ def test_ncs_non_finite_knots_rejected(knots):
 
 def test_predict_intercept_row(panel_fit):
     _, fit = panel_fit
-    est, se = predict_mean(fit, np.array([1.0, 0, 0, 0, 0]))
-    assert est == pytest.approx(fit.theta_hat.beta[0])
-    assert se == pytest.approx(math.sqrt(fit.cov_robust[0, 0]))
+    band = contrast(fit, [[1.0, 0, 0, 0, 0]])
+    assert band.estimate[0] == pytest.approx(fit.theta_hat.beta[0])
+    assert band.se[0] == pytest.approx(math.sqrt(fit.cov_robust[0, 0]))
 
 
 def test_predict_proportional_rows(panel_fit):
     _, fit = panel_fit
     row = np.array([1.0, 0.5, -0.2, 0.1, 0.7])
-    e1, s1 = predict_mean(fit, row)
-    e2, s2 = predict_mean(fit, 3.0 * row)
-    assert e2 == pytest.approx(3.0 * e1, rel=1e-12)
-    assert s2 == pytest.approx(3.0 * s1, rel=1e-12)
+    band = contrast(fit, [row, 3.0 * row])
+    assert band.estimate[1] == pytest.approx(3.0 * band.estimate[0], rel=1e-12)
+    assert band.se[1] == pytest.approx(3.0 * band.se[0], rel=1e-12)
 
 
 def test_predict_dimension_mismatch(panel_fit):
     _, fit = panel_fit
     with pytest.raises(DimensionMismatch):
-        predict_mean(fit, np.ones(3))
+        contrast(fit, np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("shape", [(5,), (17,), (0,), (2, 0), (2, 6), (2, 16), (2, 18)],
+                         ids=["1-D", "1-D-full", "empty", "width-0", "width-6", "width-16", "width-18"])
+def test_contrast_rejects_rows_of_another_width(panel_fit, shape):
+    _, fit = panel_fit
+    assert (fit.j_x, len(fit.estimates)) == (5, 17)
+    with pytest.raises(DimensionMismatch):
+        contrast(fit, np.ones(shape))
 
 
 def test_prediction_band_orders_bounds(panel_fit):
     _, fit = panel_fit
     rng = np.random.default_rng(10)
     rows = np.hstack([np.ones((8, 1)), rng.normal(size=(8, 4))])
-    band = prediction_band(fit, rows, grid=np.arange(8.0))
+    band = contrast(fit, rows)
     assert (band.lower <= band.estimate).all()
     assert (band.estimate <= band.upper).all()
 
 
-@pytest.mark.parametrize("rows,grid", [(np.ones((3, 5)), np.arange(7.0)),
-                                       (np.ones((3, 5)), np.zeros((3, 1))),
-                                       (np.ones(0), None)])
-def test_prediction_band_rejects_a_grid_that_does_not_match_the_rows(panel_fit, rows, grid):
-    _, fit = panel_fit
-    with pytest.raises(DimensionMismatch):
-        prediction_band(fit, rows, grid=grid)
+def test_trend_rows_equal_the_row_by_row_oracle_bit_for_bit(panel_fit):
+    d, fit = panel_fit
+    rows = np.hstack([np.ones((40, 1)), np.random.default_rng(12).normal(size=(40, 4))])
+    for f in (fit, fit_gee_independence(d, "adjusted"), fit_gee_independence(d, "excluded")):
+        band = contrast(f, rows, level=0.9)
+        est, se = np.array([predict_mean(f, row) for row in rows]).T
+        np.testing.assert_array_equal(band.estimate, est)
+        np.testing.assert_array_equal(band.se, se)
+        zq = ndtri(0.95)
+        np.testing.assert_array_equal(band.lower, est - zq * se)
+        np.testing.assert_array_equal(band.upper, est + zq * se)
+
+
+def test_wald_is_the_contrast_of_the_unit_vector_bit_for_bit(tmp_path, panel_fit):
+    d, lem_fit = panel_fit
+    path = str(tmp_path / "fit.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(fit_to_dict(lem_fit), fh)
+    for fit in (lem_fit, fit_gee_independence(d, "adjusted"), fit_gee_independence(d, "excluded"),
+                load_fit_json(path)):
+        n = len(fit.estimates)
+        table = contrast(fit, np.eye(n), level=0.9)
+        for i in range(n):
+            res = wald(fit, i, level=0.9)
+            assert (res.estimate, res.se, res.ci, res.p_value) == (
+                table.estimate[i], table.se[i], (table.lower[i], table.upper[i]), table.p_value[i])
+            assert res.estimate == fit.estimates[i]
+            assert res.se == math.sqrt(fit.cov_robust[i, i])
+
+
+def test_contrast_at_se_zero_and_a_negative_variance():
+    fit = FitRecord(model="lem", param_names=["a", "b", "c"], estimates=np.array([0.0, 2.0, -1.0]),
+                    cov_robust=np.diag([0.0, 0.0, -4.0]), j_x=3, n_subjects=1, n_rows=1)
+    res = contrast(fit, np.eye(3))
+    np.testing.assert_array_equal(res.se, [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(res.p_value, [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(res.lower, fit.estimates)
+    np.testing.assert_array_equal(res.upper, fit.estimates)
+    assert res.level == 0.95
+    assert wald(fit, "c").se == 0.0 and wald(fit, "c").p_value == 0.0
+
+
+def test_effect_curve_covers_the_true_treatment_effect():
+    # 100 sim1 replicates; each w profile's pointwise 95% coverage of the true
+    # w'eta must lie within 3 Monte Carlo SEs of 0.95
+    cfg = preset("sim1", seed=7)
+    profiles = np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0, 1.0],
+                         [1.0, -1.0, 0.0, 1.0, 0.0], [1.0, 0.5, -0.5, 2.0, -1.0]])
+    truth = profiles @ np.asarray(cfg.eta)
+    reps, covered = 100, np.zeros(len(profiles))
+    for rep in range(reps):
+        rng = substream(cfg.seed, rep)
+        fit = fit_lem(gen_outcomes(gen_covariates(cfg, rng), cfg, rng))
+        rows = np.zeros((len(profiles), len(fit.estimates)))
+        rows[:, fit.j_x:fit.j_x + profiles.shape[1]] = profiles
+        assert fit.param_names[fit.j_x:fit.j_x + 2] == ["eta:(intercept)", "eta:O3"]
+        effect = contrast(fit, rows)
+        covered += (effect.lower <= truth) & (truth <= effect.upper)
+    mcse = math.sqrt(0.95 * 0.05 / reps)
+    assert (np.abs(covered / reps - 0.95) <= 3.0 * mcse).all(), covered / reps
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, float("nan")])
 def test_level_outside_the_unit_interval_rejected(panel_fit, level):
     _, fit = panel_fit
     with pytest.raises(ValueError, match="level"):
-        prediction_band(fit, np.ones((2, fit.beta.size)), level=level)
+        contrast(fit, np.ones((2, fit.beta.size)), level=level)
     with pytest.raises(ValueError, match="level"):
         wald(fit, 0, level=level)
 
@@ -825,7 +881,9 @@ def test_fit_json_roundtrip(tmp_path, panel_fit):
         np.testing.assert_array_equal(loaded.estimates, fit.estimates)
         np.testing.assert_array_equal(loaded.cov_robust, fit.cov_robust)
         assert loaded.j_x == fit.j_x == d.x.shape[1]
-        assert predict_mean(loaded, np.eye(5)[0]) == predict_mean(fit, np.eye(5)[0])
+        for got, want in zip(dataclasses.astuple(contrast(loaded, np.eye(len(fit.estimates)))),
+                             dataclasses.astuple(contrast(fit, np.eye(len(fit.estimates))))):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_fit_json_keys_are_pinned(panel_fit):
