@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .data import (
     DesignSpec,
     LongDataset,
-    ObsRow,
     OverlapReport,
     check_overlap,
     load_csv,
@@ -40,10 +39,10 @@ from .fit import (
 from .gee import GeeFit, fit_gee_independence
 from .likelihood import (
     Theta,
-    obs_loglik,
-    obs_score,
+    loglik_rows,
     pooled_negloglik_and_score,
     rho_of_varrho,
+    score_rows,
     varrho_of_rho,
 )
 from .numerics import (
@@ -65,15 +64,15 @@ from .simulate import (
 )
 
 __all__ = [
-    "DesignSpec", "LongDataset", "ObsRow", "OverlapReport",
+    "DesignSpec", "LongDataset", "OverlapReport",
     "check_overlap", "load_csv", "write_csv",
     "LemError",
     "Contrast", "FitRecord", "LemFit", "WaldResult", "contrast", "fisher_cov",
     "fit_lem", "fit_to_dict", "initialize", "load_fit_json", "ncs_basis",
     "sandwich_cov", "wald",
     "GeeFit", "fit_gee_independence",
-    "Theta", "obs_loglik", "obs_score", "pooled_negloglik_and_score",
-    "rho_of_varrho", "varrho_of_rho",
+    "Theta", "loglik_rows", "pooled_negloglik_and_score", "rho_of_varrho",
+    "score_rows", "varrho_of_rho",
     "cholesky", "log_std_normal_cdf", "solve_sym", "std_normal_cdf", "std_normal_pdf",
     "OptimResult", "minimize_bfgs",
     "SimConfig", "StudySummary", "apply_missingness", "gen_covariates",

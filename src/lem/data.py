@@ -88,6 +88,9 @@ class DesignSpec:
     def from_dict(cls, raw):
         if not isinstance(raw, dict):
             raise ValueError(f"a design spec must be a JSON object, got {type(raw).__name__}")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown design spec keys: {sorted(unknown)}")
         for key in ("subject", "time", "outcome", "treatment", "x", "z", "w"):
             names = raw.get(key, []) if key in ("x", "z", "w") else [raw[key]]
             if not (isinstance(names, (list, tuple)) and all(isinstance(v, str) for v in names)):
@@ -104,19 +107,6 @@ class DesignSpec:
 
     def to_dict(self):
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class ObsRow:
-    """One observation: outcome, treatment and the three covariate views."""
-
-    subject_id: str
-    time_index: int
-    y: float
-    a: int
-    x: np.ndarray
-    z: np.ndarray
-    w: np.ndarray
 
 
 def _label_runs(labels):
@@ -196,17 +186,6 @@ class LongDataset:
 
     def cluster_sizes(self):
         return np.diff(self.subject_starts)
-
-    def row(self, i):
-        return ObsRow(
-            subject_id=str(self.subject_ids[i]),
-            time_index=int(self.time_index[i]),
-            y=float(self.y[i]),
-            a=int(self.a[i]),
-            x=self.x[i],
-            z=self.z[i],
-            w=self.w[i],
-        )
 
     # -- constructors -------------------------------------------------------
 

@@ -34,10 +34,12 @@ and d2rho/dvarrho2 = -rho rho'.
 
 The row pass, :class:`RowState`, computes each row's u, c, sign, m,
 log Phi(m), lambda, t = sign * lambda and loglik once, and keeps what its two
-assemblies read: order 1, the score rows, and order 2, the information
-weights, column-major (4, 4, n).  The public functions are thin callers of
-the three; a fit builds each Newton Hessian, and at the end the bread and
-the meat, from the state of its pooled evaluation at that point (:mod:`lem.fit`).
+assemblies read: order 1, the score rows, is the (n, 4) gradient in the
+coordinates spread over :class:`PreparedDesign`'s ``coords``, and order 2, the
+information weights, column-major (4, 4, n), is summed against them.
+``loglik_rows``, ``score_rows`` and ``pooled_negloglik_and_score`` each run one
+row pass; a fit builds each Newton Hessian, and at the end the bread and the
+meat, from the state of its pooled evaluation at that point (:mod:`lem.fit`).
 All are pure in (theta, data).
 Pooled sums add row-pure per-row values by :func:`lem.numerics.exact_sum` and
 :func:`lem.numerics.exact_gram`, whose pre-rounded slices numpy and BLAS sum
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -146,7 +147,8 @@ class PreparedDesign:
     coordinate it enters (-x for beta, -a*w for eta, z for alpha, 1 for
     log sigma_y and varrho) and ``groups`` (dim,) numbers that coordinate
     0-3, so that the observed information is
-    ``exact_gram(coords, groups, RowState(theta, design).weights())``.
+    ``exact_gram(coords, groups, RowState(theta, design).weights())`` and
+    the score rows spread each row's gradient in the coordinates over them.
     """
 
     y: np.ndarray
@@ -222,18 +224,20 @@ class RowState:
             self.t = self.lam * sign
 
     def scores(self, d):
-        """Order 1: the score rows (n, dim) in the unconstrained coordinates."""
-        theta, u, c, t = self.theta, self.u, self.c, self.t
-        sigma, rho, sq, d1, _ = _scalars(theta)
-        jx, jw = theta.beta.size, theta.eta.size
-        score = np.empty((u.shape[0], theta.dim))
+        """Order 1: the score rows (n, dim) in the unconstrained coordinates: the
+        gradient in (r, c, log sigma_y, varrho), with the sign of the design's
+        ``coords`` folded in, spread over them."""
+        u, c, t = self.u, self.c, self.t
+        sigma, rho, sq, d1, _ = _scalars(self.theta)
         with np.errstate(**_QUIET):
-            k1 = (u - t * rho / sq) / sigma
-            score[:, :jx] = k1[:, None] * d.x
-            score[:, jx:jx + jw] = (k1 * d.a)[:, None] * d.w
-            score[:, jx + jw:-2] = (t / sq)[:, None] * d.z
-            score[:, -2] = u * u - 1.0 - t * rho * u / sq
-            score[:, -1] = t * (u + rho * c) / sq ** 3 * d1
+            g = np.empty((u.shape[0], 4))
+            g[:, 0] = -((u - t * rho / sq) / sigma)
+            g[:, 1] = t / sq
+            g[:, 2] = u * u - 1.0 - t * rho * u / sq
+            g[:, 3] = t * (u + rho * c) / sq ** 3 * d1
+            # take, then multiply in place: one (n, dim) array, not two
+            score = np.take(g, d.groups, axis=1)
+            score *= d.coords
         return score
 
     def weights(self):
@@ -273,19 +277,15 @@ class RowState:
         return np.negative(hess, out=hess)
 
 
-def _one_row(row):
-    return SimpleNamespace(y=np.array([row.y], dtype=float), a=np.array([row.a], dtype=float),
-                           x=row.x[None, :], z=row.z[None, :], w=row.w[None, :])
+def loglik_rows(theta, dataset):
+    """Per-row log-likelihood (n,); each entry is a function of its row alone."""
+    return RowState(theta, dataset).ll
 
 
-def obs_loglik(theta, row):
-    """Log-likelihood contribution of a single observation."""
-    return float(RowState(theta, _one_row(row)).ll[0])
-
-
-def obs_score(theta, row):
-    """Analytic gradient of obs_loglik in the unconstrained coordinates."""
-    return score_rows(theta, _one_row(row))[0]
+def score_rows(theta, dataset):
+    """Per-row loglik score matrix (n, dim); building block for the sandwich."""
+    design = PreparedDesign.of(dataset)
+    return RowState(theta, design).scores(design)
 
 
 def pooled_negloglik_and_score(theta, dataset, *, _keep_rows=False):
@@ -297,8 +297,9 @@ def pooled_negloglik_and_score(theta, dataset, *, _keep_rows=False):
     With the private ``_keep_rows`` the point's RowState, score rows
     included, comes third.
     """
-    state = RowState(theta, dataset)
-    score = state.scores(dataset)
+    design = PreparedDesign.of(dataset)
+    state = RowState(theta, design)
+    score = state.scores(design)
     # exact_sum turns any non-finite row into a non-finite total
     nll = -float(exact_sum(state.ll))
     if not np.isfinite(nll):
@@ -308,8 +309,3 @@ def pooled_negloglik_and_score(theta, dataset, *, _keep_rows=False):
         raise NonFiniteLikelihood("pooled score is not finite")
     state.score = score
     return (nll, neg_score, state) if _keep_rows else (nll, neg_score)
-
-
-def score_rows(theta, dataset):
-    """Per-row loglik score matrix (n, dim); building block for the sandwich."""
-    return RowState(theta, dataset).scores(dataset)

@@ -2,10 +2,11 @@
 
 Finite-difference derivatives, a three-regime log Phi that
 ``lem.numerics.log_std_normal_cdf`` must agree with, the Fisher-scoring
-probit that the Newton probit start ``lem.fit._probit`` must agree with, the
-one-row trend prediction that ``lem.fit.contrast`` must match exactly on
-rows of width j_x, and the row-by-row CSV reader and writer that the
-column-wise ``lem.data.load_csv`` and ``write_csv`` must match exactly.
+probit that the Newton probit start ``lem.fit._probit`` must agree with, and
+what must match exactly: the block-by-block score rows for
+``lem.likelihood.score_rows``, the one-row trend prediction for
+``lem.fit.contrast`` on rows of width j_x, and the row-by-row CSV reader and
+writer for the column-wise ``lem.data.load_csv`` and ``write_csv``.
 """
 
 import csv
@@ -17,6 +18,7 @@ from scipy import special
 
 from lem.data import INTERCEPT, LongDataset
 from lem.errors import DuplicateObservation, MissingColumn, NonBinaryTreatment, ParseError
+from lem.likelihood import RowState, _scalars
 from lem.numerics import log_std_normal_cdf, solve_sym, std_normal_cdf, std_normal_log_pdf
 
 
@@ -80,6 +82,24 @@ def probit_fisher_scoring(z, a, max_iter=50, tol=1e-10):
         if np.abs(score).max() <= tol * len(a):
             break
     return alpha
+
+
+def score_rows_blockwise(theta, dataset):
+    """The score rows (n, dim) with the chain rule written out per parameter
+    block: the beta, eta and alpha blocks scale the rows of x, a*w and z by
+    their coordinate's derivative, and log sigma_y and varrho are columns."""
+    state = RowState(theta, dataset)
+    u, c, t = state.u, state.c, state.t
+    sigma, rho, sq, d1, _ = _scalars(theta)
+    jx, jw = theta.beta.size, theta.eta.size
+    score = np.empty((u.shape[0], theta.dim))
+    k1 = (u - t * rho / sq) / sigma
+    score[:, :jx] = k1[:, None] * dataset.x
+    score[:, jx:jx + jw] = (k1 * dataset.a)[:, None] * dataset.w
+    score[:, jx + jw:-2] = (t / sq)[:, None] * dataset.z
+    score[:, -2] = u * u - 1.0 - t * rho * u / sq
+    score[:, -1] = t * (u + rho * c) / sq ** 3 * d1
+    return score
 
 
 def predict_mean(fit, xrow):

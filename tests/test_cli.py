@@ -87,6 +87,20 @@ def test_fit_spec_with_a_string_for_a_list_exit_1(sim_csv, tmp_path, capsys):
     assert "spec key 'x'" in capsys.readouterr().err
 
 
+def test_fit_spec_with_an_unknown_key_exit_1(sim_csv, tmp_path, capsys):
+    # "W" for "w" used to load as w = () and fit without effect modifiers
+    data, _ = sim_csv
+    bad_spec = tmp_path / "bad.json"
+    bad_spec.write_text(json.dumps({k: v for k, v in SPEC_DICT.items() if k != "w"}
+                                   | {"W": SPEC_DICT["w"]}))
+    out = tmp_path / "out"
+    code = cli.main(["fit", "--data", data, "--spec", str(bad_spec),
+                     "--method", "lem", "--out", str(out)])
+    assert code == 1
+    assert "unknown design spec keys: ['W']" in capsys.readouterr().err
+    assert not (out / "fit.json").exists()
+
+
 def test_fit_spec_that_is_not_an_object_exit_1(sim_csv, tmp_path, capsys):
     data, _ = sim_csv
     bad_spec = tmp_path / "list.json"

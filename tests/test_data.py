@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 
 import numpy as np
@@ -336,3 +337,10 @@ def test_spec_rejects_a_value_of_the_wrong_type(key, value):
     raw = {**SPEC.to_dict(), key: value}
     with pytest.raises(ValueError, match=f"spec key '{key}'"):
         DesignSpec.from_dict(raw)
+
+
+@pytest.mark.parametrize("extra", [{"W": ["age"]}, {"modifiers": ["age"], "Z": []}])
+def test_spec_rejects_unknown_keys(extra):
+    # a misspelt block would otherwise load as empty and fit a smaller model silently
+    with pytest.raises(ValueError, match=f"^unknown design spec keys: {re.escape(str(sorted(extra)))}$"):
+        DesignSpec.from_dict({**SPEC.to_dict(), **extra})

@@ -6,20 +6,19 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from lem.data import LongDataset
+from lem.data import LongDataset, subset_rows
 from lem.errors import NonFiniteLikelihood
-from lem.fit import score_jacobian
+from lem.fit import _two_step, fit_lem, initialize, score_jacobian
 from lem.likelihood import (
     Theta,
-    obs_loglik,
-    obs_score,
+    loglik_rows,
     pooled_negloglik_and_score,
     rho_of_varrho,
     score_rows,
     varrho_of_rho,
 )
 from lem.numerics import TAIL_CROSSOVER, exact_sum
-from oracles import fd_jacobian
+from oracles import fd_jacobian, score_rows_blockwise
 
 
 def make_dataset(rng, n=60, jx=3, jz=3, jw=2, subjects=None):
@@ -80,9 +79,8 @@ def trivial_row_dataset(y, a):
 
 def test_loglik_all_zero_parameters():
     theta = Theta(beta=[0.0], eta=[0.0], alpha=[0.0], log_sigma_y=0.0, varrho=0.0)
-    row = trivial_row_dataset(0.0, 1).row(0)
     # log phi(0) + log Phi(0)
-    assert obs_loglik(theta, row) == pytest.approx(-1.6120857137646178, abs=1e-15)
+    assert loglik_rows(theta, trivial_row_dataset(0.0, 1))[0] == pytest.approx(-1.6120857137646178, abs=1e-15)
 
 
 def test_loglik_factorizes_at_rho_zero():
@@ -92,13 +90,13 @@ def test_loglik_factorizes_at_rho_zero():
     theta = Theta(beta=theta.beta, eta=theta.eta, alpha=theta.alpha,
                   log_sigma_y=theta.log_sigma_y, varrho=0.0)
     sigma = theta.sigma_y
+    ll = loglik_rows(theta, d)
     for i in range(d.n_rows):
-        row = d.row(i)
-        resid = row.y - row.x @ theta.beta - (row.w @ theta.eta) * row.a
+        resid = d.y[i] - d.x[i] @ theta.beta - (d.w[i] @ theta.eta) * d.a[i]
         gauss = stats.norm.logpdf(resid, scale=sigma)
-        zi = row.z @ theta.alpha
-        probit = stats.norm.logcdf(zi if row.a == 1 else -zi)
-        assert obs_loglik(theta, row) == pytest.approx(gauss + probit, abs=1e-12)
+        zi = d.z[i] @ theta.alpha
+        probit = stats.norm.logcdf(zi if d.a[i] == 1 else -zi)
+        assert ll[i] == pytest.approx(gauss + probit, abs=1e-12)
 
 
 def test_loglik_conditional_decomposition_oracle():
@@ -109,25 +107,26 @@ def test_loglik_conditional_decomposition_oracle():
                                 x=np.array([[1.0, 2.0]]),
                                 z=np.array([[1.0, -1.0]]),
                                 w=np.array([[1.0]]))
-    assert obs_loglik(theta, d.row(0)) == pytest.approx(-3.800352533730633, abs=1e-10)
+    assert loglik_rows(theta, d)[0] == pytest.approx(-3.800352533730633, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
 # analytic score
 # ---------------------------------------------------------------------------
 
-def fd_score(theta, row, rel_step=1e-6):
+def fd_score(theta, d, rel_step=1e-6):
+    """Central differences of each row's loglik: (n, dim)."""
     vec = theta.to_array()
     dims = (theta.beta.size, theta.alpha.size, theta.eta.size)
-    grad = np.empty_like(vec)
+    grad = np.empty((d.n_rows, vec.size))
     for k in range(vec.size):
         h = rel_step * max(1.0, abs(vec[k]))
         up, dn = vec.copy(), vec.copy()
         up[k] += h
         dn[k] -= h
-        f_up = obs_loglik(Theta.from_array(up, dims), row)
-        f_dn = obs_loglik(Theta.from_array(dn, dims), row)
-        grad[k] = (f_up - f_dn) / (2 * h)
+        f_up = loglik_rows(Theta.from_array(up, dims), d)
+        f_dn = loglik_rows(Theta.from_array(dn, dims), d)
+        grad[:, k] = (f_up - f_dn) / (2 * h)
     return grad
 
 
@@ -139,11 +138,10 @@ def test_score_matches_finite_differences():
     tails = [tail_case(rng) for _ in range(3)]
     assert all((probit_argument(theta, d) < TAIL_CROSSOVER).any() for theta, d in tails)
     for theta, d in cases + tails:
+        analytic = score_rows(theta, d)
+        numeric = fd_score(theta, d)
         for i in range(d.n_rows):
-            row = d.row(i)
-            analytic = obs_score(theta, row)
-            numeric = fd_score(theta, row)
-            err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
+            err = np.abs(analytic[i] - numeric[i]) / np.maximum(1.0, np.abs(numeric[i]))
             assert err.max() < 1e-6
 
 
@@ -152,11 +150,11 @@ def test_score_beta_block_at_rho_zero():
     rng = np.random.default_rng(3)
     d = make_dataset(rng, n=10)
     theta = replace(random_theta(rng), varrho=0.0)
+    rows = score_rows(theta, d)
     for i in range(d.n_rows):
-        row = d.row(i)
-        resid = row.y - row.x @ theta.beta - (row.w @ theta.eta) * row.a
-        expected = resid / theta.sigma_y ** 2 * row.x
-        np.testing.assert_allclose(obs_score(theta, row)[:3], expected, rtol=1e-12)
+        resid = d.y[i] - d.x[i] @ theta.beta - (d.w[i] @ theta.eta) * d.a[i]
+        expected = resid / theta.sigma_y ** 2 * d.x[i]
+        np.testing.assert_allclose(rows[i, :3], expected, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -168,18 +166,60 @@ def test_pooled_single_row_equals_observation():
     d = make_dataset(rng, n=1)
     theta = random_theta(rng)
     nll, neg_score = pooled_negloglik_and_score(theta, d)
-    assert nll == pytest.approx(-obs_loglik(theta, d.row(0)), abs=1e-14)
-    np.testing.assert_allclose(neg_score, -obs_score(theta, d.row(0)), rtol=1e-12)
+    assert nll == pytest.approx(-loglik_rows(theta, d)[0], abs=1e-14)
+    np.testing.assert_allclose(neg_score, -score_rows(theta, d)[0], rtol=1e-12)
 
 
 def test_rows_of_one_pass_agree_bit_for_bit():
-    # one row's score is the same function of the row alone or in a ragged dataset,
-    # and the pooled score is the exact sum of the rows (sandwich_cov relies on it)
+    # one row's loglik and score are the same functions of the row alone or in a
+    # ragged dataset, and the pooled values are the exact sums of the rows
+    # (sandwich_cov relies on it)
     theta, d = tail_case(np.random.default_rng(23))
-    rows = score_rows(theta, d)
+    ll, rows = loglik_rows(theta, d), score_rows(theta, d)
     for i in range(d.n_rows):
-        np.testing.assert_array_equal(obs_score(theta, d.row(i)), rows[i])
-    np.testing.assert_array_equal(pooled_negloglik_and_score(theta, d)[1], -exact_sum(rows))
+        one = subset_rows(d, np.arange(d.n_rows) == i)
+        np.testing.assert_array_equal(loglik_rows(theta, one), ll[i:i + 1])
+        np.testing.assert_array_equal(score_rows(theta, one), rows[i:i + 1])
+    nll, neg_score = pooled_negloglik_and_score(theta, d)
+    assert nll == -float(exact_sum(ll))
+    np.testing.assert_array_equal(neg_score, -exact_sum(rows))
+
+
+def preset_points(name, seed):
+    """A preset's replicate-0 cohort with its two-step start, its fitted point
+    and a random point near the start."""
+    from lem.simulate import apply_missingness, gen_covariates, gen_outcomes, preset, substream
+
+    cfg = preset(name, seed=seed)
+    rng = substream(cfg.seed, 0)
+    d = apply_missingness(gen_outcomes(gen_covariates(cfg, rng), cfg, rng), cfg, rng)
+    start = _two_step(d, initialize(d))
+    near = start.to_array() + np.random.default_rng(seed).normal(scale=0.3, size=start.dim)
+    return d, [start, fit_lem(d).theta_hat, Theta.from_array(near, d.dims)]
+
+
+@pytest.mark.parametrize("name", ["sim1", "sim2", "sim3", "sim4"])
+def test_score_rows_equal_the_blockwise_oracle_bit_for_bit(name):
+    # the gradient in the four coordinates spread over coords is the block-by-block
+    # chain rule, zeros' signs included
+    for seed in (0, 1):
+        d, points = preset_points(name, seed)
+        for theta in points:
+            assert score_rows(theta, d).tobytes() == score_rows_blockwise(theta, d).tobytes()
+
+
+def test_score_rows_equal_the_blockwise_oracle_in_the_tails_and_at_zero_residuals():
+    rng = np.random.default_rng(24)
+    cases = [tail_case(rng) for _ in range(4)]
+    assert all((probit_argument(theta, d) < TAIL_CROSSOVER).any() for theta, d in cases)
+    # y = 0 at beta = eta = 0 and rho = 0: every coordinate gradient in r is a zero,
+    # whose sign the beta and eta blocks show
+    d = make_dataset(rng, n=20)
+    zeros = Theta(beta=np.zeros(3), eta=np.zeros(2), alpha=rng.uniform(-1.5, 1.5, size=3),
+                  log_sigma_y=0.3, varrho=0.0)
+    cases.append((zeros, LongDataset.from_arrays(y=np.zeros(20), a=d.a, x=d.x, z=d.z, w=d.w)))
+    for theta, d in cases:
+        assert score_rows(theta, d).tobytes() == score_rows_blockwise(theta, d).tobytes()
 
 
 def test_pooled_doubling_is_exactly_twice():

@@ -8,15 +8,21 @@ joint model is fitted with its model-based covariance.  Many of the designs
 do not identify the joint model, so most fits end in NoConvergence,
 SingularDesign, SingularMatrix or OneArmEmpty; the property asks only that
 no other exception (and, under the test settings, no RuntimeWarning) escapes.
+Named edge designs ask the same of a fit, under every warning raised as an
+error, and that a returned fit is finite.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lem.data import LongDataset, subset_rows
 from lem.errors import LemError
 from lem.fit import fit_lem
 from lem.gee import VARIANTS, fit_gee_independence
+from lem.simulate import gen_covariates, gen_outcomes, preset, substream
 
 
 @st.composite
@@ -46,13 +52,56 @@ def small_designs(draw):
     return subset_rows(dataset, keep)
 
 
+def _fits():
+    return [lambda d: fit_lem(d, model_cov=True)] + [
+        lambda d, v=v: fit_gee_independence(d, v) for v in VARIANTS]
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(dataset=small_designs())
 def test_fits_of_random_small_designs_return_or_raise_lem_error(dataset):
-    fits = [lambda d: fit_lem(d, model_cov=True)]
-    fits += [lambda d, v=v: fit_gee_independence(d, v) for v in VARIANTS]
-    for fit in fits:
+    for fit in _fits():
         try:
             fit(dataset)
         except LemError:
             pass
+
+
+def _cohort(n_subjects=60, **overrides):
+    cfg = preset("sim1", seed=5, n_subjects=n_subjects, **overrides)
+    rng = substream(cfg.seed, 0)
+    return gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
+
+
+def _with(d, **blocks):
+    arrays = {k: getattr(d, k) for k in ("y", "a", "x", "z", "w")} | blocks
+    return LongDataset.from_arrays(**arrays, subject_ids=d.subject_ids)
+
+
+# each a function of one small sim1 cohort
+EDGE_DESIGNS = {
+    "rho=+0.995": lambda _: _cohort(rho=0.995, rho_y=0.0, rho_a=0.0, rho_ay=0.0),
+    "rho=-0.995": lambda _: _cohort(rho=-0.995, rho_y=0.0, rho_a=0.0, rho_ay=0.0),
+    "single-row clusters": lambda _: _cohort(n_times=1),
+    "w=x": lambda d: _with(d, w=d.x),
+    "z=x": lambda d: _with(d, z=d.x),
+    "z=w": lambda d: _with(d, z=d.w),
+    "untreated only": lambda d: subset_rows(d, d.a == 0.0),
+    "treated only": lambda d: subset_rows(d, d.a == 1.0),
+    "one treated row": lambda d: subset_rows(d, (d.a == 0.0) | (np.arange(d.n_rows) == np.argmax(d.a))),
+    "constant y": lambda d: _with(d, y=np.ones(d.n_rows)),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_DESIGNS)
+def test_fits_of_named_edge_designs_are_finite_or_raise_lem_error(name):
+    dataset = EDGE_DESIGNS[name](_cohort())
+    for fit in _fits():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = fit(dataset)
+            except LemError:
+                continue
+        for arr in (result.estimates, result.cov_robust, getattr(result, "cov_model", None)):
+            assert arr is None or np.isfinite(arr).all()
