@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -30,9 +31,11 @@ from .errors import (
 )
 from .fit import contrast, fit_lem, fit_to_dict, load_fit_json, ncs_basis
 from .gee import fit_gee_independence
-from .simulate import SimConfig, preset, run_study
+from .simulate import SimConfig, _one_blas_thread, preset, run_study
 
 NUMERICAL_ERRORS = (NoConvergence, NonFiniteLikelihood, SingularMatrix)
+# every command runs BLAS on one thread, set once for the process (README, Exit codes)
+_blas_on_one_thread = functools.cache(_one_blas_thread)
 
 
 def _atomic_write(path, text):
@@ -244,6 +247,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = ["lem", *argv] if argv is not None else sys.argv
+    _blas_on_one_thread()
     try:
         return args.func(args)
     except NUMERICAL_ERRORS as exc:

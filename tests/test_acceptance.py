@@ -312,6 +312,7 @@ def test_criterion_7_spline_trend_demo():
     assert adj_bias < 0 and exc_bias < 0
 
 
+@pytest.mark.usefixtures("one_blas_thread")
 def test_criterion_8_determinism(tmp_path):
     outputs = []
     for name, threads in (("one", "1"), ("two", "1"), ("thr", "2")):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,10 @@ from lem.errors import NoConvergence
 from lem.fit import contrast
 from lem.gee import fit_gee_independence
 from lem.simulate import SimConfig, gen_covariates, gen_outcomes, preset, substream
+
+# every test runs on one BLAS thread, as a command leaves its process, and
+# gives the process its thread counts back
+pytestmark = pytest.mark.usefixtures("one_blas_thread")
 
 SPEC_DICT = {
     "subject": "id", "time": "visit", "outcome": "y", "treatment": "a",
@@ -55,6 +61,33 @@ def test_fit_reads_files_that_start_with_a_byte_order_mark(sim_csv, tmp_path):
     data, spec = sim_csv
     assert cli.main(["fit", "--data", data, "--spec", spec, "--method", "lem",
                      "--out", str(tmp_path / "out")]) == 0
+
+
+def test_a_command_runs_blas_on_one_thread_for_the_rest_of_the_process(sim_csv, tmp_path):
+    """A fresh interpreter, since this module's tests run on one thread
+    already: its first ``lem fit`` sets every OpenBLAS count to 1 and leaves
+    it there, and a second finds it at 1.  On a one-core host every count is
+    1 already and this passes trivially."""
+    data, spec = sim_csv
+    code = (
+        "import json, sys\n"
+        "import lem.cli\n"
+        "from blas_threads import openblas_thread_counts as counts\n"
+        "before = counts()\n"
+        "argv = ['fit', '--data', sys.argv[1], '--spec', sys.argv[2], '--method', 'lem', '--out']\n"
+        "codes = [lem.cli.main(argv + [sys.argv[3] + str(i)]) for i in range(2)]\n"
+        "print(json.dumps([before, counts(), codes]))\n"
+    )
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(here), "src"), here, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code, data, spec, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    before, after, codes = json.loads(done.stdout.splitlines()[-1])
+    if not before:
+        pytest.skip("no OpenBLAS loaded")
+    assert codes == [0, 0]
+    assert after == {path: 1 for path in before}
 
 
 def test_fit_gee_variants(sim_csv, tmp_path):

@@ -19,6 +19,7 @@ from lem.simulate import (
     run_study,
     substream,
 )
+from blas_threads import openblas_thread_counts
 
 
 @pytest.fixture(scope="module")
@@ -208,28 +209,6 @@ def test_study_parallel_matches_serial_on_every_missingness_preset(name):
     assert serial.to_table() == parallel.to_table()
 
 
-def openblas_thread_counts():
-    """Thread count of each OpenBLAS mapped into this process, read through ctypes."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()})
-    except OSError:
-        return {}
-    counts = {}
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for getter in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                       "openblas_get_num_threads"):
-            if hasattr(lib, getter):
-                read = getattr(lib, getter)
-                read.argtypes, read.restype = (), ctypes.c_int
-                counts[path] = read()
-                break
-    return counts
-
-
 def test_study_workers_run_one_blas_thread_and_the_parent_keeps_its_count():
     from concurrent.futures import ProcessPoolExecutor
 
@@ -249,8 +228,8 @@ def test_serial_study_matches_the_pool_at_a_large_cohort_and_restores_blas_threa
     """At 60k rows the start's least squares gives different last bits on one
     BLAS thread than on several, so a serial study matches the pool's
     one-thread workers only if it runs on one thread too.  On a one-core host
-    both sides run one thread anyway and this passes trivially.  A fit outside
-    run_study (``lem fit``) still depends on the process's BLAS thread count."""
+    both sides run one thread anyway and this passes trivially.  A bare
+    ``fit_lem`` outside run_study still depends on the process's BLAS thread count."""
     cfg = preset("sim1", seed=3, n_subjects=20_000)
     before = openblas_thread_counts()
     serial = run_study(cfg, 1, threads=1)
