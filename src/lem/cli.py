@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import functools
 import hashlib
 import json
 import os
@@ -31,11 +30,9 @@ from .errors import (
 )
 from .fit import contrast, fit_lem, fit_to_dict, load_fit_json, ncs_basis
 from .gee import fit_gee_independence
-from .simulate import SimConfig, _one_blas_thread, preset, run_study
+from .simulate import SimConfig, preset, run_study
 
 NUMERICAL_ERRORS = (NoConvergence, NonFiniteLikelihood, SingularMatrix)
-# every command runs BLAS on one thread, set once for the process (README, Exit codes)
-_blas_on_one_thread = functools.cache(_one_blas_thread)
 
 
 def _atomic_write(path, text):
@@ -116,10 +113,12 @@ def cmd_simulate(args):
         with open(args.config, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
         if isinstance(raw, dict):
-            raw.setdefault("seed", args.seed)
+            if "seed" in raw and args.seed is not None:
+                raise ValueError(f"--seed and the 'seed' of {args.config!r} conflict; give one of them")
+            raw.setdefault("seed", args.seed or 0)
         cfg = SimConfig.from_dict(raw)
     else:
-        cfg = preset(args.preset, seed=args.seed)
+        cfg = preset(args.preset, seed=args.seed or 0)
 
     summary = run_study(cfg, args.reps, threads=args.threads)
 
@@ -177,6 +176,8 @@ def cmd_predict(args):
         else:
             basis = grid[:, None]
         xrows = np.hstack([np.ones((grid.size, 1)), basis])
+    elif args.knots:
+        raise ValueError("--knots applies only to a start:stop:count grid, not to a grid CSV")
     if xrows.shape[1] != fit.j_x:
         raise ValueError(
             f"prediction rows have {xrows.shape[1]} columns but the fit expects {fit.j_x}"
@@ -226,7 +227,7 @@ def build_parser():
     group.add_argument("--preset", choices=["sim1", "sim2", "sim3", "sim4"])
     group.add_argument("--config", help="JSON simulation config")
     p_sim.add_argument("--reps", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=int, default=None, help="default 0, or the config's seed")
     p_sim.add_argument("--out", default=".", help="output directory")
     p_sim.add_argument("--threads", type=int, default=1)
     p_sim.set_defaults(func=cmd_simulate)
@@ -247,7 +248,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = ["lem", *argv] if argv is not None else sys.argv
-    _blas_on_one_thread()
     try:
         return args.func(args)
     except NUMERICAL_ERRORS as exc:

@@ -62,6 +62,7 @@ from .numerics import (
     gram,
     inverse_mills_slope,
     log_std_normal_cdf,
+    one_blas_thread,
     solve_sym,
     std_normal_cdf,
     std_normal_log_pdf,
@@ -255,8 +256,11 @@ def fit_lem(dataset, *, model_cov=False):
     and columns times 2**k (exact), log_sigma_y plus k ln 2, ``negloglik`` plus
     n_rows k ln 2.  A robust variance that is not positive raises
     SingularMatrix (rescaling cannot help); one that overflows or underflows
-    after the map raises NonFiniteLikelihood.
+    after the map raises NonFiniteLikelihood.  The first fit runs BLAS on one
+    thread for good (:func:`lem.numerics.one_blas_thread`), so no fit depends
+    on the host's core count.
     """
+    one_blas_thread()
     fit_warnings = []
     overlap = check_overlap(dataset)
     if not overlap.overlap:

@@ -6,19 +6,22 @@ exact ones up to EXACT_SUM_MAX_ROWS = 2**26 rows.  "Symmetric matrix"
 arguments are ordinary ndarrays validated by :func:`as_sym_matrix`; there is
 no wrapper class.
 
-Functions here are pure and reentrant; NaN screening happens at the data
-validation boundary, not in these kernels.
+Functions here are pure and reentrant, but for :func:`one_blas_thread`,
+which sets the process's BLAS thread count once; NaN screening happens at
+the data validation boundary, not in these kernels.
 
 Dense linear algebra in ``lem`` goes through ``numpy.linalg`` and numpy's
 matrix products only; scipy is used for special functions (``ndtr``,
 ``log_ndtr``; only the inverse-Mills-ratio slope has its own series).  The
 two wheels bundle separate OpenBLAS builds, each with its own thread pool,
 and a fit that alternates between them pays for waking one pool while the
-other spins.
+other spins.  Both run on one thread from a process's first fit or study
+on, as a product's last bits can depend on the thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -46,6 +49,11 @@ _GRAM_BITS, _GRAM_SLICES = 13, 4
 # rows are split in blocks of about this many entries: 64 KiB temporaries stay in
 # cache and below glibc's 128 KiB mmap threshold, so they are not faulted afresh
 EXACT_BLOCK_ENTRIES = 2 ** 13
+
+# thread-count setters of OpenBLAS builds: numpy's and scipy's wheels, then plain
+# OpenBLAS; each has the getter named with "_get_" for "_set_"
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads")
 
 
 def std_normal_pdf(x):
@@ -275,3 +283,35 @@ def cluster_sandwich(bread, row_scores, starts):
     half = solve_sym(bread, exact_gram(cluster_scores))
     cov = solve_sym(bread, half.T)
     return 0.5 * (cov + cov.T)
+
+
+@functools.cache
+def one_blas_thread():
+    """Run every OpenBLAS mapped into this process on one thread for good;
+    ``fit_lem`` and ``run_study`` call this first.  Later calls do nothing: a
+    set-and-restore pair per fit would cost more than a small fit.
+
+    A library whose count already reads 1 is left alone: calling a setter,
+    even with the count a library has, made a freshly started worker's first
+    sim3 replicate take 57-134 ms instead of 21-27 ms on a 2-core host.
+    Changes nothing without a maps file, an OpenBLAS library or a setter.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        name = next((name for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
+        if name is not None:
+            setter, getter = getattr(lib, name), getattr(lib, name.replace("_set_", "_get_"))
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            getter.argtypes, getter.restype = (), ctypes.c_int
+            if getter() != 1:
+                setter(1)

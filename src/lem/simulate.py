@@ -23,13 +23,10 @@ deleted leaves the study entirely.
 Replicates are embarrassingly parallel.  Each replicate owns a Philox
 substream keyed by (seed, replicate index), so serial and process-parallel
 runs produce bit-identical summaries; aggregation is an ordered fold.  Every
-replicate runs BLAS on one thread, because a BLAS product's last bits can
-depend on its thread count, a replicate's products are too small to gain
-from more, and one BLAS thread per core per worker oversubscribes the cores.
-``run_study`` sets one thread in the calling process for the study's
-duration, before it starts any worker, so forked workers inherit it; it
-restores the caller's count on return.  A fit outside ``run_study``
-(``lem fit``) keeps the process's count.
+replicate runs BLAS on one thread (:func:`lem.numerics.one_blas_thread`),
+and one BLAS thread per core per worker would oversubscribe the cores.
+``run_study`` sets it in the calling process, for good, before it starts any
+worker, so forked workers inherit it.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from .data import LongDataset, is_number, subset_rows, INTERCEPT
 from .errors import LemError
 from .fit import fit_lem, z_quantile
 from .gee import fit_gee_independence
-from .numerics import cholesky
+from .numerics import cholesky, one_blas_thread
 
 MISSINGNESS_MODES = ("none", "mcar", "covariate", "outcome")
 METHODS = ("lem", "gee")
@@ -324,50 +321,6 @@ def _run_replicate(args):
     return out
 
 
-# thread-count setters of OpenBLAS builds: numpy's and scipy's wheels, then plain
-# OpenBLAS; each has the getter named with "_get_" for "_set_"
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads")
-
-
-def _one_blas_thread():
-    """Run every OpenBLAS mapped into this process on one thread; returns a
-    function that restores the previous thread count of each library it changed.
-
-    A library whose count already reads 1 is left alone: calling a setter,
-    even with the count a library has, made a freshly forked worker's first
-    sim3 replicate take 57-134 ms instead of 21-27 ms on a 2-core host.
-    :func:`run_study` calls this before it starts its pool, so the pool's
-    initializer, which calls it again, finds every count at 1 in a forked
-    worker and calls no setter; a spawned or forkserver worker does not
-    inherit the count and pays for the setter.  Changes nothing without a
-    maps file, an OpenBLAS library or a setter symbol.
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()})
-    except OSError:
-        paths = []
-    previous = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        name = next((name for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
-        if name is not None:
-            setter, getter = getattr(lib, name), getattr(lib, name.replace("_set_", "_get_"))
-            setter.argtypes, setter.restype = (ctypes.c_int,), None
-            getter.argtypes, getter.restype = (), ctypes.c_int
-            count = getter()
-            if count != 1:
-                previous.append((setter, count))
-                setter(1)
-    return lambda: [setter(count) for setter, count in previous]
-
-
 def _usable_cpus():
     """The CPUs this process may run on (all of them where affinity is unknown)."""
     if hasattr(os, "sched_getaffinity"):
@@ -382,28 +335,25 @@ def run_study(cfg, n_reps, threads=1):
     aggregation.  With ``threads > 1`` replicates run in worker processes,
     no more than there are replicates or usable CPUs; with ``threads=1`` they
     run in this process.  Either way BLAS runs on one thread, so results are
-    identical across ``threads``: the setting is made in this process before
-    any worker starts, so forked workers inherit it, and undone on return.
-    ``threads`` below 1 raises ValueError.
+    identical across ``threads``: the setting is made here for good before
+    any worker starts, so forked workers inherit it and spawned ones make it
+    in the pool's initializer.  ``threads`` below 1 raises ValueError.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
     if threads < 1:
         raise ValueError("threads must be at least 1")
 
+    one_blas_thread()
     jobs = [(cfg, rep) for rep in range(n_reps)]
-    restore = _one_blas_thread()
-    try:
-        if threads > 1:
-            # the pool starts all of its workers at once: no more than there are jobs or CPUs
-            workers = min(threads, n_reps, _usable_cpus())
-            with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-                chunk = max(1, n_reps // (8 * workers))
-                results = list(pool.map(_run_replicate, jobs, chunksize=chunk))
-        else:
-            results = [_run_replicate(job) for job in jobs]
-    finally:
-        restore()
+    if threads > 1:
+        # the pool starts all of its workers at once: no more than there are jobs or CPUs
+        workers = min(threads, n_reps, _usable_cpus())
+        with ProcessPoolExecutor(max_workers=workers, initializer=one_blas_thread) as pool:
+            chunk = max(1, n_reps // (8 * workers))
+            results = list(pool.map(_run_replicate, jobs, chunksize=chunk))
+    else:
+        results = [_run_replicate(job) for job in jobs]
 
     truth = np.asarray(cfg.beta)
     coef_names = [f"beta_{i}" for i in range(truth.size)]

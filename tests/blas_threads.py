@@ -1,6 +1,13 @@
-"""The OpenBLAS thread counts of this process, for the tests of BLAS settings."""
+"""The OpenBLAS thread counts of this process, and fresh interpreters for the
+tests that must read them before any fit has set them to 1."""
 
 import ctypes
+import json
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def openblas_thread_counts():
@@ -21,3 +28,16 @@ def openblas_thread_counts():
                 counts[path] = read()
                 break
     return counts
+
+
+def run_fresh(code, *args, env=None):
+    """Run ``code`` in a fresh interpreter, with ``src/`` and ``tests/`` first on
+    PYTHONPATH, ``args`` as its ``sys.argv[1:]`` and the variables of ``env``
+    added to this process's environment; returns its last stdout line parsed
+    as JSON."""
+    path = [os.path.join(os.path.dirname(HERE), "src"), HERE, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])

@@ -1,7 +1,5 @@
 import json
 import os
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -13,10 +11,7 @@ from lem.errors import NoConvergence
 from lem.fit import contrast
 from lem.gee import fit_gee_independence
 from lem.simulate import SimConfig, gen_covariates, gen_outcomes, preset, substream
-
-# every test runs on one BLAS thread, as a command leaves its process, and
-# gives the process its thread counts back
-pytestmark = pytest.mark.usefixtures("one_blas_thread")
+from blas_threads import run_fresh
 
 SPEC_DICT = {
     "subject": "id", "time": "visit", "outcome": "y", "treatment": "a",
@@ -64,10 +59,10 @@ def test_fit_reads_files_that_start_with_a_byte_order_mark(sim_csv, tmp_path):
 
 
 def test_a_command_runs_blas_on_one_thread_for_the_rest_of_the_process(sim_csv, tmp_path):
-    """A fresh interpreter, since this module's tests run on one thread
-    already: its first ``lem fit`` sets every OpenBLAS count to 1 and leaves
-    it there, and a second finds it at 1.  On a one-core host every count is
-    1 already and this passes trivially."""
+    """A fresh interpreter, since any fit leaves this process on one thread:
+    its first ``lem fit`` sets every OpenBLAS count to 1 and leaves it there,
+    and a second finds it at 1.  On a one-core host every count is 1 already
+    and this passes trivially."""
     data, spec = sim_csv
     code = (
         "import json, sys\n"
@@ -78,12 +73,7 @@ def test_a_command_runs_blas_on_one_thread_for_the_rest_of_the_process(sim_csv, 
         "codes = [lem.cli.main(argv + [sys.argv[3] + str(i)]) for i in range(2)]\n"
         "print(json.dumps([before, counts(), codes]))\n"
     )
-    here = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(os.path.dirname(here), "src"), here, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code, data, spec, str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=120, check=True)
-    before, after, codes = json.loads(done.stdout.splitlines()[-1])
+    before, after, codes = run_fresh(code, data, spec, tmp_path / "out")
     if not before:
         pytest.skip("no OpenBLAS loaded")
     assert codes == [0, 0]
@@ -304,6 +294,24 @@ def test_simulate_custom_config(tmp_path):
     assert csv.count("\n") == 1 + 10
 
 
+def test_simulate_seed_in_both_the_config_and_the_command_line_exit_1(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_subjects": 80, "seed": 5}))
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(cfg_path), "--reps", "2", "--out", str(out)]
+    assert cli.main(argv + ["--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error (ValueError): --seed and the 'seed' of ")
+    assert not out.exists()
+    # either one alone is the study's seed
+    assert cli.main(argv) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 5
+    cfg_path.write_text(json.dumps({"n_subjects": 80}))
+    assert cli.main(argv + ["--seed", "1"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 1
+    assert cli.main(argv) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+
+
 def test_simulate_invalid_config_exit_1(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"rho_y": -0.9}))
@@ -497,6 +505,16 @@ def test_predict_grid_csv_without_data_rows_exit_1(lem_fit_json, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error (ValueError): grid CSV ") and err.endswith("has no data rows\n")
     assert not out.exists()
+
+
+def test_predict_knots_with_a_grid_csv_exit_1(lem_fit_json, tmp_path, capsys):
+    (tmp_path / "rows.csv").write_text("c0,c1,c2,c3,c4\n1,0,0,0,0\n")
+    out = tmp_path / "band.csv"
+    assert cli.main(["predict", "--fit", lem_fit_json, "--grid", str(tmp_path / "rows.csv"),
+                     "--knots", "1,2,3,4,5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (ValueError): --knots applies only to a start:stop:count grid")
+    assert not out.exists() and not (tmp_path / "manifest.json").exists()
 
 
 def test_predict_dimension_mismatch_exit_1(lem_fit_json, tmp_path):

@@ -182,7 +182,6 @@ def test_time_just_below_two_to_the_63_is_kept(tmp_path):
     assert load_csv(path, SPEC).time_index[0] == int(big)
 
 
-@pytest.mark.usefixtures("one_blas_thread")
 @pytest.mark.parametrize("time", ["inf", "nan", "1e19"])
 def test_fit_non_finite_or_huge_time_exit_1(tmp_path, capsys, time):
     path = write_rows(tmp_path, ROWS[:2] + [f"s5,{time},1.0,0,60.0,0.1,"])

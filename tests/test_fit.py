@@ -2,9 +2,6 @@ import dataclasses
 import gc
 import json
 import math
-import os
-import subprocess
-import sys
 import textwrap
 import warnings
 import weakref
@@ -54,6 +51,7 @@ from lem.simulate import (
     preset,
     substream,
 )
+from blas_threads import run_fresh
 from oracles import fd_jacobian, predict_mean, probit_fisher_scoring
 
 
@@ -639,10 +637,8 @@ def test_fits_load_neither_scipy_linalg_nor_scipy_optimize():
     # numpy and scipy link separate OpenBLAS builds, and switching between
     # their thread pools cost about 8 ms per call on a 2-core host: dense
     # algebra in a fit stays on numpy's
-    import lem
-
     script = textwrap.dedent("""
-        import sys
+        import json, sys
         from lem.fit import fit_lem
         from lem.gee import VARIANTS, fit_gee_independence
         from lem.simulate import (apply_missingness, gen_covariates, gen_outcomes,
@@ -653,13 +649,34 @@ def test_fits_load_neither_scipy_linalg_nor_scipy_optimize():
         fit_lem(d)
         for variant in VARIANTS:
             fit_gee_independence(d, variant)
-        print(sorted(m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules))
+        print(json.dumps(sorted(m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules)))
     """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lem.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(script) == []
+
+
+def test_a_bare_fit_is_independent_of_the_blas_thread_count():
+    """A fit in a fresh interpreter on the default BLAS thread count equals
+    one under OPENBLAS_NUM_THREADS=1, and leaves every OpenBLAS on one
+    thread: at 60k rows the start's least squares gives other last bits on
+    several threads than on one.  On a one-core host both runs have one
+    thread anyway and this passes trivially."""
+    script = textwrap.dedent("""
+        import hashlib, json
+        from blas_threads import openblas_thread_counts
+        from lem.fit import fit_lem
+        from lem.simulate import gen_covariates, gen_outcomes, preset, substream
+        cfg = preset("sim1", seed=3, n_subjects=20_000)
+        rng = substream(cfg.seed, 0)
+        fit = fit_lem(gen_outcomes(gen_covariates(cfg, rng), cfg, rng))
+        digest = hashlib.sha256(fit.estimates.tobytes() + fit.cov_robust.tobytes())
+        print(json.dumps([digest.hexdigest(), openblas_thread_counts()]))
+    """)
+    default, counts = run_fresh(script)
+    if not counts:
+        pytest.skip("no OpenBLAS loaded")
+    one_thread, _ = run_fresh(script, env={"OPENBLAS_NUM_THREADS": "1"})
+    assert default == one_thread
+    assert counts == {path: 1 for path in counts}
 
 
 # ---------------------------------------------------------------------------

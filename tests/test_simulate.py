@@ -1,5 +1,6 @@
 import csv
 import os
+import textwrap
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from lem.simulate import (
     run_study,
     substream,
 )
-from blas_threads import openblas_thread_counts
+from blas_threads import run_fresh
 
 
 @pytest.fixture(scope="module")
@@ -209,96 +210,96 @@ def test_study_parallel_matches_serial_on_every_missingness_preset(name):
     assert serial.to_table() == parallel.to_table()
 
 
-def test_study_workers_run_one_blas_thread_and_the_parent_keeps_its_count():
-    from concurrent.futures import ProcessPoolExecutor
+def test_study_workers_and_the_parent_run_one_blas_thread():
+    """A fresh interpreter, since any fit leaves this process on one thread:
+    the pool's initializer sets one thread in a worker that has not got it,
+    run_study makes its pool while the parent runs on one thread, and the
+    parent keeps that count after the study.  On a one-core host every count
+    is 1 already and this passes trivially."""
+    code = textwrap.dedent("""
+        import json
+        from concurrent.futures import ProcessPoolExecutor
+        import lem.simulate
+        from blas_threads import openblas_thread_counts as counts
+        from lem.numerics import one_blas_thread
+        with ProcessPoolExecutor(max_workers=1, initializer=one_blas_thread) as pool:
+            in_worker = pool.submit(counts).result()
+        at_pool = []
 
-    import lem.simulate
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                at_pool.append(counts())
+                super().__init__(*args, **kwargs)
 
-    before = openblas_thread_counts()
-    if not before:
+        lem.simulate.ProcessPoolExecutor = Pool
+        lem.simulate.run_study(lem.simulate.SimConfig(n_subjects=120, seed=17), 2, threads=2)
+        print(json.dumps([in_worker, at_pool, counts()]))
+    """)
+    in_worker, at_pool, after = run_fresh(code)
+    if not after:
         pytest.skip("no OpenBLAS loaded")
-    with ProcessPoolExecutor(max_workers=1, initializer=lem.simulate._one_blas_thread) as pool:
-        in_worker = pool.submit(openblas_thread_counts).result()
-    assert in_worker == {path: 1 for path in before}
-    run_study(small_cfg(), 2, threads=2)
-    assert openblas_thread_counts() == before
+    ones = {path: 1 for path in after}
+    assert in_worker == ones
+    assert at_pool == [ones]
+    assert after == ones
 
 
-def test_serial_study_matches_the_pool_at_a_large_cohort_and_restores_blas_threads():
+def test_serial_study_matches_the_pool_at_a_large_cohort():
     """At 60k rows the start's least squares gives different last bits on one
     BLAS thread than on several, so a serial study matches the pool's
-    one-thread workers only if it runs on one thread too.  On a one-core host
-    both sides run one thread anyway and this passes trivially.  A bare
-    ``fit_lem`` outside run_study still depends on the process's BLAS thread count."""
-    cfg = preset("sim1", seed=3, n_subjects=20_000)
-    before = openblas_thread_counts()
-    serial = run_study(cfg, 1, threads=1)
-    assert openblas_thread_counts() == before
-    assert serial.to_csv() == run_study(cfg, 1, threads=2).to_csv()
-
-
-def test_nested_blas_settings_restore_the_original_counts():
-    """The inner call finds every count at 1, changes nothing and restores
-    nothing, so restoring in either order leaves the counts as they were.  On
-    a one-core host every count is 1 already and this passes trivially."""
-    import lem.simulate
-
-    before = openblas_thread_counts()
-    if not before:
-        pytest.skip("no OpenBLAS loaded")
-    outer = lem.simulate._one_blas_thread()
-    inner = lem.simulate._one_blas_thread()
-    assert openblas_thread_counts() == {path: 1 for path in before}
-    outer()
-    inner()
-    assert openblas_thread_counts() == before
+    one-thread workers only if it runs on one thread too.  A fresh
+    interpreter, where the serial study starts on the default thread count.
+    On a one-core host both sides run one thread anyway and this passes
+    trivially."""
+    code = textwrap.dedent("""
+        import json
+        from lem.simulate import preset, run_study
+        cfg = preset("sim1", seed=3, n_subjects=20_000)
+        print(json.dumps([run_study(cfg, 1, threads=t).to_csv() for t in (1, 2)]))
+    """)
+    serial, pooled = run_fresh(code)
+    assert serial == pooled
 
 
 def test_a_pool_started_on_one_blas_thread_passes_it_to_its_workers():
     """A forked worker inherits the parent's count, so run_study's pool needs
-    no setter call in its workers.  On a one-core host every count is 1
-    already and this passes trivially."""
+    no setter call in its workers.  A fresh interpreter, where the count has
+    not been set before; on a one-core host every count is 1 already and
+    this passes trivially."""
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    import lem.simulate
-
-    before = openblas_thread_counts()
-    if not before:
-        pytest.skip("no OpenBLAS loaded")
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("workers inherit the parent's BLAS count only when forked")
-    restore = lem.simulate._one_blas_thread()
-    try:
+    code = textwrap.dedent("""
+        import json
+        from concurrent.futures import ProcessPoolExecutor
+        from blas_threads import openblas_thread_counts as counts
+        from lem.numerics import one_blas_thread
+        one_blas_thread()
         with ProcessPoolExecutor(max_workers=1) as pool:
-            in_worker = pool.submit(openblas_thread_counts).result()
-    finally:
-        restore()
-    assert in_worker == {path: 1 for path in before}
-    assert openblas_thread_counts() == before
+            print(json.dumps([counts(), pool.submit(counts).result()]))
+    """)
+    in_parent, in_worker = run_fresh(code)
+    if not in_parent:
+        pytest.skip("no OpenBLAS loaded")
+    assert in_worker == in_parent == {path: 1 for path in in_parent}
 
 
 def test_study_starts_no_more_workers_than_replicates(monkeypatch):
-    """The pool is made while this process runs BLAS on one thread, and the
-    counts are restored after the study.  On a one-core host every count is
-    1 already and the BLAS checks pass trivially."""
     import lem.simulate
 
     requested = []
     initializers = []
-    in_pool = []
-    before = openblas_thread_counts()
 
     class SerialPool:
-        """Records the worker count, the initializer and the BLAS counts, and
-        maps in this process: starts nothing and calls no initializer."""
+        """Records the worker count and the initializer, and maps in this
+        process: starts nothing and calls no initializer."""
 
         def __init__(self, max_workers, initializer=None):
             requested.append(max_workers)
             initializers.append(initializer)
 
         def __enter__(self):
-            in_pool.append(openblas_thread_counts())
             return self
 
         def __exit__(self, *exc):
@@ -311,9 +312,7 @@ def test_study_starts_no_more_workers_than_replicates(monkeypatch):
     monkeypatch.setattr(lem.simulate, "_usable_cpus", lambda: 3)
     pooled = run_study(small_cfg(), 2, threads=64)
     assert requested == [2]
-    assert initializers == [lem.simulate._one_blas_thread]
-    assert in_pool == [{path: 1 for path in before}]
-    assert openblas_thread_counts() == before
+    assert initializers == [lem.numerics.one_blas_thread]
     serial = run_study(small_cfg(), 2)
     assert pooled.to_csv() == serial.to_csv()
     assert pooled.to_table() == serial.to_table()
