@@ -276,6 +276,22 @@ def _read_columns(reader, width, subject_col, numeric_cols):
     return subjects, [np.concatenate(part) for part in parts]
 
 
+def _numbered(reader, path):
+    """The reader's records with their row numbers, the header being row 1.
+    A record the csv module cannot read, or text that is not UTF-8, raises
+    ParseError."""
+    for row in itertools.count(1):
+        try:
+            cells = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"row {row}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+        yield row, cells
+
+
 def _raise_first_fault(path, spec, width, col_of, covariate_names):
     """Re-scan ``path`` row by row and raise the first fault in file order.
 
@@ -287,10 +303,10 @@ def _raise_first_fault(path, spec, width, col_of, covariate_names):
     number and column name are those of the first faulty row.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
+        rows = _numbered(csv.reader(fh), path)
+        next(rows)
         seen = set()
-        for lineno, cells in enumerate(reader, start=2):
+        for lineno, cells in rows:
             if not cells or all(c.strip() == "" for c in cells):
                 continue
             if len(cells) < width:
@@ -334,7 +350,9 @@ def load_csv(path, spec):
     each needed column is converted with one ``float`` map, then every check
     runs on the assembled arrays.  Only when a check fails is the file
     scanned again row by row, to raise the first fault in file order with
-    its row number and column.
+    its row number and column.  Text that is not UTF-8, a record the csv
+    module cannot read (a field longer than ``csv.field_size_limit()``, say)
+    and a column of the spec named twice in the header raise ParseError.
     """
     needed = [spec.subject, spec.time, spec.outcome, spec.treatment]
     covariate_names = []
@@ -344,15 +362,18 @@ def load_csv(path, spec):
 
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+        # the header through the checked path; the rows at full speed below
+        _, header = next(_numbered(reader, path), (1, None))
+        if header is None:
+            raise ParseError(f"{path}: empty file")
         header = [h.strip() for h in header]
         col_of = {}
         for name in needed + covariate_names:
             if name not in header:
                 raise MissingColumn(f"column '{name}' not found in header of {path}")
+            if header.count(name) > 1:
+                raise ParseError(f"column '{name}' appears {header.count(name)} times "
+                                 f"in the header of {path}")
             col_of[name] = header.index(name)
         try:
             subjects, (t, y, a, *covariates) = _read_columns(

@@ -12,16 +12,19 @@ over the trend block (a natural-cubic-spline trend band) or the whole vector
 (the treatment-effect curve w'eta), and :func:`wald` is its one-parameter case.
 
 Each point the solver (:func:`lem.optim.minimize_bfgs`, a Newton method
-whose older name the benchmark traces) tries costs one pooled evaluation,
-which keeps the point's RowState.  An accepted point's state gives the
-Newton Hessian, summed without pre-rounding (:func:`lem.numerics.gram`: a
-search direction needs no exact sum); the final point's state gives the
-bread, the analytic observed information summed exactly by BLAS products of
-pre-rounded slices (:func:`lem.numerics.exact_gram`), and the meat's score
-rows, and the solver's final gradient is the pooled score.  The bread is
-shared by the robust and the model-based covariance; both refuse one that is
-numerically singular after scaling to unit diagonal: such a design does not
-identify its parameters.
+whose older name the benchmark traces) tries costs one steering evaluation:
+one RowState, a plain sum of its loglik and the pooled score as one
+``einsum`` per coordinate group of its (n, 4) gradient, no score rows and no
+exact sum.  An accepted point's state gives the Newton Hessian, summed
+without pre-rounding (:func:`lem.numerics.gram`: a search direction needs no
+exact sum).  At the solver's argmin the fit makes its one exact pooled
+evaluation (:func:`lem.likelihood.pooled_negloglik_and_score`): its value and
+score are what the fit reports and what the score-root decision reads, and
+its state gives the bread, the analytic observed information summed exactly
+by BLAS products of pre-rounded slices (:func:`lem.numerics.exact_gram`), and
+the meat's score rows.  The bread is shared by the robust and the model-based
+covariance; both refuse one that is numerically singular after scaling to
+unit diagonal: such a design does not identify its parameters.
 """
 
 from __future__ import annotations
@@ -221,19 +224,30 @@ def _two_step(dataset, theta0):
 
 
 def _objective(dataset):
-    """The solver's two functions: of the parameter vector, the pooled negative
-    log-likelihood and score with the point's RowState (+inf where not finite,
-    so the line search shortens the step instead of aborting); of a RowState,
-    the observed information summed by :func:`lem.numerics.gram` for the
-    Newton direction."""
+    """The solver's two functions.  Of the parameter vector, the steering
+    evaluation: the negative loglik as a plain sum, the negative pooled score
+    as one ``einsum`` of ``coords`` per coordinate group with the rows'
+    :meth:`lem.likelihood.RowState.gradient`, and the point's RowState (+inf
+    where not finite, so the line search shortens the step instead of
+    aborting).  These numpy reductions, neither exact sums nor BLAS products,
+    agree with :func:`lem.likelihood.pooled_negloglik_and_score` to rounding.
+    Of a RowState, the observed information summed by
+    :func:`lem.numerics.gram` for the Newton direction."""
     design = PreparedDesign.of(dataset)
+    # the groups are contiguous column ranges of coords
+    bounds = np.searchsorted(design.groups, np.arange(5)).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
 
     def fun(vec):
-        try:
-            return pooled_negloglik_and_score(Theta.from_array(vec, design.dims), design,
-                                              _keep_rows=True)
-        except NonFiniteLikelihood:
+        state = RowState(Theta.from_array(vec, design.dims), design)
+        g = state.gradient()
+        with np.errstate(invalid="ignore", over="ignore"):
+            value = -float(state.ll.sum())
+            score = np.concatenate([np.einsum("ij,i->j", design.coords[:, lo:hi], g[:, j])
+                                    for j, (lo, hi) in enumerate(spans)])
+        if not (np.isfinite(value) and np.isfinite(score).all()):
             return math.inf, np.full(len(vec), np.nan), None
+        return value, -score, state
 
     def hess(state):
         return _information(gram, design, state)
@@ -275,12 +289,13 @@ def fit_lem(dataset, *, model_cov=False):
     theta0 = _two_step(design, initialize(design))
     result = minimize_bfgs(*_objective(design), theta0.to_array(),
                            tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
-    # the final point's row state feeds the covariance; the fit does not keep it
-    state, result = result.state, replace(result, state=None)
-
     theta_fitted = Theta.from_array(result.argmin, dataset.dims)
-    # the solver's value and gradient are the pooled ones at theta_fitted
-    nll, score_norm = result.objective_value, result.gradient_inf_norm
+    # the one exact evaluation: what the fit reports, and the row state that
+    # gives the bread and the meat (the fit does not keep it)
+    nll, neg_score, state = pooled_negloglik_and_score(theta_fitted, design, _keep_rows=True)
+    score_norm = float(np.abs(neg_score).max())
+    result = replace(result, objective_value=nll, gradient=neg_score, state=None,
+                     converged=result.converged and score_norm <= SOLVER_TOL)
     criterion = SCORE_ROOT_RTOL * (1.0 + abs(nll))
     if not result.converged:
         if score_norm > criterion:

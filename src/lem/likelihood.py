@@ -33,13 +33,15 @@ enters through rho by the chain rule, with rho' = drho/dvarrho = (1 - rho^2) / 2
 and d2rho/dvarrho2 = -rho rho'.
 
 The row pass, :class:`RowState`, computes each row's u, c, sign, m,
-log Phi(m), lambda, t = sign * lambda and loglik once, and keeps what its two
-assemblies read: order 1, the score rows, is the (n, 4) gradient in the
-coordinates spread over :class:`PreparedDesign`'s ``coords``, and order 2, the
-information weights, column-major (4, 4, n), is summed against them.
+log Phi(m), lambda, t = sign * lambda and loglik once, and keeps what its
+assemblies read: order 1, the (n, 4) gradient in the coordinates, which the
+score rows spread over :class:`PreparedDesign`'s ``coords``, and order 2, the
+information weights, column-major (4, 4, n), summed against them.
 ``loglik_rows``, ``score_rows`` and ``pooled_negloglik_and_score`` each run one
-row pass; a fit builds each Newton Hessian, and at the end the bread and the
-meat, from the state of its pooled evaluation at that point (:mod:`lem.fit`).
+row pass.  A fit steers its solver on plain sums of the gradient against
+``coords``, builds each Newton Hessian from the state of the accepted point,
+and runs ``pooled_negloglik_and_score`` once, at the point it reports, whose
+state gives the bread and the meat (:mod:`lem.fit`).
 All are pure in (theta, data).
 Pooled sums add row-pure per-row values by :func:`lem.numerics.exact_sum` and
 :func:`lem.numerics.exact_gram`, whose pre-rounded slices numpy and BLAS sum
@@ -177,7 +179,7 @@ class PreparedDesign:
 
 # extreme trial points from the line search may overflow to inf or nan; the
 # pooled wrapper turns a non-finite value or score into NonFiniteLikelihood,
-# which the fit's objective turns into +inf
+# and the fit's steering evaluation into +inf
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore", under="ignore")
 
 
@@ -223,10 +225,11 @@ class RowState:
             self.lam = np.exp(-0.5 * m * m - LOG_SQRT_2PI - log_cdf)
             self.t = self.lam * sign
 
-    def scores(self, d):
-        """Order 1: the score rows (n, dim) in the unconstrained coordinates: the
-        gradient in (r, c, log sigma_y, varrho), with the sign of the design's
-        ``coords`` folded in, spread over them."""
+    def gradient(self):
+        """Order 1 in the coordinates: each row's (n, 4) loglik gradient in
+        (r, c, log sigma_y, varrho), with the sign of :class:`PreparedDesign`'s
+        ``coords`` folded in, so that a parameter's derivative is its
+        ``coords`` entry times its group's column."""
         u, c, t = self.u, self.c, self.t
         sigma, rho, sq, d1, _ = _scalars(self.theta)
         with np.errstate(**_QUIET):
@@ -235,8 +238,14 @@ class RowState:
             g[:, 1] = t / sq
             g[:, 2] = u * u - 1.0 - t * rho * u / sq
             g[:, 3] = t * (u + rho * c) / sq ** 3 * d1
+        return g
+
+    def scores(self, d):
+        """Order 1: the score rows (n, dim) in the unconstrained coordinates,
+        the :meth:`gradient` spread over the design's ``coords``."""
+        with np.errstate(**_QUIET):
             # take, then multiply in place: one (n, dim) array, not two
-            score = np.take(g, d.groups, axis=1)
+            score = np.take(self.gradient(), d.groups, axis=1)
             score *= d.coords
         return score
 

@@ -11,7 +11,8 @@ curvature (Wolfe) condition: it exists to keep a quasi-Newton update positive
 definite, and this solver computes each Hessian afresh.
 The objective returns its value, gradient and state together, so the
 accepted step, the line search's last trial, comes with its gradient, and
-its state gives the next Hessian.
+its state gives the next Hessian.  They need only steer: the caller
+evaluates again, as exactly as it needs, whatever it reports at the argmin.
 
 Near the minimum the predicted decrease -g'p / 2 can fall below the rounding
 of the objective itself, where no line search can tell better from worse.

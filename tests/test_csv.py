@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import lem.cli as cli
 import lem.data as data
 from lem.data import DesignSpec, LongDataset, load_csv, write_csv
-from lem.errors import DuplicateObservation, ParseError
+from lem.errors import DuplicateObservation, LemError, ParseError
 from lem.simulate import SimConfig, gen_covariates, gen_outcomes, substream
 from oracles import load_csv_rowwise, write_csv_rowwise
 
@@ -265,3 +265,95 @@ def test_write_csv_is_byte_identical_to_the_row_writer(scratch, d):
     write_csv(d, str(scratch / "new.csv"), spec)
     write_csv_rowwise(d, str(scratch / "old.csv"), spec)
     assert (scratch / "new.csv").read_bytes() == (scratch / "old.csv").read_bytes()
+
+
+LONG_FIELD = "9" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize("where, row", [("header", 1), ("cell", 3), ("label", 14)])
+def test_a_field_past_the_csv_limit_is_a_parse_error_naming_its_row(tmp_path, where, row):
+    header = ",".join(HEADER + [LONG_FIELD] if where == "header" else HEADER)
+    rows = list(ROWS)
+    if where == "cell":
+        rows[1] = rows[1].rstrip(",") + "," + LONG_FIELD
+    elif where == "label":
+        rows.append(LONG_FIELD + ",0,1.0,0,60.0,0.1,")
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ParseError, match=f"^row {row}: field larger than field limit"):
+        load_csv(str(path), SPEC)
+
+
+@pytest.mark.parametrize("at", [0, 40, 20_000])
+def test_invalid_utf8_is_a_parse_error(tmp_path, at):
+    # at byte 0 (the header), within the first data rows, and in a later read
+    rows = [f"s{i},0,{0.5 * i},{i % 2},60.0,0.1," for i in range(1000)]
+    text = ("\n".join([",".join(HEADER), *rows]) + "\n").encode()
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(text[:at] + b"\xff" + text[at:])
+    with pytest.raises(ParseError, match="not valid UTF-8"):
+        load_csv(str(path), SPEC)
+
+
+@pytest.mark.parametrize("header", ["id,visit,ldl,statin,age,risk,age",
+                                    "id,visit,ldl,statin,age,risk, age "])
+def test_a_column_the_spec_uses_twice_in_the_header_is_a_parse_error(tmp_path, header):
+    path = tmp_path / "twice.csv"
+    path.write_text("\n".join([header, *ROWS]) + "\n")
+    with pytest.raises(ParseError, match="column 'age' appears 2 times in the header"):
+        load_csv(str(path), SPEC)
+
+
+@pytest.mark.parametrize("contents", [
+    ("id,t,y,a,x1,x1\n" + "\n".join(f"s{i},0,{i}.5,{i % 2},1.0,2.0" for i in range(8))).encode(),
+    ("id,t,y,a,x1\n" + "s0,0,1.0,0," + LONG_FIELD + "\n").encode(),
+    b"id,t,y,a,x1\ns0,0,1.0,0,\xff\n",
+], ids=["column-twice", "long-field", "invalid-utf8"])
+def test_fit_on_a_malformed_file_exits_1_with_an_error_line(tmp_path, capsys, contents):
+    path = tmp_path / "data.csv"
+    path.write_bytes(contents)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(DesignSpec(subject="id", time="t", outcome="y", treatment="a",
+                                          x=("x1",), z=("x1",)).to_dict()))
+    assert cli.main(["fit", "--data", str(path), "--spec", str(spec), "--method", "lem",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error (ParseError): ")
+
+
+# per column of HEADER, cells that load; then cells that do not: non-numbers,
+# nan/inf, quotes, NUL, invalid UTF-8 and a field past the csv module's limit
+LABELS, NUMBERS = [b"s0", b"s1", b" s2 ", b"\"a,b\""], [b"0", b"-3.5", b"1e308", b" 2 "]
+GOOD_CELLS = [LABELS, [b"0", b"1", b"2", b"3", b"4"], NUMBERS, [b"0", b"1"], NUMBERS, NUMBERS, [b"", b"x"]]
+BAD_CELLS = [b"2", b"1e400", b"0x1p3", b"", b"  ", b"nan", b"inf", b"-inf", b"abc", b"\"",
+             b"x\"y", b"\"q\"\"\"", b"\x00", b"\xff", b"\xc3", b"\xc3\xa9", b"\r",
+             LONG_FIELD.encode()]
+HEADER_CELLS = [name.encode() for name in HEADER] + [b" age", b"", b"\xff", LONG_FIELD.encode()]
+
+
+@st.composite
+def csv_files(draw):
+    """Small files: the spec's header or a random one, rows of cells that
+    load, then up to two faults: a faulty cell, or a row of any length."""
+    header = draw(st.one_of(st.just(HEADER_CELLS[:len(HEADER)]),
+                            st.lists(st.sampled_from(HEADER_CELLS), max_size=9)))
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, GOOD_CELLS)).map(list), max_size=6))
+    bad = st.sampled_from(BAD_CELLS)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows)))
+        if at < len(rows) and len(rows[at]) == len(HEADER) and draw(st.booleans()):
+            rows[at][draw(st.integers(0, len(HEADER) - 1))] = draw(bad)
+        else:
+            rows.insert(at, draw(st.lists(bad, max_size=9)))
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return end.join(b",".join(cells) for cells in [header, *rows]) + end
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(contents=csv_files())
+def test_load_csv_on_random_files_returns_or_raises_lem_error(scratch, contents):
+    path = scratch / "arbitrary.csv"
+    path.write_bytes(contents)
+    try:
+        assert isinstance(load_csv(str(path), SPEC), LongDataset)
+    except LemError:
+        pass

@@ -533,10 +533,8 @@ def test_sandwich_from_a_row_state_matches_the_stand_alone_call_without_warning(
     # score root itself: away from a root that path gives the stand-alone
     # call's result, and only the stand-alone call warns
     d, fit = panel_fit
-    fun, _ = _objective(d)
-    vec = fit.theta_hat.to_array() + 1e-3
-    theta = Theta.from_array(vec, d.dims)
-    _, neg_score, state = fun(vec)
+    theta = Theta.from_array(fit.theta_hat.to_array() + 1e-3, d.dims)
+    _, neg_score, state = pooled_negloglik_and_score(theta, d, _keep_rows=True)
     bread = score_jacobian(theta, d)
     with pytest.warns(UserWarning, match="away from a score root"):
         expected = sandwich_cov(theta, d, bread)
@@ -593,25 +591,81 @@ def test_fit_computes_bread_once(monkeypatch):
     assert calls == {"score_jacobian": 1, "sandwich_cov": 1, "score_rows": 0}
 
 
-def test_fit_evaluates_the_likelihood_only_inside_the_solver(monkeypatch):
-    # the solver's final value and gradient are the pooled ones at theta_hat,
-    # and the row states of its evaluations do not outlive the fit
+def test_fit_sums_exactly_once_at_the_point_it_reports(monkeypatch):
+    # the solver steers on plain sums; the fit makes one exact pooled
+    # evaluation, at the solver's argmin, and reports its value and score bit
+    # for bit; no row state, the solver's or that call's, outlives the fit
     calls, states = [], []
     original = lem.fit.pooled_negloglik_and_score
+    row_pass = RowState.__init__
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        out = original(*args, **kwargs)
-        states.append(weakref.ref(out[2]))
+    def counted(theta, dataset, **kwargs):
+        out = original(theta, dataset, **kwargs)
+        calls.append((theta.to_array(), kwargs, out[:2]))
         return out
 
+    def tracked(self, *args):
+        states.append(weakref.ref(self))
+        row_pass(self, *args)
+
     monkeypatch.setattr(lem.fit, "pooled_negloglik_and_score", counted)
+    monkeypatch.setattr(RowState, "__init__", tracked)
     fit = fit_lem(panel_dataset(seed=36, n_subjects=200))
-    assert fit.optim.n_evals > 0
-    assert len(calls) == fit.optim.n_evals
+    [(theta, kwargs, (nll, neg_score))] = calls
+    assert kwargs == {"_keep_rows": True}
+    np.testing.assert_array_equal(theta, fit.optim.argmin)
+    assert fit.optim.objective_value == nll
+    np.testing.assert_array_equal(fit.optim.gradient, neg_score)
+    assert fit.optim.converged and fit.optim.gradient_inf_norm <= lem.fit.SOLVER_TOL
+    assert len(states) == fit.optim.n_evals + 1
     assert fit.optim.state is None
     gc.collect()
     assert all(state() is None for state in states)
+
+
+def test_fit_reports_converged_only_if_the_exact_score_meets_the_tolerance(monkeypatch):
+    # the solver stops on its plain sums; an exact score above the gradient
+    # tolerance at that point makes the fit unconverged, accepted by the
+    # score-root criterion
+    original = lem.fit.pooled_negloglik_and_score
+
+    def off_by_twice_the_tolerance(*args, **kwargs):
+        nll, neg_score, state = original(*args, **kwargs)
+        return nll, neg_score + 2 * lem.fit.SOLVER_TOL, state
+
+    monkeypatch.setattr(lem.fit, "pooled_negloglik_and_score", off_by_twice_the_tolerance)
+    fit = fit_lem(panel_dataset(seed=36, n_subjects=200))
+    assert not fit.optim.converged
+    assert fit.optim.gradient_inf_norm > lem.fit.SOLVER_TOL
+    assert any("gradient tolerance 1e-08 not reached" in w for w in fit.warnings)
+
+
+def _steering_bound(terms):
+    """|plain - exact| for a sum of float products in any order: at most
+    n eps times the sum of the magnitudes (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., (3.5) and (4.4)), with the exact sum's one
+    final rounding included."""
+    return terms.shape[0] * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+
+
+@pytest.mark.parametrize("name", ["sim1", "sim2", "sim3", "sim4"])
+def test_steering_sums_agree_with_the_exact_ones_to_rounding(name):
+    cfg = preset(name, seed=5)
+    rng = substream(cfg.seed, 0)
+    d = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
+    if cfg.missingness != "none":
+        d = apply_missingness(d, cfg, rng)
+    fun, _ = _objective(d)
+    start = _two_step(d, initialize(d))
+    points = [start.to_array(), fit_lem(d).theta_hat.to_array(),
+              start.to_array() + np.random.default_rng(5).uniform(-0.2, 0.2, start.dim)]
+    for vec in points:
+        value, neg_score, state = fun(vec)
+        nll, exact_neg_score, exact_state = pooled_negloglik_and_score(
+            Theta.from_array(vec, d.dims), d, _keep_rows=True)
+        np.testing.assert_array_equal(state.ll, exact_state.ll)
+        assert abs(value - nll) <= _steering_bound(state.ll)
+        assert (np.abs(neg_score - exact_neg_score) <= _steering_bound(exact_state.score)).all()
 
 
 def test_sandwich_warns_only_away_from_a_score_root(panel_fit):
