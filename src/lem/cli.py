@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -204,7 +205,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; each parse returns a new namespace."""
     parser = _Parser(
         prog="lem",
         description="Endogeneity-corrected trend estimation for longitudinal data",

@@ -12,10 +12,13 @@ construction.
 Datasets are immutable after load and safe for shared read access from
 parallel fits.
 
-CSV input is read column-wise, CHUNK_ROWS records at a time, with one
-``float`` map per needed column and every check on the assembled arrays.
-The per-cell parse, which names the row and column of a fault, runs only
-when those checks fail.  ``write_csv`` likewise converts whole columns.
+CSV input is read column-wise, CHUNK_ROWS lines at a time, and every check
+runs on the assembled arrays.  Plain text (ASCII without the quote, NUL and
+control characters of NOT_PLAIN, with no blank line and no short record)
+goes through numpy's C parser; any other file, or any doubt, is read again
+by the csv module with one ``float`` map per needed column.  The per-cell
+parse, which names the row and column of a fault, runs only when the checks
+fail.  ``write_csv`` likewise converts whole columns.
 
 The rank check uses numpy's SVD, not scipy's pivoted QR, so that a fit runs
 all its dense algebra on numpy's BLAS (see :mod:`lem.numerics`).
@@ -28,6 +31,7 @@ import itertools
 import json
 import numbers
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -48,6 +52,11 @@ RANK_TOL = 1e-10
 
 # records converted per column pass of load_csv; bounds its transient lists
 CHUNK_ROWS = 4096
+
+# characters that keep a file from the fast path of load_csv: the quote, NUL,
+# the line breaks of str.splitlines that end no file line (\x0b, \x0c,
+# \x1c-\x1e) and \x1f; loadtxt strips \x1c-\x1f around a number, float() does not
+NOT_PLAIN = '"\x00\x0b\x0c\x1c\x1d\x1e\x1f'
 
 # times must convert to np.intp, so they lie below 2**63
 TIME_LIMIT = 2.0 ** 63
@@ -276,6 +285,42 @@ def _read_columns(reader, width, subject_col, numeric_cols):
     return subjects, [np.concatenate(part) for part in parts]
 
 
+def _read_plain(lines, width, subject_col, numeric_cols):
+    """Subject labels and float columns of plain lines, read by ``np.loadtxt``
+    CHUNK_ROWS at a time; None at the first doubt, a ``loadtxt`` error or
+    warning included.
+
+    Plain lines are ASCII without NOT_PLAIN, no longer than
+    ``csv.field_size_limit()``, not blank and of at least ``width`` cells:
+    there the csv module splits at every comma and ``loadtxt`` reads a cell
+    as ``float`` does or raises.  ``loadtxt`` raises on a line short of its
+    last column and skips a blank one (the row count catches that), so the
+    commas are counted only for unused trailing columns.
+    """
+    limit = csv.field_size_limit()
+    trailing = max(subject_col, *numeric_cols) < width - 1
+    subjects, parts = [], [np.empty((0, len(numeric_cols)))]
+    try:
+        while chunk := list(itertools.islice(lines, CHUNK_ROWS)):
+            text = "".join(chunk)
+            if (not text.isascii() or any(c in text for c in NOT_PLAIN)
+                    or max(map(len, chunk)) > limit
+                    or trailing and min(map(str.count, chunk, itertools.repeat(","))) < width - 1):
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(chunk, delimiter=",", comments=None, quotechar=None,
+                                    usecols=numeric_cols, ndmin=2)
+            if len(values) != len(chunk):
+                return None
+            subjects += [line.split(",", subject_col + 1)[subject_col].strip() for line in chunk]
+            parts.append(values)
+    # UnicodeDecodeError is a ValueError; a line short of its label, an IndexError
+    except (ValueError, IndexError, Warning):
+        return None
+    return subjects, list(np.concatenate(parts).T)
+
+
 def _numbered(reader, path):
     """The reader's records with their row numbers, the header being row 1.
     A record the csv module cannot read, or text that is not UTF-8, raises
@@ -346,13 +391,16 @@ def load_csv(path, spec):
     Rows are grouped by subject (first-appearance order) and sorted by time
     within subject.  An intercept column is prepended to X, Z and W.
 
-    The file is read column-wise: records are taken CHUNK_ROWS at a time and
-    each needed column is converted with one ``float`` map, then every check
-    runs on the assembled arrays.  Only when a check fails is the file
-    scanned again row by row, to raise the first fault in file order with
-    its row number and column.  Text that is not UTF-8, a record the csv
-    module cannot read (a field longer than ``csv.field_size_limit()``, say)
-    and a column of the spec named twice in the header raise ParseError.
+    The file is read column-wise, CHUNK_ROWS lines at a time, then every
+    check runs on the assembled arrays.  The header goes through the csv
+    module.  Plain lines (see :func:`_read_plain`) go through numpy's C
+    parser; at the first doubt the file is read again from the start by the
+    csv module, with one ``float`` map per needed column.  Both give the
+    same arrays.  Only when a check fails is the file scanned again row by
+    row, to raise the first fault in file order with its row number and
+    column.  Text that is not UTF-8, a record the csv module cannot read (a
+    field longer than ``csv.field_size_limit()``, say) and a column of the
+    spec named twice in the header raise ParseError.
     """
     needed = [spec.subject, spec.time, spec.outcome, spec.treatment]
     covariate_names = []
@@ -375,12 +423,20 @@ def load_csv(path, spec):
                 raise ParseError(f"column '{name}' appears {header.count(name)} times "
                                  f"in the header of {path}")
             col_of[name] = header.index(name)
-        try:
-            subjects, (t, y, a, *covariates) = _read_columns(
-                reader, len(header), col_of[spec.subject],
-                [col_of[name] for name in needed[1:] + covariate_names])
-        except (ValueError, csv.Error):   # UnicodeDecodeError is a ValueError
-            _raise_first_fault(path, spec, len(header), col_of, covariate_names)
+        layout = (len(header), col_of[spec.subject],
+                  [col_of[name] for name in needed[1:] + covariate_names])
+        parsed = None
+        if fh.seekable():   # a pipe cannot be read again: the csv module reads it
+            parsed = _read_plain(fh, *layout)
+            if parsed is None:   # read the file again, from the start, by the csv module
+                fh.seek(0)
+                next(reader)
+        if parsed is None:
+            try:
+                parsed = _read_columns(reader, *layout)
+            except (ValueError, csv.Error):   # UnicodeDecodeError is a ValueError
+                _raise_first_fault(path, spec, len(header), col_of, covariate_names)
+    subjects, (t, y, a, *covariates) = parsed
 
     n = len(subjects)
     if n == 0:

@@ -462,6 +462,33 @@ def test_fit_model_cov_enters_the_config_hash_only_when_given(sim_csv, tmp_path)
                                           "rho_map": "logistic"})
 
 
+def test_successive_commands_share_no_parsed_value(sim_csv, tmp_path, monkeypatch):
+    data, spec = sim_csv
+    fits, manifests = [], []
+    real_fit = cli.fit_lem
+
+    def fit_lem(dataset, **kwargs):
+        fits.append(kwargs)
+        return real_fit(dataset, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_lem", fit_lem)
+    monkeypatch.setattr(cli, "_write_manifest", lambda *args: manifests.append(args))
+    other = str(tmp_path / "other.csv")
+    with open(data) as src, open(other, "w") as dst:
+        dst.write(src.read())
+    assert cli.main(["fit", "--data", data, "--spec", spec, "--method", "lem",
+                     "--out", str(tmp_path / "a"), "--model-cov"]) == 0
+    assert cli.main(["fit", "--spec", spec, "--out", str(tmp_path / "b"), "--method", "lem",
+                     "--data", other]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert fits == [{"model_cov": True}, {"model_cov": False}]
+    (out_a, argv_a, config_a, *_), (out_b, argv_b, config_b, *_) = manifests
+    assert (out_a, out_b) == (str(tmp_path / "a"), str(tmp_path / "b"))
+    assert argv_a[-1] == "--model-cov" and argv_b[-1] == other
+    assert config_a["model_cov"] and "model_cov" not in config_b
+    assert (config_a["data"], config_b["data"]) == (os.path.abspath(data), os.path.abspath(other))
+
+
 def test_config_hash_of_a_preset_is_pinned():
     # manifests written before SimConfig.to_dict became dataclasses.asdict carry this hash
     assert cli._config_hash(preset("sim1", seed=0).to_dict()) == (

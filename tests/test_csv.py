@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -23,13 +26,19 @@ ARRAYS = ("subject_ids", "time_index", "y", "a", "x", "z", "w", "subject_starts"
           "column_values")
 NAMES = ("x_names", "z_names", "w_names", "column_names")
 
-# labels that need quoting, or strip to another label
+# labels that need quoting, or strip to another label; notes likewise
 SUBJECTS = ["s0", "s1", " s1 ", "a,b", 'q"x', "7"]
+NOTES = ["", "x,y", "n/a"]
+PLAIN_SUBJECTS, PLAIN_NOTES = ["s0", "s1", " s1 ", "7"], ["", "n/a"]
 FAULTS = {
     "cell": ["oops", "", "1..2"],
     "visit": ["1.5", "-1", "inf", "-inf", "nan", "1e19", "9223372036854775807"],
     "statin": ["2", "nan", "-1"],
     "nonfinite": ["inf", "-inf", "nan", "1e400"],
+    # cells numpy's reader and float() might read differently: underscores,
+    # padding, signs, bare points, non-ASCII digits and ASCII controls
+    "spelling": ["1_000", "1_0", " 1 ", "\t0", "+1", "+0.5", ".5", "1.", "\u0661", "\uff10",
+                 "1\x1f", "\x1c0", "0\x0b", "1\x0c", "0\x1e"],
 }
 
 
@@ -57,32 +66,42 @@ def assert_same_outcome(got, expected):
 
 @st.composite
 def csv_texts(draw):
-    """A small CSV: distinct (subject, time) rows in random order, plus faults."""
-    pairs = draw(st.lists(st.tuples(st.sampled_from(SUBJECTS), st.integers(0, 5)),
+    """A small CSV: distinct (subject, time) rows in random order, plus faults.
+
+    Half the files use labels and notes that need no quotes, so that under
+    QUOTE_MINIMAL they are plain text.  Lines end in CR LF, LF or CR.
+    """
+    plain = draw(st.booleans())
+    subjects = PLAIN_SUBJECTS if plain else SUBJECTS
+    pairs = draw(st.lists(st.tuples(st.sampled_from(subjects), st.integers(0, 5)),
                           min_size=0, max_size=10, unique_by=lambda p: (p[0].strip(), p[1])))
     records = []
     for subj, t in pairs:
         records.append([subj, str(t), repr(draw(st.floats(-5, 5))), draw(st.sampled_from("01")),
                         repr(draw(st.floats(-1e3, 1e3))), repr(draw(st.floats(0, 1))),
-                        draw(st.sampled_from(["", "x,y", "n/a"]))])
-    kinds = st.sampled_from(["cell", "visit", "statin", "nonfinite", "duplicate", "short",
-                             "blank"])
+                        draw(st.sampled_from(PLAIN_NOTES if plain else NOTES))])
+    kinds = st.sampled_from(["cell", "visit", "statin", "nonfinite", "spelling", "duplicate",
+                             "short", "short by one unused trailing cell", "blank"])
     for kind in draw(st.lists(kinds, max_size=3)):
         at = draw(st.integers(0, len(records)))
         if kind == "blank":
             records.insert(at, draw(st.sampled_from([[], ["  "], [" "] * len(HEADER)])))
         elif kind == "short":
             records.insert(at, ["s9", "0", "1.0"])
+        elif kind == "short by one unused trailing cell":
+            records.insert(at, ["s8", "1", "1.5", "1", "61.0", "0.2"])
         elif kind == "duplicate" and pairs:
             subj, t = draw(st.sampled_from(pairs))
             records.insert(at, [subj.strip(), str(t), "0.5", "1", "60.0", "0.5", ""])
         elif at < len(records) and len(records[at]) == len(HEADER):
             column = {"cell": draw(st.sampled_from([1, 2, 3, 4, 5])), "visit": 1,
-                      "statin": 3, "nonfinite": draw(st.sampled_from([2, 4, 5]))}.get(kind)
+                      "statin": 3, "nonfinite": draw(st.sampled_from([2, 4, 5])),
+                      "spelling": draw(st.sampled_from([1, 2, 3, 4, 5]))}.get(kind)
             if column is not None:
                 records[at][column] = draw(st.sampled_from(FAULTS[kind]))
     out = io.StringIO()
-    writer = csv.writer(out, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer = csv.writer(out, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+                        lineterminator=draw(st.sampled_from(["\r\n", "\n", "\r"])))
     writer.writerow(HEADER)
     writer.writerows(records)
     return out.getvalue()
@@ -93,20 +112,40 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("csv")
 
 
-@settings(max_examples=150, deadline=None)
-@given(text=csv_texts(), chunk=st.sampled_from([1, 2, 3, 4096]))
-def test_load_csv_matches_the_row_loop(scratch, text, chunk):
-    path = scratch / "random.csv"
-    path.write_text(text, newline="")
-    expected = outcome(load_csv_rowwise, str(path))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data, "CHUNK_ROWS", chunk)
-        assert_same_outcome(outcome(load_csv, str(path)), expected)
+def answers_of_the_fast_path(monkeypatch):
+    """A list that records, per call of ``_read_plain``, whether it answered."""
+    answered, read_plain = [], data._read_plain
+
+    def spy(*args):
+        parsed = read_plain(*args)
+        answered.append(parsed is not None)
+        return parsed
+
+    monkeypatch.setattr(data, "_read_plain", spy)
+    return answered
+
+
+def test_load_csv_matches_the_row_loop(scratch, monkeypatch):
+    answered = answers_of_the_fast_path(monkeypatch)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=csv_texts(), chunk=st.sampled_from([1, 2, 3, 4096]))
+    def check(text, chunk):
+        path = scratch / "random.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = outcome(load_csv_rowwise, str(path))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "CHUNK_ROWS", chunk)
+            assert_same_outcome(outcome(load_csv, str(path)), expected)
+
+    check()
+    # both the fast path and the csv module's path were taken
+    assert True in answered and False in answered
 
 
 def write_rows(tmp_path, rows, name="data.csv"):
     path = tmp_path / name
-    path.write_text("\n".join([",".join(HEADER), *rows]) + "\n")
+    path.write_text("\n".join([",".join(HEADER), *rows]) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -137,6 +176,30 @@ def test_first_fault_in_file_order_across_chunks(tmp_path, monkeypatch, rows, er
     assert outcome(load_csv, path) == (error, message) == outcome(load_csv_rowwise, path)
 
 
+@pytest.mark.parametrize("header, rows", [
+    # short only of the unused trailing note
+    (HEADER, ["s0,0,1.0,0,60.0,0.1,", "s0,1,1.5,1,61.0,0.2"]),
+    # short of the last column numpy's reader reads
+    (HEADER[:-1], ["s0,0,1.0,0,60.0,0.1", "s0,1,1.5,1,61.0"]),
+    # short of the subject label, which is the last column
+    (HEADER[1:-1] + ["id"], ["0,1.0,0,60.0,0.1,s0", "1,1.5,1,61.0,0.2"]),
+])
+def test_a_short_record_is_a_parse_error(tmp_path, header, rows):
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join([",".join(header), *rows]) + "\n")
+    expected = (ParseError, f"row 3: {len(header) - 1} cells but header has {len(header)} columns")
+    assert outcome(load_csv, str(path)) == expected == outcome(load_csv_rowwise, str(path))
+
+
+@pytest.mark.parametrize("column", [1, 2, 3, 4])
+@pytest.mark.parametrize("cell", FAULTS["spelling"])
+def test_a_number_spelled_another_way_loads_as_the_row_loop_reads_it(tmp_path, cell, column):
+    cells = ROWS[2].split(",")
+    cells[column] = cell
+    path = write_rows(tmp_path, ROWS[:2] + [",".join(cells)] + ROWS[3:])
+    assert_same_outcome(outcome(load_csv, path), outcome(load_csv_rowwise, path))
+
+
 def test_blank_records_are_skipped_across_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "CHUNK_ROWS", 2)
     rows = ROWS[:3] + ["", "   ", " , , , , , , "] + ROWS[3:6] + ['"a,b",0,1.0,1,1.0,0.5,"x,y"']
@@ -144,6 +207,21 @@ def test_blank_records_are_skipped_across_chunks(tmp_path, monkeypatch):
     got = load_csv(path, SPEC)
     assert_same_outcome(got, load_csv_rowwise(path, SPEC))
     assert got.n_rows == 7 and got.subject_ids[-1] == "a,b"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_file_that_cannot_be_read_twice_loads_through_the_csv_module(tmp_path):
+    # a quoted record sends a file back to its start, which a pipe does not have
+    path = write_rows(tmp_path, ROWS[:4] + ['"a,b",0,1.0,1,1.0,0.5,"x,y"'])
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+    text = (tmp_path / "data.csv").read_text()
+    writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+    writer.start()
+    got = load_csv(str(pipe), SPEC)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert_same_outcome(got, load_csv(path, SPEC))
 
 
 def with_byte_order_mark(path):
@@ -207,7 +285,8 @@ COHORT_SPEC = DesignSpec.from_dict({
 
 
 def test_wellformed_load_never_scans_row_by_row(tmp_path, monkeypatch):
-    calls = []
+    calls, records = [], []
+    answered = answers_of_the_fast_path(monkeypatch)
 
     def counted(fn):
         def wrapper(*args):
@@ -215,17 +294,38 @@ def test_wellformed_load_never_scans_row_by_row(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(data, "_raise_first_fault", counted(data._raise_first_fault))
-    monkeypatch.setattr(data, "_parse_cell", counted(data._parse_cell))
+    def reader(*args):
+        for record in csv_reader(*args):
+            records.append(record)
+            yield record
+
+    csv_reader = csv.reader
+    monkeypatch.setattr(data.csv, "reader", reader)
+    for name in ("_read_columns", "_raise_first_fault", "_parse_cell"):
+        monkeypatch.setattr(data, name, counted(getattr(data, name)))
     path = cohort_csv(tmp_path, COHORT_SPEC)
     assert load_csv(path, COHORT_SPEC).n_rows == 450
-    assert calls == []
+    # numpy's reader answered; the csv module read the header alone
+    assert calls == [] and answered == [True]
+    assert records == [["id", "visit", "y", "a", "O1", "O2", "O3", "O4", "O5", "O6", "O7"]]
     # the counters do see the row scan once a row is faulty
     with open(path, "a") as fh:
         fh.write("0,0,1.0,1,0,0,0,0,0,0,0\n")
     with pytest.raises(DuplicateObservation, match="row 452"):
         load_csv(path, COHORT_SPEC)
     assert calls[0] == "_raise_first_fault" and "_parse_cell" in calls
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\r\n\n", "\n  \n , , \n"],
+                         ids=["header-only", "empty", "blank-line", "blank-records"])
+def test_a_file_without_data_rows_is_a_parse_error_without_a_numpy_warning(tmp_path, body):
+    path = tmp_path / "empty.csv"
+    path.write_text(",".join(HEADER) + body, newline="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match=r"empty\.csv: no data rows$"):
+            load_csv(str(path), SPEC)
+    assert caught == []
 
 
 def test_write_csv_matches_the_row_writer_on_a_cohort(tmp_path):
