@@ -45,13 +45,6 @@ from .likelihood import (
     score_rows,
     varrho_of_rho,
 )
-from .numerics import (
-    cholesky,
-    log_std_normal_cdf,
-    solve_sym,
-    std_normal_cdf,
-    std_normal_pdf,
-)
 from .optim import OptimResult, minimize_bfgs
 from .simulate import (
     SimConfig,
@@ -73,7 +66,6 @@ __all__ = [
     "GeeFit", "fit_gee_independence",
     "Theta", "loglik_rows", "pooled_negloglik_and_score", "rho_of_varrho",
     "score_rows", "varrho_of_rho",
-    "cholesky", "log_std_normal_cdf", "solve_sym", "std_normal_cdf", "std_normal_pdf",
     "OptimResult", "minimize_bfgs",
     "SimConfig", "StudySummary", "apply_missingness", "gen_covariates",
     "gen_outcomes", "preset", "run_study",

@@ -1,15 +1,17 @@
 """End-to-end fitting and inference.
 
 Pipeline: one PreparedDesign of the rows, the outcome scaled by a power of
-two (:mod:`lem.likelihood`); a start at the rho = 0 maximum (least squares
-and a probit) followed by Heckman's two-step estimate, which falls back to
-the rho = 0 start when the probit's generalized residual is collinear with
-the outcome design; damped Newton solution of the pooled estimating
-equations, cluster-robust sandwich covariance (subjects are the clusters),
-optional model-based covariance, and linear inference: :func:`contrast`
-gives each row of weights its estimate, robust SE, pointwise CI and p-value,
-over the trend block (a natural-cubic-spline trend band) or the whole vector
-(the treatment-effect curve w'eta), and :func:`wald` is its one-parameter case.
+two (:mod:`lem.likelihood`), which every step reads in place of the
+dataset's x, z and w; a start at the rho = 0 maximum (least squares and a
+probit, on columns of its ``coords``) followed by Heckman's two-step
+estimate, which falls back to the rho = 0 start when the probit's
+generalized residual is collinear with the outcome design; damped Newton
+solution of the pooled estimating equations, cluster-robust sandwich
+covariance (subjects are the clusters), optional model-based covariance, and
+linear inference: :func:`contrast` gives each row of weights its estimate,
+robust SE, pointwise CI and p-value, over the trend block (a
+natural-cubic-spline trend band) or the whole vector (the treatment-effect
+curve w'eta), and :func:`wald` is its one-parameter case.
 
 Each point the solver (:func:`lem.optim.minimize_bfgs`, a Newton method
 whose older name the benchmark traces) tries costs one steering evaluation:
@@ -63,12 +65,12 @@ from .numerics import (
     exact_gram,
     exact_sum,
     gram,
+    inverse_mills_ratio,
     inverse_mills_slope,
     log_std_normal_cdf,
     one_blas_thread,
     solve_sym,
     std_normal_cdf,
-    std_normal_log_pdf,
 )
 from .optim import OptimResult, minimize_bfgs
 
@@ -148,11 +150,6 @@ class WaldResult:
     name: str
 
 
-def _mills_ratio(m):
-    """lambda = phi(m)/Phi(m) through the stable log kernels."""
-    return np.exp(std_normal_log_pdf(m) - log_std_normal_cdf(m))
-
-
 def _probit(z, a):
     """Probit coefficients by Newton's method on the observed information
     ``z' diag(-inverse_mills_slope(m, lambda)) z``.  Raises SingularDesign for a
@@ -165,7 +162,7 @@ def _probit(z, a):
     sign = 2.0 * a - 1.0
     for _ in range(PROBIT_MAX_ITER):
         m = sign * (z @ alpha)
-        lam = _mills_ratio(m)
+        lam = inverse_mills_ratio(m, log_std_normal_cdf(m))
         score = z.T @ (sign * lam)
         if np.abs(score).max() <= PROBIT_TOL * len(a):
             break
@@ -182,17 +179,16 @@ def initialize(dataset):
     """Starting values: the maximum of the joint likelihood at rho = 0, where it
     splits into least squares of y on [X, W*A] (beta, eta and sigma_y, the
     residual SD) and a probit of A on Z (alpha); varrho starts at zero."""
-    x, w, a = dataset.x, dataset.w, dataset.a
-    design = np.hstack([x, w * a[:, None]])
-    coef, _, rank, _ = np.linalg.lstsq(design, dataset.y, rcond=RANK_TOL)
-    if rank < design.shape[1]:
-        raise SingularDesign(f"design matrix with {design.shape[1]} columns is rank deficient")
-    jx = x.shape[1]
-    beta, eta = coef[:jx], coef[jx:]
-    resid = dataset.y - design @ coef
+    design = PreparedDesign.of(dataset)
+    spans = design.spans
+    xw = -design.coords[:, spans.r]
+    coef, _, rank, _ = np.linalg.lstsq(xw, design.y, rcond=RANK_TOL)
+    if rank < xw.shape[1]:
+        raise SingularDesign(f"design matrix with {xw.shape[1]} columns is rank deficient")
+    resid = design.y - xw @ coef
     sigma = math.sqrt(max(float(np.mean(resid ** 2)), 1e-12))
-    alpha = _probit(dataset.z, a)
-    return Theta(beta=beta, eta=eta, alpha=alpha,
+    alpha = _probit(design.coords[:, spans.c], design.a)
+    return Theta(beta=coef[spans.beta], eta=coef[spans.eta], alpha=alpha,
                  log_sigma_y=math.log(sigma), varrho=0.0)
 
 
@@ -206,21 +202,22 @@ def _two_step(dataset, theta0):
     Returns ``theta0`` when h is collinear with [X, W*A] (with an intercept-only
     z it takes one value per arm) or the variance is not a finite positive number.
     """
-    sign = 2.0 * dataset.a - 1.0
-    m = sign * (dataset.z @ theta0.alpha)
-    lam = _mills_ratio(m)
-    design = np.hstack([dataset.x, dataset.w * dataset.a[:, None], (sign * lam)[:, None]])
-    coef, _, rank, _ = np.linalg.lstsq(design, dataset.y, rcond=RANK_TOL)
+    design = PreparedDesign.of(dataset)
+    spans = design.spans
+    sign = 2.0 * design.a - 1.0
+    m = sign * (design.coords[:, spans.c] @ theta0.alpha)
+    lam = inverse_mills_ratio(m, log_std_normal_cdf(m))
+    xwh = np.hstack([-design.coords[:, spans.r], (sign * lam)[:, None]])
+    coef, _, rank, _ = np.linalg.lstsq(xwh, design.y, rcond=RANK_TOL)
     rho_sigma = coef[-1]
-    sigma2 = float(np.mean((dataset.y - design @ coef) ** 2)
+    sigma2 = float(np.mean((design.y - xwh @ coef) ** 2)
                    + rho_sigma ** 2 * np.mean(-inverse_mills_slope(m, lam)))
-    if rank < design.shape[1] or not 0.0 < sigma2 < math.inf:
+    if rank < xwh.shape[1] or not 0.0 < sigma2 < math.inf:
         return theta0
     sigma = math.sqrt(sigma2)
     rho = min(max(rho_sigma / sigma, -TWO_STEP_MAX_RHO), TWO_STEP_MAX_RHO)
-    jx = dataset.x.shape[1]
-    return replace(theta0, beta=coef[:jx], eta=coef[jx:-1], log_sigma_y=math.log(sigma),
-                   varrho=varrho_of_rho(rho))
+    return replace(theta0, beta=coef[spans.beta], eta=coef[spans.eta],
+                   log_sigma_y=math.log(sigma), varrho=varrho_of_rho(rho))
 
 
 def _objective(dataset):
@@ -234,17 +231,14 @@ def _objective(dataset):
     Of a RowState, the observed information summed by
     :func:`lem.numerics.gram` for the Newton direction."""
     design = PreparedDesign.of(dataset)
-    # the groups are contiguous column ranges of coords
-    bounds = np.searchsorted(design.groups, np.arange(5)).tolist()
-    spans = list(zip(bounds[:-1], bounds[1:]))
 
     def fun(vec):
         state = RowState(Theta.from_array(vec, design.dims), design)
         g = state.gradient()
         with np.errstate(invalid="ignore", over="ignore"):
             value = -float(state.ll.sum())
-            score = np.concatenate([np.einsum("ij,i->j", design.coords[:, lo:hi], g[:, j])
-                                    for j, (lo, hi) in enumerate(spans)])
+            score = np.concatenate([np.einsum("ij,i->j", design.coords[:, span], g[:, j])
+                                    for j, span in enumerate(design.spans[:4])])
         if not (np.isfinite(value) and np.isfinite(score).all()):
             return math.inf, np.full(len(vec), np.nan), None
         return value, -score, state

@@ -32,11 +32,12 @@ series form of lambda; see :func:`lem.numerics.inverse_mills_slope`).  varrho
 enters through rho by the chain rule, with rho' = drho/dvarrho = (1 - rho^2) / 2
 and d2rho/dvarrho2 = -rho rho'.
 
-The row pass, :class:`RowState`, computes each row's u, c, sign, m,
-log Phi(m), lambda, t = sign * lambda and loglik once, and keeps what its
-assemblies read: order 1, the (n, 4) gradient in the coordinates, which the
-score rows spread over :class:`PreparedDesign`'s ``coords``, and order 2, the
-information weights, column-major (4, 4, n), summed against them.
+The row pass, :class:`RowState`, reads y, a and ``coords`` of a
+:class:`PreparedDesign`, computes each row's u, c, sign, m, log Phi(m), lambda,
+t = sign * lambda and loglik once, and keeps what its assemblies read: order
+1, the (n, 4) gradient in the coordinates, which the score rows spread over
+``coords``, and order 2, the information weights, column-major (4, 4, n),
+summed against them.
 ``loglik_rows``, ``score_rows`` and ``pooled_negloglik_and_score`` each run one
 row pass.  A fit steers its solver on plain sums of the gradient against
 ``coords``, builds each Newton Hessian from the state of the accepted point,
@@ -52,6 +53,7 @@ double exactly under duplication.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +63,7 @@ from .numerics import (
     LOG_SQRT_2PI,
     colwise_matvec,
     exact_sum,
+    inverse_mills_ratio,
     inverse_mills_slope,
     log_std_normal_cdf,
 )
@@ -137,29 +140,33 @@ def parameter_names(dataset):
     return names
 
 
+# the columns of PreparedDesign.coords, as slices: one per coordinate group
+# (r, c, log sigma_y, varrho), then beta's and eta's, which make up r's
+Spans = namedtuple("Spans", "r c log_sigma_y varrho beta eta")
+
+
 @dataclass(frozen=True)
 class PreparedDesign:
-    """One fit's theta-free arrays: the rows (y divided by 2**k) and the
-    subject starts, with a LongDataset's ``n_rows`` and ``dims``: it stands
-    in for the dataset wherever the likelihood's rows are read.
+    """One fit's theta-free arrays: y (divided by 2**k), a, the subject starts
+    and ``coords``, with a LongDataset's ``n_rows`` and ``dims``.  A fit
+    reads its rows here, never from a dataset's x, z or w, whose memory order
+    depends on where the data came from: ``coords`` is C-ordered.
 
     A row's loglik depends on theta only through the coordinates
     (r, c, log sigma_y, varrho), each linear in theta (module docstring).
     ``coords`` (n, dim) holds each parameter's derivative of the one
     coordinate it enters (-x for beta, -a*w for eta, z for alpha, 1 for
-    log sigma_y and varrho) and ``groups`` (dim,) numbers that coordinate
-    0-3, so that the observed information is
-    ``exact_gram(coords, groups, RowState(theta, design).weights())`` and
-    the score rows spread each row's gradient in the coordinates over them.
+    log sigma_y and varrho), in the column ranges ``spans`` (:data:`Spans`),
+    and ``groups`` (dim,) numbers that coordinate 0-3, so that the observed
+    information is ``exact_gram(coords, groups, RowState(theta, design).weights())``
+    and the score rows spread each row's gradient in the coordinates over them.
     """
 
     y: np.ndarray
     a: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-    w: np.ndarray
     subject_starts: np.ndarray
     coords: np.ndarray
+    spans: Spans
     groups: np.ndarray
     n_rows: int
     dims: tuple
@@ -169,12 +176,15 @@ class PreparedDesign:
         """The design of ``dataset`` with y times 2**-k (a design is its own)."""
         if isinstance(dataset, cls):
             return dataset
-        y, a, x, z, w = dataset.y, dataset.a, dataset.x, dataset.z, dataset.w
+        y, a = dataset.y, dataset.a
+        coords = np.hstack([-dataset.x, -dataset.w * a[:, None], dataset.z, np.ones((y.shape[0], 2))])
+        # the one place that derives columns of coords from the block dimensions
         jx, jz, jw = dataset.dims
-        coords = np.hstack([-x, -w * a[:, None], z, np.ones((y.shape[0], 2))])
-        groups = np.repeat([0, 1, 2, 3], [jx + jw, jz, 1, 1])
-        return cls(np.ldexp(y, -k) if k else y, a, x, z, w, dataset.subject_starts,
-                   coords, groups, dataset.n_rows, dataset.dims)
+        r, c = jx + jw, jx + jw + jz
+        spans = Spans(slice(0, r), slice(r, c), slice(c, c + 1), slice(c + 1, c + 2),
+                      slice(0, jx), slice(jx, r))
+        return cls(np.ldexp(y, -k) if k else y, a, dataset.subject_starts, coords, spans,
+                   np.repeat([0, 1, 2, 3], [r, jz, 1, 1]), dataset.n_rows, dataset.dims)
 
 
 # extreme trial points from the line search may overflow to inf or nan; the
@@ -210,19 +220,21 @@ class RowState:
     score = None
 
     def __init__(self, theta, d):
-        """The row pass at ``theta`` over the rows (y, a, x, z, w) of ``d``."""
+        """The row pass at ``theta`` over the rows of the PreparedDesign ``d``."""
         self.theta = theta
         sigma, rho, sq, _, _ = _scalars(theta)
+        coords, spans = d.coords, d.spans
         with np.errstate(**_QUIET):
-            r = d.y - colwise_matvec(d.x, theta.beta) - colwise_matvec(d.w, theta.eta) * d.a
+            # two products, as y - x'beta - (w'eta) a: negation is exact and -w*a is -w or +-0
+            r = (d.y + colwise_matvec(coords[:, spans.beta], theta.beta)
+                 + colwise_matvec(coords[:, spans.eta], theta.eta))
             self.u = u = r / sigma
-            self.c = c = colwise_matvec(d.z, theta.alpha)
+            self.c = c = colwise_matvec(coords[:, spans.c], theta.alpha)
             sign = 2.0 * d.a - 1.0
             self.m = m = sign * (c + rho * u) / sq
             log_cdf = log_std_normal_cdf(m)
             self.ll = -0.5 * u * u - LOG_SQRT_2PI - theta.log_sigma_y + log_cdf
-            # inverse Mills ratio phi(m)/Phi(m), stable through the log kernels
-            self.lam = np.exp(-0.5 * m * m - LOG_SQRT_2PI - log_cdf)
+            self.lam = inverse_mills_ratio(m, log_cdf)
             self.t = self.lam * sign
 
     def gradient(self):
@@ -288,7 +300,7 @@ class RowState:
 
 def loglik_rows(theta, dataset):
     """Per-row log-likelihood (n,); each entry is a function of its row alone."""
-    return RowState(theta, dataset).ll
+    return RowState(theta, PreparedDesign.of(dataset)).ll
 
 
 def score_rows(theta, dataset):

@@ -56,11 +56,6 @@ _OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_nu
                      "openblas_set_num_threads")
 
 
-def std_normal_pdf(x):
-    """Standard normal density, (2*pi)^(-1/2) * exp(-x^2 / 2)."""
-    return np.exp(std_normal_log_pdf(x))
-
-
 def std_normal_log_pdf(x):
     """log of the standard normal density."""
     x = np.asarray(x, dtype=float)
@@ -77,6 +72,12 @@ def log_std_normal_cdf(x):
     and approaching 0 from below at full precision as x grows.  Every normal
     log-CDF of the likelihood goes through this one function."""
     return special.log_ndtr(x)
+
+
+def inverse_mills_ratio(m, log_cdf):
+    """The inverse Mills ratio lambda = phi(m) / Phi(m), stable through the
+    log kernels, given ``log_cdf`` = :func:`log_std_normal_cdf` of ``m``."""
+    return np.exp(std_normal_log_pdf(m) - log_cdf)
 
 
 def inverse_mills_slope(m, lam):

@@ -18,7 +18,7 @@ from scipy import special
 
 from lem.data import INTERCEPT, LongDataset
 from lem.errors import DuplicateObservation, MissingColumn, NonBinaryTreatment, ParseError
-from lem.likelihood import RowState, _scalars
+from lem.likelihood import PreparedDesign, RowState, _scalars
 from lem.numerics import log_std_normal_cdf, solve_sym, std_normal_cdf, std_normal_log_pdf
 
 
@@ -88,7 +88,7 @@ def score_rows_blockwise(theta, dataset):
     """The score rows (n, dim) with the chain rule written out per parameter
     block: the beta, eta and alpha blocks scale the rows of x, a*w and z by
     their coordinate's derivative, and log sigma_y and varrho are columns."""
-    state = RowState(theta, dataset)
+    state = RowState(theta, PreparedDesign.of(dataset))
     u, c, t = state.u, state.c, state.t
     sigma, rho, sq, d1, _ = _scalars(theta)
     jx, jw = theta.beta.size, theta.eta.size

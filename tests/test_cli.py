@@ -8,7 +8,7 @@ import pytest
 import lem.cli as cli
 from lem.data import DesignSpec, load_csv, write_csv
 from lem.errors import NoConvergence
-from lem.fit import contrast
+from lem.fit import contrast, fit_lem
 from lem.gee import fit_gee_independence
 from lem.simulate import SimConfig, gen_covariates, gen_outcomes, preset, substream
 from blas_threads import run_fresh
@@ -45,6 +45,23 @@ def test_fit_smoke(sim_csv, tmp_path, capsys):
     manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
     assert manifest["outputs"] == [os.path.join(out, "fit.json")]
     assert "parameter" in capsys.readouterr().out
+
+
+def test_fit_of_a_written_replicate_writes_the_in_memory_fit(tmp_path):
+    # the simulated replicate's x, z and w are Fortran-ordered, the loaded ones C-ordered
+    cfg = preset("sim1", seed=0)
+    rng = substream(cfg.seed, 0)
+    d = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
+    data, spec = tmp_path / "sim1.csv", tmp_path / "spec.json"
+    write_csv(d, str(data), DesignSpec.from_dict(SPEC_DICT))
+    spec.write_text(json.dumps(SPEC_DICT))
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--data", str(data), "--spec", str(spec), "--method", "lem",
+                     "--out", str(out)]) == 0
+    payload = json.loads((out / "fit.json").read_text())
+    fit = fit_lem(d)
+    assert payload["estimates"] == fit.estimates.tolist()
+    assert payload["cov_robust"] == fit.cov_robust.ravel().tolist()
 
 
 def test_fit_reads_files_that_start_with_a_byte_order_mark(sim_csv, tmp_path):

@@ -733,6 +733,25 @@ def test_a_bare_fit_is_independent_of_the_blas_thread_count():
     assert counts == {path: 1 for path in counts}
 
 
+@pytest.mark.parametrize("name", ["sim1", "sim2", "sim3", "sim4"])
+def test_a_fit_does_not_depend_on_the_memory_order_of_x_z_and_w(name):
+    # the simulator's hstack gives Fortran order, load_csv and subset_rows C order
+    cfg = preset(name, seed=0)
+    rng = substream(cfg.seed, 0)
+    d = apply_missingness(gen_outcomes(gen_covariates(cfg, rng), cfg, rng), cfg, rng)
+    want = fit_lem(d, model_cov=True)
+    for order in (np.ascontiguousarray, np.asfortranarray):
+        copy = dataclasses.replace(d, **{key: order(getattr(d, key)) for key in "xzw"})
+        assert PreparedDesign.of(copy).coords.flags.c_contiguous
+        got = fit_lem(copy, model_cov=True)
+        for key in ("estimates", "cov_robust", "cov_model"):
+            assert getattr(got, key).tobytes() == getattr(want, key).tobytes()
+        assert ((got.negloglik, got.score_inf_norm, got.optim.iterations, got.optim.n_evals,
+                 got.warnings)
+                == (want.negloglik, want.score_inf_norm, want.optim.iterations,
+                    want.optim.n_evals, want.warnings))
+
+
 # ---------------------------------------------------------------------------
 # Wald inference
 # ---------------------------------------------------------------------------
