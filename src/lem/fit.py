@@ -20,11 +20,12 @@ one RowState, a plain sum of its loglik and the pooled score as one
 exact sum.  An accepted point's state gives the Newton Hessian, summed
 without pre-rounding (:func:`lem.numerics.gram`: a search direction needs no
 exact sum).  At the solver's argmin the fit makes its one exact pooled
-evaluation (:func:`lem.likelihood.pooled_negloglik_and_score`): its value and
-score are what the fit reports and what the score-root decision reads, and
-its state gives the bread, the analytic observed information summed exactly
-by BLAS products of pre-rounded slices (:func:`lem.numerics.exact_gram`), and
-the meat's score rows.  The bread is shared by the robust and the model-based
+evaluation (:func:`lem.likelihood.pooled_negloglik_and_score`) on the
+solver's row state there, so it adds no row pass: its value and score are
+what the fit reports and what the score-root decision reads, and the state
+gives the bread, the analytic observed information summed exactly by BLAS
+products of pre-rounded slices (:func:`lem.numerics.exact_gram`), and the
+meat's score rows.  The bread is shared by the robust and the model-based
 covariance; both refuse one that is numerically singular after scaling to
 unit diagonal: such a design does not identify its parameters.
 """
@@ -284,9 +285,11 @@ def fit_lem(dataset, *, model_cov=False):
     result = minimize_bfgs(*_objective(design), theta0.to_array(),
                            tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
     theta_fitted = Theta.from_array(result.argmin, dataset.dims)
-    # the one exact evaluation: what the fit reports, and the row state that
-    # gives the bread and the meat (the fit does not keep it)
-    nll, neg_score, state = pooled_negloglik_and_score(theta_fitted, design, _keep_rows=True)
+    # the one exact evaluation, on the solver's row state at its argmin: what the
+    # fit reports, and the state that gives the bread and the meat (the fit does
+    # not keep it)
+    nll, neg_score, state = pooled_negloglik_and_score(theta_fitted, design, _keep_rows=True,
+                                                       _state=result.state)
     score_norm = float(np.abs(neg_score).max())
     result = replace(result, objective_value=nll, gradient=neg_score, state=None,
                      converged=result.converged and score_norm <= SOLVER_TOL)

@@ -39,10 +39,11 @@ t = sign * lambda and loglik once, and keeps what its assemblies read: order
 ``coords``, and order 2, the information weights, column-major (4, 4, n),
 summed against them.
 ``loglik_rows``, ``score_rows`` and ``pooled_negloglik_and_score`` each run one
-row pass.  A fit steers its solver on plain sums of the gradient against
-``coords``, builds each Newton Hessian from the state of the accepted point,
-and runs ``pooled_negloglik_and_score`` once, at the point it reports, whose
-state gives the bread and the meat (:mod:`lem.fit`).
+row pass, unless the caller hands the last one its state.  A fit steers its
+solver on plain sums of the gradient against ``coords``, builds each Newton
+Hessian from the state of the accepted point, and runs
+``pooled_negloglik_and_score`` once, at the point it reports, on the
+solver's state there, which then gives the bread and the meat (:mod:`lem.fit`).
 All are pure in (theta, data).
 Pooled sums add row-pure per-row values by :func:`lem.numerics.exact_sum` and
 :func:`lem.numerics.exact_gram`, whose pre-rounded slices numpy and BLAS sum
@@ -309,17 +310,19 @@ def score_rows(theta, dataset):
     return RowState(theta, design).scores(design)
 
 
-def pooled_negloglik_and_score(theta, dataset, *, _keep_rows=False):
+def pooled_negloglik_and_score(theta, dataset, *, _keep_rows=False, _state=None):
     """Negative pooled log-likelihood and negative pooled score.
 
     Sums run over every subject's own observation rows (ragged clusters are
     simply shorter blocks).  Raises NonFiniteLikelihood on overflow, which
     signals a pathological theta reached outside the line-search guard.
     With the private ``_keep_rows`` the point's RowState, score rows
-    included, comes third.
+    included, comes third.  The private ``_state`` is the RowState at theta
+    when the caller has it (a fit passes its solver's last one); the row pass
+    is pure, so the result is the same bit for bit.
     """
     design = PreparedDesign.of(dataset)
-    state = RowState(theta, design)
+    state = RowState(theta, design) if _state is None else _state
     score = state.scores(design)
     # exact_sum turns any non-finite row into a non-finite total
     nll = -float(exact_sum(state.ll))

@@ -6,6 +6,18 @@ exact ones up to EXACT_SUM_MAX_ROWS = 2**26 rows.  "Symmetric matrix"
 arguments are ordinary ndarrays validated by :func:`as_sym_matrix`; there is
 no wrapper class.
 
+The exact reductions pre-round (Ozaki et al., Numer. Algorithms 59 (2012)
+95-118): each column is cut into a few slices on grids fixed by its largest
+magnitude, so that numpy and BLAS sum the slices exactly in any order and a
+result depends on exact totals only.  :func:`exact_sum` takes three 26-bit
+slices.  :func:`exact_gram` takes three 17-bit slices of both factors: a
+slice product is at most 2**32 units of its level's grid and a level has at
+most 3 slice pairs, so 2**19 rows of a level sum exactly in 53 bits; every
+EXACT_FOLD_ROWS = 2**19 rows each level is folded into an exact part on a
+grid 2**26 units coarser and its exact remainder, which carry the totals to
+EXACT_SUM_MAX_ROWS rows.  The slices it leaves out are below about 1.5 *
+2**-48 * L * R a row, for the largest magnitudes L and R of the two columns.
+
 Functions here are pure and reentrant, but for :func:`one_blas_thread`,
 which sets the process's BLAS thread count once; NaN screening happens at
 the data validation boundary, not in these kernels.
@@ -40,12 +52,15 @@ TAIL_CROSSOVER = -20.0
 # the first one left out is 2027025 v^8, below 4e-15 for x <= -20
 _MILLS_SERIES = (1.0, -1.0, 3.0, -15.0, 105.0, -945.0, 10395.0, -135135.0)
 
-# Ozaki splitting (Numer. Algorithms 59 (2012) 95-118): exact sums cut columns
-# into slices of a few bits on grids fixed by their largest magnitude and a cap
-# of 2**26 rows (9 GB at 17 columns), so that slices sum exactly in any order
+# the exact reductions' slices (module docstring) sum exactly up to this many
+# rows (9 GB at 17 columns)
 EXACT_SUM_MAX_ROWS = 2 ** 26
 _SUM_BITS, _SUM_SLICES = 26, 3
-_GRAM_BITS, _GRAM_SLICES = 13, 4
+_GRAM_BITS, _GRAM_SLICES = 17, 3
+# exact_gram folds its level partials every this many rows (see exact_gram), on a
+# grid _FOLD_BITS coarser than each level's
+EXACT_FOLD_ROWS = 2 ** 19
+_FOLD_BITS = 26
 # rows are split in blocks of about this many entries: 64 KiB temporaries stay in
 # cache and below glibc's 128 KiB mmap threshold, so they are not faulted afresh
 EXACT_BLOCK_ENTRIES = 2 ** 13
@@ -170,17 +185,24 @@ def _biggest(a, axis=-1):
     return np.maximum(a.max(axis=axis, initial=0.0), -a.min(axis=axis, initial=0.0))
 
 
-def _split(a, top, bits, count):
-    """``count`` slices of ``a`` (one row per column): slice s of row j is the rest
-    of it pre-rounded by ``(a + c) - c`` onto the multiples of ``2**(top[j] -
-    bits * (s + 1))``, at most 2**(bits - 1) of them if |a[j]| < 2**(top[j] - 1)."""
+def _grids(top, bits, count):
+    """The constants ``1.5 * 2**(top + 52 - bits * s)``, s = 1..count, each a
+    column, with which :func:`_split` rounds a slice onto the multiples of
+    ``2**(top - bits * s)``."""
+    return [np.ldexp(1.5, top + 52 - bits * s)[..., None] for s in range(1, count + 1)]
+
+
+def _split(a, grids):
+    """Slices of ``a`` (one row per column, overwritten): slice s of row j is the
+    rest of it pre-rounded by ``(a + c) - c`` with ``c = grids[s][j]`` from
+    :func:`_grids`, at most 2**(bits - 1) grid units if |a[j]| < 2**(top[j] - 1)."""
     slices = []
-    for s in range(1, count + 1):
-        c = np.ldexp(1.5, top + 52 - bits * s)[:, None]
+    for c in grids:
+        if slices:
+            a -= slices[-1]
         q = a + c
         q -= c
         slices.append(q)
-        a = a - q
     return slices
 
 
@@ -197,13 +219,13 @@ def exact_sum(m):
         raise ValueError(f"exact sums take at most {EXACT_SUM_MAX_ROWS} rows, got {n}")
     a = np.asarray(m, dtype=float)
     cols = a[:, None] if a.ndim == 1 else a
-    top = np.frexp(_biggest(cols, axis=0))[1] + 1
     step = max(1, EXACT_BLOCK_ENTRIES // max(cols.shape[1], 1))
     sums = [np.zeros(cols.shape[1])] * _SUM_SLICES
     # non-finite entries are allowed: they make their column's sum non-finite
     with np.errstate(invalid="ignore", over="ignore"):
+        grids = _grids(np.frexp(_biggest(cols, axis=0))[1] + 1, _SUM_BITS, _SUM_SLICES)
         for start in range(0, n, step):
-            parts = _split(np.array(cols[start:start + step].T, order="C"), top, _SUM_BITS, _SUM_SLICES)
+            parts = _split(np.array(cols[start:start + step].T, order="C"), grids)
             sums = [acc + part.sum(axis=-1) for acc, part in zip(sums, parts)]
         total = sum(reversed(sums))
     return total[0] if a.ndim == 1 else total
@@ -217,56 +239,91 @@ def exact_gram(m, groups=None, weights=None):
 
     ``m`` and a right factor (``m``, or column k times ``weights[g,
     groups[k]]`` for each g <= groups[k], formed a block of rows at a time) are
-    cut into four 13-bit slices on grids ``frexp(L_j) + 1`` and ``frexp(R_k) +
-    1``, where ``L_j = max|m[:, j]|`` and ``R_k = L_k * max|weights[g,
-    groups[k]]|``.  BLAS sums the slice products with s + t < 4, and the
-    levels s + t are added finest first.  Exactness rule: 2 x 13 slice bits +
-    26 row-cap bits <= 53, so the <= 4 pairs of a level sum exactly in any
-    order, blocking or thread count, with or without FMA (unless ``L_j * R_k
-    < 2**-970`` underflows).  Oracle bound: the slices left out are below
-    ``1.25 * 2**-48 * L_j * R_k`` a row, so an entry is within ``2**-47 * n *
-    L_j * R_k + 2**-51 * |ref|`` of ``ref``, the ``math.fsum`` of ``m[:, j] *
-    right[:, k]``.  Non-finite ``m[i, j]`` make row and column j non-finite.
+    scaled column by column by ``2**-top``, with ``top = frexp(L_j) + 1`` and
+    ``frexp(R_k) + 1`` for ``L_j = max|m[:, j]|`` and ``R_k = L_k *
+    max|weights[g, groups[k]]|``, and cut into three 17-bit slices on the
+    grids 2**-17, 2**-34 and 2**-51.  BLAS sums the slice products with
+    s + t < 3, the levels s + t; without weights each pair s != t is one
+    product and its transpose.  Exactness rule: a slice product is at most
+    2**32 units of its level's grid 2**(-17 (s + t + 2)) and a level has at
+    most 3 pairs, so 2**19 rows of a level sum exactly in any order, blocking
+    or thread count, with or without FMA (32 + 2 + 19 <= 53 bits).  Every
+    EXACT_FOLD_ROWS = 2**19 rows each level is folded: ``fmod`` cuts it into a
+    part on a grid 2**26 units coarser and its remainder, which accumulate
+    exactly up to EXACT_SUM_MAX_ROWS = 2**26 rows and are added once at the
+    end, so the result depends on the exact level totals only.  The levels are
+    added finest first and scaled back by ``2**(top_j + top_k)``, exactly
+    unless that overflows or is subnormal.  Oracle bound: the slices left out
+    are below about ``1.5 * 2**-48 * L_j * R_k`` a row, so an entry is within
+    ``2**-47 * n * L_j * R_k + 2**-51 * |ref|`` of ``ref``, the ``math.fsum``
+    of ``m[:, j] * right[:, k]``.  Non-finite ``m[i, j]`` make row and column
+    j non-finite.
     """
     if m.shape[0] > EXACT_SUM_MAX_ROWS:
         raise ValueError(f"exact sums take at most {EXACT_SUM_MAX_ROWS} rows, got {m.shape[0]}")
-    return _gram(m, groups, weights, _GRAM_SLICES)
+    return _gram(m, groups, weights, exact=True)
 
 
 def gram(m, groups=None, weights=None):
     """:func:`exact_gram` by plain BLAS products, without slices: fast, but not
     reproducible to the last bit.  Oracle bound: an entry is within ``(n + 2) *
     2**-52`` times the sum of the magnitudes of its n products."""
-    return _gram(m, groups, weights, 1)
+    return _gram(m, groups, weights, exact=False)
 
 
-def _gram(m, groups, weights, count):
-    """exact_gram with ``count`` slices of each factor; gram (count 1) with the factors."""
-    p = m.shape[1]
+def _gram(m, groups, weights, exact):
+    """exact_gram with slices and folds (``exact``); gram with the factors."""
+    n, p = m.shape
     groups = np.zeros(p, dtype=int) if weights is None else np.asarray(groups)
     n_groups = groups.max(initial=0) + 1
     # right column i is m[:, col[i]] times weights[group[i], groups[col[i]]]
     group, col = np.nonzero(np.arange(n_groups)[:, None] <= groups)
     step = max(1, EXACT_BLOCK_ENTRIES // max(col.size, 1))
+    count = _GRAM_SLICES if exact else 1
     levels = np.zeros((count, p, col.size))
     # non-finite entries are allowed: they make their rows and columns non-finite
     with np.errstate(invalid="ignore", over="ignore"):
-        if count > 1:  # grids fixed by whole columns, never by a block of rows
+        if exact:
+            # each factor column is scaled by 2**-top (top fixed by the whole column,
+            # never by a block of rows), so one grid per slice serves every column
             biggest = _biggest(m, axis=0)
-            top = np.frexp(biggest)[1] + 1
+            top = right_top = np.frexp(biggest)[1] + 1
             if weights is not None:
                 bound = biggest[col] * _biggest(weights)[group, groups[col]]
-                right_top = np.frexp(np.minimum(bound, np.finfo(float).max))[1] + 1  # overflow: c = inf
-        for start in range(0, m.shape[0], step):
-            block = np.array(m[start:start + step].T, order="C")
-            left = right = _split(block, top, _GRAM_BITS, count) if count > 1 else [block]
-            if weights is not None:
-                factor = block[col] * weights[group, groups[col], start:start + step]
-                right = _split(factor, right_top, _GRAM_BITS, count) if count > 1 else [factor]
+                right_top = np.frexp(np.minimum(bound, np.finfo(float).max))[1] + 1
+            left_scale, right_scale = -top[:, None], -right_top[:, None]
+            grids = _grids(0, _GRAM_BITS, count)
+            folds = n > EXACT_FOLD_ROWS
+            if folds:
+                # level l lies on the grid 2**(-bits * (l + 2)); fold on one 2**26 times coarser
+                coarse_grid = np.ldexp(1.0, _FOLD_BITS - _GRAM_BITS * np.arange(2, count + 2))[:, None, None]
+                folded = np.zeros((2, count, p, col.size))  # coarse parts and remainders
+                step = min(step, EXACT_FOLD_ROWS)
+        for i, start in enumerate(range(0, n, step)):
+            rows = slice(start, start + step)
+            factor = None if weights is None else m[rows].T[col] * weights[group, groups[col], rows]
+            if exact:
+                if folds and i and i % (EXACT_FOLD_ROWS // step) == 0:
+                    _fold(levels, coarse_grid, folded)
+                left = _split(np.ldexp(m[rows].T, left_scale, order="C"), grids)
+                right = left if factor is None else _split(np.ldexp(factor, right_scale, out=factor), grids)
+            else:
+                left = [np.array(m[rows].T, order="C")]
+                right = left if factor is None else [factor]
             for s in range(count):
                 for t in range(count - s):
-                    levels[s + t] += left[s] @ right[t].T
+                    if right is left and t < s:
+                        continue  # added below as the transpose of pair (t, s)
+                    product = left[s] @ right[t].T
+                    levels[s + t] += product
+                    if right is left and t != s:
+                        levels[s + t] += product.T
+        if exact and folds:
+            _fold(levels, coarse_grid, folded)
+            levels = folded[0] + folded[1]
         full = sum(reversed(levels))  # finest level first
+        if exact:
+            full = np.ldexp(full, top[:, None] + right_top)
     # entry (j, k) is left j against right (groups[j], k), which exists when
     # groups[j] <= groups[k]: keep the (j, k) or (k, j) ordered by (group, column)
     pos = np.zeros((n_groups, p), dtype=int)
@@ -274,6 +331,15 @@ def _gram(m, groups, weights, count):
     entries = np.take_along_axis(full, pos[groups], axis=1)
     key = groups * p + np.arange(p)
     return np.where(key[:, None] <= key, entries, entries.T)
+
+
+def _fold(levels, coarse_grid, folded):
+    """Move the exact level partials into ``folded``: their multiples of
+    ``coarse_grid`` and the remainders, both exact, and zero them."""
+    rest = np.fmod(levels, coarse_grid)
+    folded[0] += levels - rest
+    folded[1] += rest
+    levels[...] = 0.0
 
 
 def cluster_sandwich(bread, row_scores, starts):

@@ -189,7 +189,7 @@ def gen_outcomes(covariates, cfg, rng, return_latents=False):
 
     names = tuple(f"O{k + 1}" for k in range(j))
     dataset = LongDataset(
-        subject_ids=np.repeat(np.arange(n), t).astype(str),
+        subject_ids=np.repeat(np.arange(n).astype(str), t),
         time_index=np.tile(np.arange(t), n).astype(np.intp),
         y=y,
         a=a,

@@ -593,15 +593,16 @@ def test_fit_computes_bread_once(monkeypatch):
 
 def test_fit_sums_exactly_once_at_the_point_it_reports(monkeypatch):
     # the solver steers on plain sums; the fit makes one exact pooled
-    # evaluation, at the solver's argmin, and reports its value and score bit
-    # for bit; no row state, the solver's or that call's, outlives the fit
+    # evaluation, at the solver's argmin on the solver's last row state, and
+    # reports its value and score bit for bit; no row state outlives the fit
     calls, states = [], []
     original = lem.fit.pooled_negloglik_and_score
     row_pass = RowState.__init__
 
     def counted(theta, dataset, **kwargs):
         out = original(theta, dataset, **kwargs)
-        calls.append((theta.to_array(), kwargs, out[:2]))
+        given = kwargs.pop("_state")  # not kept, so the check below can see it freed
+        calls.append((theta.to_array(), kwargs, given is states[-1](), given.theta.to_array(), out[:2]))
         return out
 
     def tracked(self, *args):
@@ -611,13 +612,14 @@ def test_fit_sums_exactly_once_at_the_point_it_reports(monkeypatch):
     monkeypatch.setattr(lem.fit, "pooled_negloglik_and_score", counted)
     monkeypatch.setattr(RowState, "__init__", tracked)
     fit = fit_lem(panel_dataset(seed=36, n_subjects=200))
-    [(theta, kwargs, (nll, neg_score))] = calls
-    assert kwargs == {"_keep_rows": True}
+    [(theta, kwargs, given_last_state, state_theta, (nll, neg_score))] = calls
+    assert kwargs == {"_keep_rows": True} and given_last_state
     np.testing.assert_array_equal(theta, fit.optim.argmin)
+    np.testing.assert_array_equal(state_theta, fit.optim.argmin)
     assert fit.optim.objective_value == nll
     np.testing.assert_array_equal(fit.optim.gradient, neg_score)
     assert fit.optim.converged and fit.optim.gradient_inf_norm <= lem.fit.SOLVER_TOL
-    assert len(states) == fit.optim.n_evals + 1
+    assert len(states) == fit.optim.n_evals
     assert fit.optim.state is None
     gc.collect()
     assert all(state() is None for state in states)
@@ -1001,11 +1003,20 @@ def _valid_fit_dict():
     return json.loads(json.dumps(fit_to_dict(record)))
 
 
+def _json_containers(inner):
+    return st.lists(inner, max_size=10) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=10) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    _json_containers,
     max_leaves=12,
 )
+# hypothesis checks that the extend function uses its argument by reading its
+# source from this file when the strategy is first validated; validated now,
+# it reads the lines this module was compiled from, not whatever stands at
+# those line numbers once the file is edited during a long test run
+_JSON_VALUES.validate()
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

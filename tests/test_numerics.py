@@ -10,6 +10,7 @@ from lem.errors import NotPositiveDefinite, SingularMatrix
 from lem.numerics import (
     EXACT_SUM_MAX_ROWS,
     EXACT_BLOCK_ENTRIES,
+    EXACT_FOLD_ROWS,
     TAIL_CROSSOVER,
     cholesky,
     exact_gram,
@@ -303,21 +304,56 @@ def test_exact_gram_does_not_depend_on_the_block_size(monkeypatch):
         monkeypatch.undo()
 
 
-def test_exact_gram_agrees_with_fsum_oracle():
-    # the bound of the exact_gram docstring: 2**-47 * n * L_j * R_k for the
-    # slices left out, 2**-51 * |ref| for adding the levels and the products
+def test_exact_gram_does_not_depend_on_the_fold_interval(monkeypatch):
+    # a fold moves exact level partials into exact coarse parts and remainders,
+    # so folding every row, every second or every third row changes no bit
     for case, _, m, args in gram_cases():
+        expected = exact_gram(m, *args)
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(numerics, "EXACT_FOLD_ROWS", rows)
+            np.testing.assert_array_equal(exact_gram(m, *args), expected, err_msg=f"{case}, fold every {rows} rows")
+        monkeypatch.undo()
+
+
+def assert_within_fsum_oracle(got, m, groups=None, weights=None):
+    """The bound of the exact_gram docstring: 2**-47 * n * L_j * R_k for the
+    slices left out, 2**-51 * |ref| for adding the levels and the products."""
+    n, p = m.shape
+    for j in range(p):
+        for k in range(p):
+            right, r_bound = m[:, k], np.abs(m[:, k]).max()
+            if weights is not None:
+                w = weights[groups[j], groups[k]]
+                right, r_bound = right * w, r_bound * np.abs(w).max()
+            ref = math.fsum((m[:, j] * right).tolist())
+            bound = 2.0 ** -47 * n * np.abs(m[:, j]).max() * r_bound + 2.0 ** -51 * abs(ref)
+            assert abs(got[j, k] - ref) <= bound, (n, j, k)
+
+
+def test_exact_gram_agrees_with_fsum_oracle():
+    for case, _, m, args in gram_cases():
+        assert_within_fsum_oracle(exact_gram(m, *args), m, *args)
+
+
+def test_exact_gram_above_the_fold_interval_agrees_with_fsum_oracle(monkeypatch):
+    # more rows than one fold interval, so the default interval folds; half the
+    # rows at their column's largest magnitude fill each slice, and the two huge
+    # first rows cancel as in gram_cases
+    rng = np.random.default_rng(19)
+    n, groups = EXACT_FOLD_ROWS + 2 ** 16 + 5, np.array([0, 1, 1])
+    m = rng.normal(size=(n, 3)) * np.exp2([-20, 0, 25])
+    m[::2] = np.copysign(np.abs(m).max(axis=0), m[::2])
+    m[0] *= 2.0 ** 30
+    m[1] = -m[0]
+    weights = rng.normal(size=(2, 2, n))
+    weights = weights + weights.transpose(1, 0, 2)
+    weights[..., 1] = weights[..., 0]
+    for args in ((), (groups, weights)):
         got = exact_gram(m, *args)
-        n, p = m.shape
-        for j in range(p):
-            for k in range(p):
-                right, r_bound = m[:, k], np.abs(m[:, k]).max()
-                if args:
-                    w = args[1][GROUPS[j], GROUPS[k]]
-                    right, r_bound = right * w, r_bound * np.abs(w).max()
-                ref = math.fsum((m[:, j] * right).tolist())
-                bound = 2.0 ** -47 * n * np.abs(m[:, j]).max() * r_bound + 2.0 ** -51 * abs(ref)
-                assert abs(got[j, k] - ref) <= bound, (case, n, j, k)
+        assert_within_fsum_oracle(got, m, *args)
+        monkeypatch.setattr(numerics, "EXACT_FOLD_ROWS", 2 ** 17)
+        np.testing.assert_array_equal(exact_gram(m, *args), got)
+        monkeypatch.undo()
 
 
 @st.composite
@@ -354,6 +390,17 @@ def test_exact_gram_invariant_to_row_permutation(args, data):
 def test_exact_gram_doubles_exactly_under_row_duplication(args):
     twice = np.tile(np.arange(args[0].shape[0]), 2)
     np.testing.assert_array_equal(exact_gram(*permuted(args, twice)), 2.0 * exact_gram(*args))
+
+
+@given(gram_inputs(), st.data(), st.integers(1, 3))
+def test_exact_gram_folded_every_few_rows_is_invariant_to_row_permutation_and_doubles_exactly(args, data, rows):
+    perm = np.array(data.draw(st.permutations(range(args[0].shape[0]))))
+    twice = np.tile(np.arange(args[0].shape[0]), 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "EXACT_FOLD_ROWS", rows)
+        expected = exact_gram(*args)
+        np.testing.assert_array_equal(exact_gram(*permuted(args, perm)), expected)
+        np.testing.assert_array_equal(exact_gram(*permuted(args, twice)), 2.0 * expected)
 
 
 @given(gram_inputs(), st.data())

@@ -32,6 +32,17 @@ def big_draw():
     return cfg, covs, dataset, latents
 
 
+def test_gen_outcomes_labels_subjects_by_their_index_as_text():
+    # subject i's t rows are labelled str(i), consecutively, in numpy's 21-character
+    # unicode dtype (the width of any int64 as text)
+    cfg = preset("sim1", seed=4, n_subjects=12)
+    rng = substream(cfg.seed, 0)
+    d = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
+    assert d.subject_ids.dtype == np.dtype("<U21")
+    assert d.subject_ids.tolist() == [str(i) for i in range(12) for _ in range(cfg.n_times)]
+    np.testing.assert_array_equal(d.subject_starts, np.arange(0, 12 * cfg.n_times + 1, cfg.n_times))
+
+
 def test_covariate_correlation_matrix_values():
     r = covariate_correlation(SimConfig())
     assert r.shape == (21, 21)
