@@ -13,10 +13,11 @@ result depends on exact totals only.  :func:`exact_sum` takes three 26-bit
 slices.  :func:`exact_gram` takes three 17-bit slices of both factors: a
 slice product is at most 2**32 units of its level's grid and a level has at
 most 3 slice pairs, so 2**19 rows of a level sum exactly in 53 bits; every
-EXACT_FOLD_ROWS = 2**19 rows each level is folded into an exact part on a
-grid 2**26 units coarser and its exact remainder, which carry the totals to
-EXACT_SUM_MAX_ROWS rows.  The slices it leaves out are below about 1.5 *
-2**-48 * L * R a row, for the largest magnitudes L and R of the two columns.
+EXACT_FOLD_ROWS = 2**19 rows each level's multiple of a grid 2**26 units
+coarser moves to an exact coarse total and leaves an exact remainder, which
+carries the totals to EXACT_SUM_MAX_ROWS rows.  The slices it leaves out are
+below about 1.5 * 2**-48 * L * R a row, for the largest magnitudes L and R of
+the two columns.
 
 Functions here are pure and reentrant, but for :func:`one_blas_thread`,
 which sets the process's BLAS thread count once; NaN screening happens at
@@ -195,7 +196,10 @@ def _grids(top, bits, count):
 def _split(a, grids):
     """Slices of ``a`` (one row per column, overwritten): slice s of row j is the
     rest of it pre-rounded by ``(a + c) - c`` with ``c = grids[s][j]`` from
-    :func:`_grids`, at most 2**(bits - 1) grid units if |a[j]| < 2**(top[j] - 1)."""
+    :func:`_grids`, a multiple of the spacing ``u = c / (1.5 * 2**52)`` of c.
+    The first slice is at most ``2**(bits - 1) * u`` if |a[j]| is, and each
+    later one at most half the previous one's u, again 2**(bits - 1) of its
+    own u, as the grids of :func:`_grids` are 2**bits apart."""
     slices = []
     for c in grids:
         if slices:
@@ -247,10 +251,12 @@ def exact_gram(m, groups=None, weights=None):
     product and its transpose.  Exactness rule: a slice product is at most
     2**32 units of its level's grid 2**(-17 (s + t + 2)) and a level has at
     most 3 pairs, so 2**19 rows of a level sum exactly in any order, blocking
-    or thread count, with or without FMA (32 + 2 + 19 <= 53 bits).  Every
-    EXACT_FOLD_ROWS = 2**19 rows each level is folded: ``fmod`` cuts it into a
-    part on a grid 2**26 units coarser and its remainder, which accumulate
-    exactly up to EXACT_SUM_MAX_ROWS = 2**26 rows and are added once at the
+    or thread count, with or without FMA (3 * 2**32 * 2**19 < 2**53).  Every
+    EXACT_FOLD_ROWS = 2**19 rows each level is folded: its nearest multiple of
+    a grid 2**26 units coarser moves to a coarse total, exact up to
+    EXACT_SUM_MAX_ROWS = 2**26 rows (2**7 folds of under 2**27 coarse units),
+    and the remainder of at most 2**25 units stays, which leaves room for the
+    next 2**19 rows.  The coarse total and the level are added once at the
     end, so the result depends on the exact level totals only.  The levels are
     added finest first and scaled back by ``2**(top_j + top_k)``, exactly
     unless that overflows or is subnormal.  Oracle bound: the slices left out
@@ -293,18 +299,17 @@ def _gram(m, groups, weights, exact):
                 right_top = np.frexp(np.minimum(bound, np.finfo(float).max))[1] + 1
             left_scale, right_scale = -top[:, None], -right_top[:, None]
             grids = _grids(0, _GRAM_BITS, count)
-            folds = n > EXACT_FOLD_ROWS
-            if folds:
-                # level l lies on the grid 2**(-bits * (l + 2)); fold on one 2**26 times coarser
-                coarse_grid = np.ldexp(1.0, _FOLD_BITS - _GRAM_BITS * np.arange(2, count + 2))[:, None, None]
-                folded = np.zeros((2, count, p, col.size))  # coarse parts and remainders
-                step = min(step, EXACT_FOLD_ROWS)
+            # level l lies on the grid 2**(-bits * (l + 2)); a fold rounds it onto one
+            # 2**26 times coarser by adding and subtracting 1.5 * 2**52 of its units
+            coarse_round = np.ldexp(1.5, 52 + _FOLD_BITS - _GRAM_BITS * np.arange(2, count + 2))[:, None, None]
+            coarse = np.zeros_like(levels)
+            step = min(step, EXACT_FOLD_ROWS)
         for i, start in enumerate(range(0, n, step)):
             rows = slice(start, start + step)
             factor = None if weights is None else m[rows].T[col] * weights[group, groups[col], rows]
             if exact:
-                if folds and i and i % (EXACT_FOLD_ROWS // step) == 0:
-                    _fold(levels, coarse_grid, folded)
+                if i and i % (EXACT_FOLD_ROWS // step) == 0:
+                    _fold(levels, coarse_round, coarse)
                 left = _split(np.ldexp(m[rows].T, left_scale, order="C"), grids)
                 right = left if factor is None else _split(np.ldexp(factor, right_scale, out=factor), grids)
             else:
@@ -318,9 +323,8 @@ def _gram(m, groups, weights, exact):
                     levels[s + t] += product
                     if right is left and t != s:
                         levels[s + t] += product.T
-        if exact and folds:
-            _fold(levels, coarse_grid, folded)
-            levels = folded[0] + folded[1]
+        if exact:
+            levels += coarse  # the one rounding of each exact level total
         full = sum(reversed(levels))  # finest level first
         if exact:
             full = np.ldexp(full, top[:, None] + right_top)
@@ -333,13 +337,14 @@ def _gram(m, groups, weights, exact):
     return np.where(key[:, None] <= key, entries, entries.T)
 
 
-def _fold(levels, coarse_grid, folded):
-    """Move the exact level partials into ``folded``: their multiples of
-    ``coarse_grid`` and the remainders, both exact, and zero them."""
-    rest = np.fmod(levels, coarse_grid)
-    folded[0] += levels - rest
-    folded[1] += rest
-    levels[...] = 0.0
+def _fold(levels, coarse_round, coarse):
+    """Move the nearest multiples of the coarse grids (``coarse_round`` =
+    1.5 * 2**52 of their units) in the exact level partials to ``coarse``,
+    leaving the exact remainders, at most half a coarse unit, in ``levels``."""
+    part = levels + coarse_round
+    part -= coarse_round
+    coarse += part
+    levels -= part
 
 
 def cluster_sandwich(bread, row_scores, starts):

@@ -305,7 +305,7 @@ def test_exact_gram_does_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_exact_gram_does_not_depend_on_the_fold_interval(monkeypatch):
-    # a fold moves exact level partials into exact coarse parts and remainders,
+    # a fold moves exact parts of the level partials into exact coarse totals,
     # so folding every row, every second or every third row changes no bit
     for case, _, m, args in gram_cases():
         expected = exact_gram(m, *args)
@@ -337,14 +337,14 @@ def test_exact_gram_agrees_with_fsum_oracle():
 
 def test_exact_gram_above_the_fold_interval_agrees_with_fsum_oracle(monkeypatch):
     # more rows than one fold interval, so the default interval folds; half the
-    # rows at their column's largest magnitude fill each slice, and the two huge
-    # first rows cancel as in gram_cases
+    # rows at their column's largest magnitude fill each slice, so every other
+    # row is at L_j; the oracle bound is then about 2**-46 of an unweighted
+    # diagonal entry, and a fold that lost one row at L_j would exceed it more
+    # than 2**27 times over
     rng = np.random.default_rng(19)
     n, groups = EXACT_FOLD_ROWS + 2 ** 16 + 5, np.array([0, 1, 1])
     m = rng.normal(size=(n, 3)) * np.exp2([-20, 0, 25])
     m[::2] = np.copysign(np.abs(m).max(axis=0), m[::2])
-    m[0] *= 2.0 ** 30
-    m[1] = -m[0]
     weights = rng.normal(size=(2, 2, n))
     weights = weights + weights.transpose(1, 0, 2)
     weights[..., 1] = weights[..., 0]
