@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import numbers
 import sys
 import warnings
@@ -372,10 +373,10 @@ def _raise_first_fault(path, spec, width, col_of, covariate_names):
                 raise NonBinaryTreatment(
                     f"row {lineno}: treatment value {av!r} is not 0 or 1"
                 )
-            if not np.isfinite(yv):
+            if not math.isfinite(yv):
                 raise ParseError(f"row {lineno}, column '{spec.outcome}': non-finite outcome")
             for name in covariate_names:
-                if not np.isfinite(_parse_cell(cells[col_of[name]], lineno, name)):
+                if not math.isfinite(_parse_cell(cells[col_of[name]], lineno, name)):
                     raise ParseError(f"row {lineno}, column '{name}': non-finite value")
             if (subj, int(t_raw)) in seen:
                 raise DuplicateObservation(

@@ -2,16 +2,16 @@
 
 Pipeline: one PreparedDesign of the rows, the outcome scaled by a power of
 two (:mod:`lem.likelihood`), which every step reads in place of the
-dataset's x, z and w; a start at the rho = 0 maximum (least squares and a
-probit, on columns of its ``coords``) followed by Heckman's two-step
-estimate, which falls back to the rho = 0 start when the probit's
-generalized residual is collinear with the outcome design; damped Newton
-solution of the pooled estimating equations, cluster-robust sandwich
-covariance (subjects are the clusters), optional model-based covariance, and
-linear inference: :func:`contrast` gives each row of weights its estimate,
-robust SE, pointwise CI and p-value, over the trend block (a
-natural-cubic-spline trend band) or the whole vector (the treatment-effect
-curve w'eta), and :func:`wald` is its one-parameter case.
+dataset's x, z and w; Heckman's two-step start (a probit, then one least
+squares on columns of its ``coords`` and the probit's generalized residual),
+which falls back to the rho = 0 maximum when that residual is collinear with
+the outcome design; damped Newton solution of the pooled estimating
+equations, cluster-robust sandwich covariance (subjects are the clusters),
+optional model-based covariance, and linear inference: :func:`contrast`
+gives each row of weights its estimate, robust SE, pointwise CI and p-value,
+over the trend block (a natural-cubic-spline trend band) or the whole vector
+(the treatment-effect curve w'eta), and :func:`wald` is its one-parameter
+case.
 
 Each point the solver (:func:`lem.optim.minimize_bfgs`, a Newton method
 whose older name the benchmark traces) tries costs one steering evaluation:
@@ -153,10 +153,12 @@ class WaldResult:
 
 def _probit(z, a):
     """Probit coefficients by Newton's method on the observed information
-    ``z' diag(-inverse_mills_slope(m, lambda)) z``.  Raises SingularDesign for a
-    rank-deficient z, after PROBIT_MAX_ITER steps, and when every row is
-    classified: a finite probit maximum misclassifies some row, so that is
-    complete separation (Albert & Anderson, Biometrika 71 (1984) 1-10)."""
+    ``z' diag(-inverse_mills_slope(m, lambda)) z``, with the m = s z'alpha
+    (s = 2a - 1) and lambda = inverse_mills_ratio(m) of its last pass, at the
+    returned alpha.  Raises SingularDesign for a rank-deficient z, after
+    PROBIT_MAX_ITER steps, and when every row is classified: a finite probit
+    maximum misclassifies some row, so that is complete separation (Albert &
+    Anderson, Biometrika 71 (1984) 1-10)."""
     if matrix_rank(z) < z.shape[1]:
         raise SingularDesign("treatment design matrix is rank deficient")
     alpha = np.zeros(z.shape[1])
@@ -171,54 +173,43 @@ def _probit(z, a):
         alpha = alpha + solve_sym(info, score)
     else:
         raise SingularDesign(f"probit start did not converge in {PROBIT_MAX_ITER} Newton steps")
-    if (m > 0).all():  # m is sign * (z @ alpha) at the returned alpha
+    if (m > 0).all():
         raise SingularDesign("z separates treatment completely: the probit has no finite maximum")
-    return alpha
+    return alpha, m, lam
 
 
 def initialize(dataset):
-    """Starting values: the maximum of the joint likelihood at rho = 0, where it
-    splits into least squares of y on [X, W*A] (beta, eta and sigma_y, the
-    residual SD) and a probit of A on Z (alpha); varrho starts at zero."""
+    """Starting values: Heckman's two-step estimate (Econometrica 47 (1979)
+    153-161).  A probit of A on Z gives alpha and its generalized residual
+    h = s lambda(m); least squares of y on [X, W*A, h] gives beta, eta and
+    h's coefficient, which estimates rho sigma_y, and sigma_y^2 solves
+    E[e^2 | a, z] = sigma_y^2 (1 - rho^2 lambda (lambda + m)).  rho is clipped
+    to +-TWO_STEP_MAX_RHO.
+
+    When h is collinear with [X, W*A] (with an intercept-only z it takes one
+    value per arm) or that variance is not a finite positive number, the start
+    is the maximum at rho = 0 instead: least squares of y on [X, W*A] (beta,
+    eta and sigma_y, the residual SD), the same alpha and varrho = 0."""
     design = PreparedDesign.of(dataset)
     spans = design.spans
+    alpha, m, lam = _probit(design.coords[:, spans.c], design.a)
     xw = -design.coords[:, spans.r]
-    coef, _, rank, _ = np.linalg.lstsq(xw, design.y, rcond=RANK_TOL)
-    if rank < xw.shape[1]:
-        raise SingularDesign(f"design matrix with {xw.shape[1]} columns is rank deficient")
-    resid = design.y - xw @ coef
-    sigma = math.sqrt(max(float(np.mean(resid ** 2)), 1e-12))
-    alpha = _probit(design.coords[:, spans.c], design.a)
-    return Theta(beta=coef[spans.beta], eta=coef[spans.eta], alpha=alpha,
-                 log_sigma_y=math.log(sigma), varrho=0.0)
-
-
-def _two_step(dataset, theta0):
-    """Heckman's two-step estimate (Econometrica 47 (1979) 153-161) from the
-    rho = 0 start ``theta0``: least squares of y on [X, W*A, h], where
-    h = s lambda(m), m = s z'alpha and s = 2a - 1, is the probit's generalized
-    residual.  Its coefficient estimates rho sigma_y, and sigma_y^2 solves
-    E[e^2 | a, z] = sigma_y^2 (1 - rho^2 lambda (lambda + m)).  alpha is kept.
-
-    Returns ``theta0`` when h is collinear with [X, W*A] (with an intercept-only
-    z it takes one value per arm) or the variance is not a finite positive number.
-    """
-    design = PreparedDesign.of(dataset)
-    spans = design.spans
-    sign = 2.0 * design.a - 1.0
-    m = sign * (design.coords[:, spans.c] @ theta0.alpha)
-    lam = inverse_mills_ratio(m, log_std_normal_cdf(m))
-    xwh = np.hstack([-design.coords[:, spans.r], (sign * lam)[:, None]])
+    xwh = np.hstack([xw, ((2.0 * design.a - 1.0) * lam)[:, None]])
     coef, _, rank, _ = np.linalg.lstsq(xwh, design.y, rcond=RANK_TOL)
     rho_sigma = coef[-1]
     sigma2 = float(np.mean((design.y - xwh @ coef) ** 2)
                    + rho_sigma ** 2 * np.mean(-inverse_mills_slope(m, lam)))
-    if rank < xwh.shape[1] or not 0.0 < sigma2 < math.inf:
-        return theta0
-    sigma = math.sqrt(sigma2)
-    rho = min(max(rho_sigma / sigma, -TWO_STEP_MAX_RHO), TWO_STEP_MAX_RHO)
-    return replace(theta0, beta=coef[spans.beta], eta=coef[spans.eta],
-                   log_sigma_y=math.log(sigma), varrho=varrho_of_rho(rho))
+    if rank == xwh.shape[1] and 0.0 < sigma2 < math.inf:
+        sigma = math.sqrt(sigma2)
+        rho = min(max(rho_sigma / sigma, -TWO_STEP_MAX_RHO), TWO_STEP_MAX_RHO)
+        return Theta(beta=coef[spans.beta], eta=coef[spans.eta], alpha=alpha,
+                     log_sigma_y=math.log(sigma), varrho=varrho_of_rho(rho))
+    coef, _, rank, _ = np.linalg.lstsq(xw, design.y, rcond=RANK_TOL)
+    if rank < xw.shape[1]:
+        raise SingularDesign(f"design matrix with {xw.shape[1]} columns is rank deficient")
+    sigma = math.sqrt(max(float(np.mean((design.y - xw @ coef) ** 2)), 1e-12))
+    return Theta(beta=coef[spans.beta], eta=coef[spans.eta], alpha=alpha,
+                 log_sigma_y=math.log(sigma), varrho=0.0)
 
 
 def _objective(dataset):
@@ -281,7 +272,7 @@ def fit_lem(dataset, *, model_cov=False):
 
     k = int(np.frexp(np.abs(dataset.y).max())[1]) - 4
     design = PreparedDesign.of(dataset, k)
-    theta0 = _two_step(design, initialize(design))
+    theta0 = initialize(design)
     result = minimize_bfgs(*_objective(design), theta0.to_array(),
                            tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER)
     theta_fitted = Theta.from_array(result.argmin, dataset.dims)

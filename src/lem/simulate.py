@@ -158,16 +158,7 @@ def gen_covariates(cfg, rng):
     return (zdraws @ chol.T).reshape(cfg.n_subjects, cfg.n_times, N_COVARIATES)
 
 
-@dataclass(frozen=True)
-class GeneratedLatents:
-    """Generator internals exposed for distributional tests."""
-
-    epsilon: np.ndarray   # (N, T) outcome errors
-    gamma: np.ndarray     # (N, T) latent treatment errors
-    a_star: np.ndarray    # (N, T) latent treatment index
-
-
-def gen_outcomes(covariates, cfg, rng, return_latents=False):
+def gen_outcomes(covariates, cfg, rng):
     """Treatments and outcomes from the joint mechanism, as a LongDataset."""
     n, t, j = covariates.shape
     chol = cholesky(error_covariance(cfg))
@@ -188,7 +179,7 @@ def gen_outcomes(covariates, cfg, rng, return_latents=False):
     y = x @ beta + (w @ eta) * a + eps.reshape(n * t)
 
     names = tuple(f"O{k + 1}" for k in range(j))
-    dataset = LongDataset(
+    return LongDataset(
         subject_ids=np.repeat(np.arange(n).astype(str), t),
         time_index=np.tile(np.arange(t), n).astype(np.intp),
         y=y,
@@ -202,9 +193,6 @@ def gen_outcomes(covariates, cfg, rng, return_latents=False):
         column_names=names,
         column_values=flat.copy(),
     )
-    if return_latents:
-        return dataset, GeneratedLatents(epsilon=eps, gamma=gam, a_star=a_star)
-    return dataset
 
 
 def _expit(v):

@@ -1,4 +1,4 @@
-"""Behaviour fingerprint: two SHA-256 digests of fit results, which a change
+"""Behaviour fingerprint: three SHA-256 digests of fit results, which a change
 that keeps every covered fit bit for bit leaves as they are.
 
     PYTHONPATH=src python tests/fingerprint.py
@@ -13,6 +13,8 @@ file; it takes a few seconds.
 * ``cli fits``: ``lem fit --method lem`` on the same replicates at seeds 0-3,
   written by ``write_csv``, with and without ``--model-cov`` (32 runs): the
   exit code, stdout, stderr and ``fit.json``.
+* ``gee fits``: ``fit_gee_independence`` in both variants on the 96 preset
+  replicates: the estimates and ``cov_robust``, or the error.
 """
 
 import contextlib
@@ -28,6 +30,7 @@ from lem import cli, simulate
 from lem.data import DesignSpec, write_csv
 from lem.errors import LemError
 from lem.fit import fit_lem
+from lem.gee import VARIANTS, fit_gee_independence
 
 PRESETS = ("sim1", "sim2", "sim3", "sim4")
 SPEC = {
@@ -60,6 +63,19 @@ def fit_bytes(dataset):
     ])
 
 
+def gee_bytes(dataset):
+    """Estimates and cov_robust of each GEE variant; the error if one raises."""
+    parts = []
+    for variant in VARIANTS:
+        try:
+            fit = fit_gee_independence(dataset, variant)
+        except LemError as exc:
+            parts.append(f"{type(exc).__name__}: {exc}".encode())
+        else:
+            parts.append(fit.estimates.tobytes() + fit.cov_robust.tobytes())
+    return b"".join(parts)
+
+
 def cli_bytes(data, spec, out, extra):
     """Exit code, stdout, stderr and fit.json of one ``lem fit --method lem``."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -76,10 +92,12 @@ def cli_bytes(data, spec, out, extra):
 
 
 def main():
-    presets = hashlib.sha256()
+    presets, gee = hashlib.sha256(), hashlib.sha256()
     for name in PRESETS:
         for seed in range(24):
-            presets.update(fit_bytes(replicate(name, seed)))
+            dataset = replicate(name, seed)
+            presets.update(fit_bytes(dataset))
+            gee.update(gee_bytes(dataset))
     runs = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         spec = os.path.join(tmp, "spec.json")
@@ -94,6 +112,7 @@ def main():
                     runs.update(cli_bytes(data, spec, out, extra))
     print(f"preset fits  {presets.hexdigest()}")
     print(f"cli fits     {runs.hexdigest()}")
+    print(f"gee fits     {gee.hexdigest()}")
     return 0
 
 

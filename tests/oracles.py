@@ -3,23 +3,39 @@
 Finite-difference derivatives, a three-regime log Phi that
 ``lem.numerics.log_std_normal_cdf`` must agree with, the Fisher-scoring
 probit that the Newton probit start ``lem.fit._probit`` must agree with, and
-what must match exactly: the block-by-block score rows for
+what must match exactly: the rho = 0 start and Heckman's two-step from it,
+computed apart, for ``lem.fit.initialize``; the block-by-block score rows for
 ``lem.likelihood.score_rows``, the one-row trend prediction for
 ``lem.fit.contrast`` on rows of width j_x, and the row-by-row CSV reader and
 writer for the column-wise ``lem.data.load_csv`` and ``write_csv``.
 """
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy import special
 
-from lem.data import INTERCEPT, LongDataset
-from lem.errors import DuplicateObservation, MissingColumn, NonBinaryTreatment, ParseError
-from lem.likelihood import PreparedDesign, RowState, _scalars
-from lem.numerics import log_std_normal_cdf, solve_sym, std_normal_cdf, std_normal_log_pdf
+from lem.data import INTERCEPT, RANK_TOL, LongDataset
+from lem.errors import (
+    DuplicateObservation,
+    MissingColumn,
+    NonBinaryTreatment,
+    ParseError,
+    SingularDesign,
+)
+from lem.fit import TWO_STEP_MAX_RHO, _probit
+from lem.likelihood import PreparedDesign, RowState, Theta, _scalars, varrho_of_rho
+from lem.numerics import (
+    inverse_mills_ratio,
+    inverse_mills_slope,
+    log_std_normal_cdf,
+    solve_sym,
+    std_normal_cdf,
+    std_normal_log_pdf,
+)
 
 
 def fd_jacobian(fun, x, step_scale=1e-5):
@@ -82,6 +98,49 @@ def probit_fisher_scoring(z, a, max_iter=50, tol=1e-10):
         if np.abs(score).max() <= tol * len(a):
             break
     return alpha
+
+
+def rho_zero_start(dataset):
+    """The maximum of the joint likelihood at rho = 0, where it splits into
+    least squares of y on [X, W*A] (beta, eta and sigma_y, the residual SD)
+    and a probit of A on Z (alpha); varrho is zero.  A rank-deficient
+    [X, W*A] raises before the probit runs."""
+    design = PreparedDesign.of(dataset)
+    spans = design.spans
+    xw = -design.coords[:, spans.r]
+    coef, _, rank, _ = np.linalg.lstsq(xw, design.y, rcond=RANK_TOL)
+    if rank < xw.shape[1]:
+        raise SingularDesign(f"design matrix with {xw.shape[1]} columns is rank deficient")
+    resid = design.y - xw @ coef
+    sigma = math.sqrt(max(float(np.mean(resid ** 2)), 1e-12))
+    alpha, _, _ = _probit(design.coords[:, spans.c], design.a)
+    return Theta(beta=coef[spans.beta], eta=coef[spans.eta], alpha=alpha,
+                 log_sigma_y=math.log(sigma), varrho=0.0)
+
+
+def two_step_start(dataset, theta0):
+    """Heckman's two-step estimate from the rho = 0 start ``theta0``, with m and
+    lambda recomputed from its alpha: least squares of y on [X, W*A, h],
+    h = s lambda(m), m = s z'alpha, s = 2a - 1; h's coefficient estimates
+    rho sigma_y, and sigma_y^2 solves E[e^2 | a, z] = sigma_y^2 (1 - rho^2
+    lambda (lambda + m)).  Returns ``theta0`` when h is collinear with [X, W*A]
+    or the variance is not a finite positive number."""
+    design = PreparedDesign.of(dataset)
+    spans = design.spans
+    sign = 2.0 * design.a - 1.0
+    m = sign * (design.coords[:, spans.c] @ theta0.alpha)
+    lam = inverse_mills_ratio(m, log_std_normal_cdf(m))
+    xwh = np.hstack([-design.coords[:, spans.r], (sign * lam)[:, None]])
+    coef, _, rank, _ = np.linalg.lstsq(xwh, design.y, rcond=RANK_TOL)
+    rho_sigma = coef[-1]
+    sigma2 = float(np.mean((design.y - xwh @ coef) ** 2)
+                   + rho_sigma ** 2 * np.mean(-inverse_mills_slope(m, lam)))
+    if rank < xwh.shape[1] or not 0.0 < sigma2 < math.inf:
+        return theta0
+    sigma = math.sqrt(sigma2)
+    rho = min(max(rho_sigma / sigma, -TWO_STEP_MAX_RHO), TWO_STEP_MAX_RHO)
+    return dataclasses.replace(theta0, beta=coef[spans.beta], eta=coef[spans.eta],
+                               log_sigma_y=math.log(sigma), varrho=varrho_of_rho(rho))
 
 
 def score_rows_blockwise(theta, dataset):

@@ -28,7 +28,6 @@ from lem.fit import (
     FitRecord,
     _objective,
     _probit,
-    _two_step,
     contrast,
     fisher_cov,
     fit_lem,
@@ -52,7 +51,7 @@ from lem.simulate import (
     substream,
 )
 from blas_threads import run_fresh
-from oracles import fd_jacobian, predict_mean, probit_fisher_scoring
+from oracles import fd_jacobian, predict_mean, probit_fisher_scoring, rho_zero_start, two_step_start
 
 
 def panel_dataset(seed=0, n_subjects=500, rho=0.5, eta=(0.0, 0.2, 0.2, 0.2, 0.2),
@@ -88,7 +87,8 @@ def test_initialize_near_truth_without_endogeneity():
     np.testing.assert_allclose(theta0.beta, [0, 1, 1, 1, 1], atol=10 * rough_se)
     np.testing.assert_allclose(theta0.alpha, [0, 1, 1, 1, 1], atol=0.15)
     assert abs(theta0.sigma_y - 1.0) < 0.05
-    assert theta0.varrho == 0.0
+    # the two-step's rho over seeds 30-39 of this design: at most 0.136 in magnitude
+    assert abs(theta0.rho) < 0.2
 
 
 def test_initialize_intercept_only_design():
@@ -124,22 +124,75 @@ def sim1_replicate(rep):
 
 def test_two_step_start_near_truth_on_a_large_cohort():
     d = panel_dataset(seed=34, n_subjects=3000, n_times=1)
-    start = _two_step(d, initialize(d))
+    start = initialize(d)
     # the start's rho over seeds 30-49 of this design: SD 0.04, worst error 0.084
     assert abs(start.rho - 0.5) < 0.15
-    np.testing.assert_array_equal(start.alpha, initialize(d).alpha)
+    np.testing.assert_array_equal(start.alpha, rho_zero_start(d).alpha)
+
+
+@pytest.mark.parametrize("name", ["sim1", "sim2", "sim3", "sim4"])
+def test_initialize_is_the_reference_two_step_bit_for_bit(name):
+    # the probit's last m and lambda give the same h as recomputing them from alpha
+    for seed in (0, 1, 2):
+        cfg = preset(name, seed=seed)
+        rng = substream(cfg.seed, 0)
+        d = apply_missingness(gen_outcomes(gen_covariates(cfg, rng), cfg, rng), cfg, rng)
+        start = initialize(d)
+        assert start.varrho != 0.0
+        assert start.to_array().tobytes() == two_step_start(d, rho_zero_start(d)).to_array().tobytes()
 
 
 def test_two_step_falls_back_with_an_intercept_only_z():
     # h takes one value per arm, so it is collinear with the intercept and a
     d = sim1_replicate(0)
     d = dataclasses.replace(d, z=d.x[:, :1], z_names=d.x_names[:1])
-    theta0 = initialize(d)
-    start = _two_step(d, theta0)
+    start = initialize(d)
     assert start.varrho == 0.0
-    np.testing.assert_array_equal(start.beta, theta0.beta)
-    np.testing.assert_array_equal(start.eta, theta0.eta)
-    assert start.sigma_y == theta0.sigma_y
+    assert start.to_array().tobytes() == rho_zero_start(d).to_array().tobytes()
+
+
+def count_lstsq(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+def test_a_fit_runs_one_least_squares_when_the_two_step_succeeds(monkeypatch):
+    d = sim1_replicate(0)
+    calls = count_lstsq(monkeypatch)
+    fit_lem(d)
+    assert calls == [(d.n_rows, d.x.shape[1] + d.w.shape[1] + 1)]
+
+
+def test_the_rho_zero_fallback_runs_a_second_least_squares(monkeypatch):
+    d = sim1_replicate(0)
+    d = dataclasses.replace(d, z=d.x[:, :1], z_names=d.x_names[:1])
+    calls = count_lstsq(monkeypatch)
+    with pytest.raises(SingularMatrix):
+        fit_lem(d)
+    width = d.x.shape[1] + d.w.shape[1]
+    assert calls == [(d.n_rows, width + 1), (d.n_rows, width)]
+
+
+def test_a_design_with_two_faults_reports_the_probit_fault():
+    # [X, W*A] and z are both rank deficient: the probit runs first, so its fault is
+    # the one reported (the rho = 0 least squares alone would report its own)
+    rng = np.random.default_rng(3)
+    n = 50
+    col = rng.normal(size=n)
+    xz = np.column_stack([np.ones(n), col, col])
+    d = LongDataset.from_arrays(y=rng.normal(size=n), a=(rng.random(n) < 0.5).astype(float),
+                                x=xz, z=xz, w=np.ones((n, 1)))
+    with pytest.raises(SingularDesign, match="^treatment design matrix is rank deficient$"):
+        fit_lem(d)
+    with pytest.raises(SingularDesign, match="^design matrix with 4 columns is rank deficient$"):
+        rho_zero_start(d)
 
 
 def test_fit_without_an_exclusion_restriction_matches_the_rho_zero_start(monkeypatch):
@@ -148,7 +201,7 @@ def test_fit_without_an_exclusion_restriction_matches_the_rho_zero_start(monkeyp
     for rep in range(6):
         d = sim1_replicate(rep)
         fits.append(fit_lem(dataclasses.replace(d, z=d.x, z_names=d.x_names)))
-    monkeypatch.setattr(lem.fit, "_two_step", lambda dataset, theta0: theta0)
+    monkeypatch.setattr(lem.fit, "initialize", rho_zero_start)
     for rep, fit in enumerate(fits):
         d = sim1_replicate(rep)
         ref = fit_lem(dataclasses.replace(d, z=d.x, z_names=d.x_names))
@@ -180,7 +233,7 @@ def test_probit_start_agrees_with_fisher_scoring(name):
         d = gen_outcomes(gen_covariates(cfg, rng), cfg, rng)
         if cfg.missingness != "none":
             d = apply_missingness(d, cfg, rng)
-        np.testing.assert_allclose(_probit(d.z, d.a), probit_fisher_scoring(d.z, d.a),
+        np.testing.assert_allclose(_probit(d.z, d.a)[0], probit_fisher_scoring(d.z, d.a),
                                    rtol=0, atol=1e-9)
 
 
@@ -658,7 +711,7 @@ def test_steering_sums_agree_with_the_exact_ones_to_rounding(name):
     if cfg.missingness != "none":
         d = apply_missingness(d, cfg, rng)
     fun, _ = _objective(d)
-    start = _two_step(d, initialize(d))
+    start = initialize(d)
     points = [start.to_array(), fit_lem(d).theta_hat.to_array(),
               start.to_array() + np.random.default_rng(5).uniform(-0.2, 0.2, start.dim)]
     for vec in points:

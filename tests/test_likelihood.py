@@ -8,7 +8,7 @@ from scipy import stats
 
 from lem.data import LongDataset, subset_rows
 from lem.errors import NonFiniteLikelihood
-from lem.fit import _two_step, fit_lem, initialize, score_jacobian
+from lem.fit import fit_lem, initialize, score_jacobian
 from lem.likelihood import (
     Theta,
     loglik_rows,
@@ -193,7 +193,7 @@ def preset_points(name, seed):
     cfg = preset(name, seed=seed)
     rng = substream(cfg.seed, 0)
     d = apply_missingness(gen_outcomes(gen_covariates(cfg, rng), cfg, rng), cfg, rng)
-    start = _two_step(d, initialize(d))
+    start = initialize(d)
     near = start.to_array() + np.random.default_rng(seed).normal(scale=0.3, size=start.dim)
     return d, [start, fit_lem(d).theta_hat, Theta.from_array(near, d.dims)]
 

@@ -9,6 +9,7 @@ from lem.data import LongDataset
 from lem.errors import LemError, NotPositiveDefinite
 from lem.fit import fit_lem, z_quantile
 from lem.gee import fit_gee_independence
+from lem.numerics import cholesky
 from lem.simulate import (
     SimConfig,
     apply_missingness,
@@ -25,11 +26,19 @@ from blas_threads import run_fresh
 
 @pytest.fixture(scope="module")
 def big_draw():
+    """A large draw with its outcome and latent treatment errors, (N, T) each,
+    redrawn from a second generator on the same substream in the generator's
+    order: the covariates, then the (N, 2T) error block times the transposed
+    Cholesky factor of ``error_covariance``."""
     cfg = SimConfig(n_subjects=100_000, seed=99)
     rng = substream(cfg.seed, 0)
     covs = gen_covariates(cfg, rng)
-    dataset, latents = gen_outcomes(covs, cfg, rng, return_latents=True)
-    return cfg, covs, dataset, latents
+    dataset = gen_outcomes(covs, cfg, rng)
+    rng = substream(cfg.seed, 0)
+    gen_covariates(cfg, rng)
+    t = cfg.n_times
+    errors = rng.standard_normal((cfg.n_subjects, 2 * t)) @ cholesky(error_covariance(cfg)).T
+    return cfg, covs, dataset, errors[:, :t], errors[:, t:]
 
 
 def test_gen_outcomes_labels_subjects_by_their_index_as_text():
@@ -53,7 +62,7 @@ def test_covariate_correlation_matrix_values():
 
 
 def test_covariate_sample_correlations(big_draw):
-    _, covs, _, _ = big_draw
+    _, covs, _, _, _ = big_draw
     flat = covs.reshape(covs.shape[0], -1)
     cor = np.corrcoef(flat, rowvar=False)
     assert cor[0, 1] == pytest.approx(0.20, abs=0.01)     # (O_t1_v1, O_t1_v2)
@@ -64,25 +73,30 @@ def test_covariate_sample_correlations(big_draw):
 
 
 def test_outcome_error_scale(big_draw):
-    _, _, dataset, latents = big_draw
+    _, _, dataset, epsilon, _ = big_draw
     resid = dataset.y - dataset.x @ np.array(SimConfig().beta) \
         - (dataset.w @ np.array(SimConfig().eta)) * dataset.a
-    np.testing.assert_allclose(resid, latents.epsilon.reshape(-1), atol=1e-10)
+    np.testing.assert_allclose(resid, epsilon.reshape(-1), atol=1e-10)
     assert resid.std() == pytest.approx(1.0, abs=0.02)
 
 
+def test_redrawn_latent_index_reproduces_the_treatments(big_draw):
+    cfg, _, dataset, _, gamma = big_draw
+    np.testing.assert_array_equal(dataset.a, (dataset.z @ np.array(cfg.alpha) + gamma.reshape(-1) > 0.0))
+
+
 def test_latent_concurrent_correlation(big_draw):
-    _, _, _, latents = big_draw
+    _, _, _, epsilon, gamma = big_draw
     for t in range(3):
-        c = np.corrcoef(latents.gamma[:, t], latents.epsilon[:, t])[0, 1]
+        c = np.corrcoef(gamma[:, t], epsilon[:, t])[0, 1]
         assert c == pytest.approx(0.50, abs=0.02)
 
 
 def test_latent_longitudinal_correlations(big_draw):
-    _, _, _, latents = big_draw
-    assert np.corrcoef(latents.epsilon[:, 0], latents.epsilon[:, 1])[0, 1] == pytest.approx(0.60, abs=0.02)
-    assert np.corrcoef(latents.gamma[:, 0], latents.gamma[:, 1])[0, 1] == pytest.approx(0.50, abs=0.02)
-    assert np.corrcoef(latents.gamma[:, 0], latents.epsilon[:, 1])[0, 1] == pytest.approx(0.20, abs=0.02)
+    _, _, _, epsilon, gamma = big_draw
+    assert np.corrcoef(epsilon[:, 0], epsilon[:, 1])[0, 1] == pytest.approx(0.60, abs=0.02)
+    assert np.corrcoef(gamma[:, 0], gamma[:, 1])[0, 1] == pytest.approx(0.50, abs=0.02)
+    assert np.corrcoef(gamma[:, 0], epsilon[:, 1])[0, 1] == pytest.approx(0.20, abs=0.02)
 
 
 def test_treatment_marginal_probability_at_alpha_zero():
